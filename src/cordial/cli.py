@@ -24,7 +24,7 @@ from .certify import (
     parse_certificate,
     serialize_certificate,
 )
-from .errors import CordialError, MalformedCertificate
+from .errors import CordialError, MalformedCertificate, SelfCheckFailed
 from .graph_core import FAMILIES, MIN_SIZE, FamilySpec, MultiGraph, parse_edge_list
 from .oracle import (
     DEFAULT_MAX_VERTICES,
@@ -379,8 +379,8 @@ def main(argv=None) -> int:
     except MalformedCertificate as exc:
         print(f"Malformed: {exc}", file=sys.stderr)
         return 2
-    except AssertionError:
-        print("internal self-check failed", file=sys.stderr)
+    except SelfCheckFailed as exc:
+        print(f"internal self-check failed: {exc}", file=sys.stderr)
         return 1
     except CordialError as exc:
         print(f"error: {exc}", file=sys.stderr)

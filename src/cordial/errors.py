@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the self-check raising one."""
 
 
 class CordialError(Exception):
@@ -47,3 +47,13 @@ class StrictlyNoncordial(CordialError):
 
 class MalformedCertificate(CordialError):
     """A certificate is structurally broken, as opposed to semantically rejected."""
+
+
+class SelfCheckFailed(CordialError):
+    """An internal invariant failed: a bug in this package, not a bad input."""
+
+
+def self_check(ok: bool, what: str) -> None:
+    """Raise SelfCheckFailed(what) unless ok; unlike assert, survives python -O."""
+    if not ok:
+        raise SelfCheckFailed(what)

@@ -1,7 +1,7 @@
 """Closed forms and constructive witnesses for the named graph families.
 
 Every witness constructor runs its output through the certificate checker
-before returning, so a bug here surfaces as an assertion, not as a wrong
+before returning, so a bug here surfaces as SelfCheckFailed, not as a wrong
 table entry. Formulas and constructions are independent of the exhaustive
 search; agreement between the two is established by certify.cross_validate.
 """
@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certify import Certificate, check_certificate
-from .errors import NotApplicable, NoUnitCrossEdge, SizeTooSmall, StrictlyNoncordial
+from .errors import (
+    NotApplicable,
+    NoUnitCrossEdge,
+    SizeTooSmall,
+    StrictlyNoncordial,
+    self_check,
+)
 from .graph_core import FamilySpec, MultiGraph
 from .labeling import (
     BalanceReport,
@@ -115,7 +121,7 @@ def complete_ced_witness(n: int) -> Certificate:
         claimed_value=value,
         added_edges=((0, 1),) * value,
     )
-    assert check_certificate(cert).accepted
+    self_check(check_certificate(cert).accepted, "complete ced witness rejected")
     return cert
 
 
@@ -138,7 +144,7 @@ def complete_cvd_witness(n: int) -> Certificate:
         claimed_value=value,
         added_vertex_labels=added,
     )
-    assert check_certificate(cert).accepted
+    self_check(check_certificate(cert).accepted, "complete cvd witness rejected")
     return cert
 
 
@@ -174,7 +180,7 @@ def instance_certificate(inst: LabeledFamilyInstance) -> Certificate:
         labels=inst.labeling.labels,
         claimed_value=0,
     )
-    assert check_certificate(cert).accepted
+    self_check(check_certificate(cert).accepted, "family labeling rejected")
     return cert
 
 
@@ -262,7 +268,7 @@ def graft_with_seams(
             fp[(s0 - 1) % npp] ^ fb[t0],
         )
     )
-    assert removed == added, "seam exchange must conserve edge labels"
+    self_check(removed == added, "seam exchange must conserve edge labels")
     return merged, GraftSeams(tuple(removed), tuple(added))
 
 
@@ -281,7 +287,7 @@ def construct_mobius_labeling(k: int) -> LabeledFamilyInstance:
     inst = base_mobius_labeling(k0)
     for _ in range((k - k0) // 4):
         inst = graft(inst, base_mobius_labeling(4))
-    assert inst.is_cordial
+    self_check(inst.is_cordial, "spliced mobius labeling not cordial")
     return inst
 
 
@@ -301,7 +307,7 @@ def mobius_ced_witness(k: int) -> Certificate:
     """Friendly labeling two edges apart plus one mixed edge addition."""
     inst = _grow_mobius_seed(k, _MOBIUS6_CED_LABELS)
     pair = first_pair_with_edge_label(inst.labeling, 1)
-    assert pair is not None
+    self_check(pair is not None, "no mixed pair in mobius labeling")
     cert = Certificate(
         kind="ced",
         family="mobius",
@@ -310,7 +316,7 @@ def mobius_ced_witness(k: int) -> Certificate:
         claimed_value=1,
         added_edges=(pair,),
     )
-    assert check_certificate(cert).accepted
+    self_check(check_certificate(cert).accepted, "mobius ced witness rejected")
     return cert
 
 
@@ -327,7 +333,7 @@ def mobius_cvd_witness(k: int) -> Certificate:
         claimed_value=1,
         added_vertex_labels=added,
     )
-    assert check_certificate(cert).accepted
+    self_check(check_certificate(cert).accepted, "mobius cvd witness rejected")
     return cert
 
 
@@ -347,7 +353,7 @@ def cycle_cordial_labeling(n: int) -> LabeledFamilyInstance:
         raise NotApplicable("no cordial labeling exists when the length is 2 modulo 4")
     labels = tuple(_CYCLE_PATTERN[i % 4] for i in range(n))
     inst = LabeledFamilyInstance.build("cycle", n, labels)
-    assert inst.is_cordial
+    self_check(inst.is_cordial, "cycle labeling not cordial")
     return inst
 
 
@@ -372,7 +378,7 @@ def wheel_cordial_labeling(n: int) -> LabeledFamilyInstance:
         raise NotApplicable("no cordial labeling exists when the rim is 3 modulo 4")
     labels = _wheel_rim(n) + (0,)
     inst = LabeledFamilyInstance.build("wheel", n, labels)
-    assert inst.is_cordial
+    self_check(inst.is_cordial, "wheel labeling not cordial")
     return inst
 
 
@@ -386,7 +392,7 @@ def wheel_ced_witness(n: int) -> Certificate:
     labels = tuple(_CYCLE_PATTERN[i % 4] for i in range(n)) + (0,)
     f = VertexLabeling(labels)
     pair = first_pair_with_edge_label(f, 0)
-    assert pair is not None
+    self_check(pair is not None, "no same-labeled pair in wheel labeling")
     cert = Certificate(
         kind="ced",
         family="wheel",
@@ -395,7 +401,7 @@ def wheel_ced_witness(n: int) -> Certificate:
         claimed_value=1,
         added_edges=(pair,),
     )
-    assert check_certificate(cert).accepted
+    self_check(check_certificate(cert).accepted, "wheel ced witness rejected")
     return cert
 
 
@@ -415,5 +421,5 @@ def wheel_cvd_witness(n: int) -> Certificate:
         claimed_value=1,
         added_vertex_labels=(0,),
     )
-    assert check_certificate(cert).accepted
+    self_check(check_certificate(cert).accepted, "wheel cvd witness rejected")
     return cert

@@ -1,14 +1,31 @@
 """Exhaustive search for cordiality and the two deficiency measures.
 
 Labelings are encoded as n-bit integers, bit i giving the label of vertex i.
-Every search does a full scan and reduces by (cost, canonical encoding) where
-the canonical encoding of a labeling is the smaller of itself and its
-complement. The reduction makes results bit-identical regardless of worker
-count and regardless of whether the complement symmetry is exploited.
+A search covers its whole stream (friendly labelings for cordial and ced, all
+labelings for cvd; with halving, vertex 0 is pinned at label 0, which is
+sound because complementing a labeling preserves every edge label) and
+reduces by (cost, canonical encoding), where the canonical encoding of a
+labeling is the smaller of itself and its complement. The reduction makes
+results bit-identical regardless of worker count and of halving.
+
+The scan kernel splits the free vertices into a low part of at most LOW_BITS
+vertices and a high part holding the rest, vertex n-1 included. With inc[v]
+the bitmask of edges at v, the 1-labeled edges of the labeling made of low
+subset l and high subset h are A[l] ^ B[h], where A and B are the XORs of
+the subsets' incidence masks, built by doubling. The low table is grouped by
+popcount, so for one h the labelings with a given ones count form a block
+whose e1 values come from one list comprehension over A. Cost depends only
+on (ones, e1), so a block is judged by its cheapest admissible e1 values and
+at most its least canonical hit can win: when vertex n-1 is 0 in h every
+encoding is its own canonical form and the first hit in ascending order wins;
+otherwise the complements are, and the last hit wins, found as the first hit
+in the block listed in descending order. Worker processes take contiguous
+ranges of high subsets.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -16,11 +33,12 @@ from math import comb
 from typing import Iterator
 
 from .certify import Certificate, check_certificate
-from .errors import SizeLimitExceeded
+from .errors import CordialError, SizeLimitExceeded, self_check
 from .graph_core import MultiGraph
 from .labeling import VertexLabeling, balance, first_pair_with_edge_label
 
 DEFAULT_MAX_VERTICES = 24
+LOW_BITS = 10  # low table of at most 2**10 entries, rebuilt per call
 
 
 class InfinityReason(Enum):
@@ -157,62 +175,129 @@ def _iter_encodings(
         pos += count
 
 
-def _scan_range(task) -> tuple[int, tuple[int, int] | None]:
-    """Scan one contiguous stream slice; return (examined, best or None).
+def _split(n: int, halve: bool) -> tuple[int, int, int]:
+    """(shift, low, high): pinned low bits, then the low and high part widths.
 
-    best is the minimum (cost, canonical encoding) over candidate labelings
-    in the slice. Labelings with no feasible repair contribute no candidate
-    but still count as examined.
+    The high part keeps two vertices whenever it can, so that it always holds
+    vertex n-1, which the canonical-witness rule reads, and so that small
+    graphs still split into more than two worker parts.
     """
-    mode, n, edges, start, stop, halve = task
+    shift = 1 if halve and n else 0
+    width = n - shift
+    low = max(0, min(LOW_BITS, width - 2))
+    return shift, low, width - low
+
+
+def _subset_xors(masks: list[int]) -> list[int]:
+    """t[s] is the XOR of masks[j] over the set bits j of s, built by doubling."""
+    t = [0]
+    for inc in masks:
+        t += [x ^ inc for x in t]
+    return t
+
+
+def _scan_plan(n: int, halve: bool, workers: int) -> list[tuple[int, int]]:
+    """High-subset ranges [lo, hi), one per process the scan will use.
+
+    The part count is clamped to the cpu count and to the number of high
+    subsets, so a large worker count never starts idle processes.
+    """
+    if workers < 1:
+        raise CordialError(f"workers must be at least 1, got {workers}")
+    size = 1 << _split(n, halve)[2]
+    parts = min(workers, size, os.cpu_count() or 1) if workers > 1 else 1
+    return [(size * i // parts, size * (i + 1) // parts) for i in range(parts)]
+
+
+def _block_rule(mode: str, n: int, m: int):
+    """judge(E, ones) -> (cost, e1 targets) or None, for one block of labelings.
+
+    E lists the block's e1 values and ones is its fixed ones count; None
+    means no labeling in the block is a candidate.
+    """
+    balanced = sorted({m // 2, (m + 1) // 2})
+    if mode == "cordial":
+        return lambda E, ones: (0, balanced)
+    if mode == "cvd":
+        return lambda E, ones: (max(0, abs(n - 2 * ones) - 1), balanced)
+
+    def ced(E, ones):
+        # surplus label-1 edges are repaired with a mixed vertex pair, surplus
+        # label-0 edges with a same-labeled pair
+        light = 0 < ones < n
+        heavy = ones > 1 or n - ones > 1
+        feasible = [
+            e for e in set(E)
+            if abs(m - 2 * e) <= 1 or (heavy if 2 * e > m else light)
+        ]
+        if not feasible:
+            return None
+        gap = min(abs(m - 2 * e) for e in feasible)
+        return max(0, gap - 1), [e for e in feasible if abs(m - 2 * e) == gap]
+
+    return ced
+
+
+def _scan_part(task) -> tuple[int, tuple[int, int] | None]:
+    """Scan the labelings whose high subset lies in [h_lo, h_hi).
+
+    Returns (examined, best), best being the minimum (cost, canonical
+    encoding) over the part's candidates, or None. Labelings that are not
+    candidates still count as examined.
+    """
+    mode, n, edges, halve, h_lo, h_hi = task
+    shift, low, high = _split(n, halve)
     inc = [0] * n
     for j, (u, v) in enumerate(edges):
         inc[u] |= 1 << j
         inc[v] |= 1 << j
-    m = len(edges)
+    B = _subset_xors(inc[shift + low:])
+    ascending = [([], []) for _ in range(low + 1)]
+    for l, a in enumerate(_subset_xors(inc[shift:shift + low])):
+        A_k, L_k = ascending[l.bit_count()]
+        A_k.append(a)
+        L_k.append(l << shift)
+    descending = [(A_k[::-1], L_k[::-1]) for A_k, L_k in ascending]
+    judge = _block_rule(mode, n, len(edges))
+    min_ones, max_ones = (0, n) if mode == "cvd" else (n // 2, (n + 1) // 2)
     mask = (1 << n) - 1
-    friendly_only = mode != "cvd"
+    top = (1 << (high - 1)) if high else 0  # vertex n-1's bit within h
     best: tuple[int, int] | None = None
     examined = 0
-    for x in _iter_encodings(n, friendly_only, halve, start, stop):
-        examined += 1
-        acc = 0
-        t = x
-        while t:
-            b = t & -t
-            acc ^= inc[b.bit_length() - 1]
-            t ^= b
-        e1 = acc.bit_count()
-        gap = abs(m - 2 * e1)
-        if mode == "cordial":
-            if gap > 1:
+    for h in range(h_lo, h_hi):
+        b = B[h]
+        h_ones = h.bit_count()
+        x_high = h << (shift + low)
+        flip = h & top
+        table = descending if flip else ascending
+        for ones in range(max(min_ones, h_ones), min(max_ones, h_ones + low) + 1):
+            A_k, L_k = table[ones - h_ones]
+            E = [(a ^ b).bit_count() for a in A_k]
+            examined += len(E)
+            judged = judge(E, ones)
+            if judged is None:
                 continue
-            cost = 0
-        elif mode == "ced":
-            if gap <= 1:
-                cost = 0
-            else:
-                ones = x.bit_count()
-                zeros = n - ones
-                if 2 * e1 > m:
-                    # minority edge label 0 needs a same-labeled vertex pair
-                    if ones < 2 and zeros < 2:
-                        continue
-                else:
-                    # minority edge label 1 needs a mixed vertex pair
-                    if ones == 0 or zeros == 0:
-                        continue
-                cost = gap - 1
-        else:
-            if gap > 1:
+            cost, targets = judged
+            if best is not None and cost > best[0]:
                 continue
-            vdiff = abs(n - 2 * x.bit_count())
-            cost = vdiff - 1 if vdiff > 1 else 0
-        canon = min(x, mask ^ x)
-        cand = (cost, canon)
-        if best is None or cand < best:
-            best = cand
+            hits = [E.index(t) for t in targets if t in E]
+            if not hits:
+                continue
+            canon = L_k[min(hits)] | x_high
+            if flip:
+                canon ^= mask
+            if best is None or (cost, canon) < best:
+                best = (cost, canon)
     return examined, best
+
+
+def _reduce(
+    results: list[tuple[int, tuple[int, int] | None]]
+) -> tuple[int, tuple[int, int] | None]:
+    """Total examined and the least best over the parts' (examined, best)."""
+    examined = sum(r[0] for r in results)
+    bests = [r[1] for r in results if r[1] is not None]
+    return examined, (min(bests) if bests else None)
 
 
 def _run_scan(
@@ -228,22 +313,14 @@ def _run_scan(
             f"graph has {g.n} vertices; exhaustive search is capped at"
             f" {max_vertices} (raise max_vertices to override)"
         )
-    friendly_only = mode != "cvd"
-    total = _stream_count(g.n, friendly_only, halve)
-    parts = workers if workers > 1 else 1
-    bounds = [total * i // parts for i in range(parts + 1)]
     tasks = [
-        (mode, g.n, g.edges, bounds[i], bounds[i + 1], halve)
-        for i in range(parts)
+        (mode, g.n, g.edges, halve, lo, hi)
+        for lo, hi in _scan_plan(g.n, halve, workers)
     ]
-    if parts == 1:
-        results = [_scan_range(tasks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_range, tasks))
-    examined = sum(r[0] for r in results)
-    bests = [r[1] for r in results if r[1] is not None]
-    return examined, (min(bests) if bests else None)
+    if len(tasks) == 1:
+        return _reduce([_scan_part(tasks[0])])
+    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        return _reduce(list(pool.map(_scan_part, tasks)))
 
 
 def decide_cordial(
@@ -293,7 +370,7 @@ def ced_oracle(
         rep = balance(g, f)
         minority = 0 if rep.e1 > rep.e0 else 1
         pair = first_pair_with_edge_label(f, minority)
-        assert pair is not None
+        self_check(pair is not None, "ced witness has no vertex pair to repair at")
         added = (pair,) * cost
     witness = Certificate(
         kind="ced",
@@ -303,7 +380,7 @@ def ced_oracle(
         edges=g.edges,
         added_edges=added,
     )
-    assert check_certificate(witness).accepted
+    self_check(check_certificate(witness).accepted, "ced witness rejected")
     return OracleResult(DeficiencyValue.finite(cost), witness, examined)
 
 
@@ -343,7 +420,7 @@ def cvd_oracle(
         edges=g.edges,
         added_vertex_labels=added,
     )
-    assert check_certificate(witness).accepted
+    self_check(check_certificate(witness).accepted, "cvd witness rejected")
     return OracleResult(DeficiencyValue.finite(cost), witness, examined)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cordial import emit_edge_list, mobius_ladder, parse_certificate
+from cordial import Verdict, emit_edge_list, mobius_ladder, parse_certificate
 from cordial.cli import main
 
 
@@ -57,6 +57,22 @@ def test_compute_mismatch_exits_one(capsys, monkeypatch):
                        "--measure", "cordial")
     assert code == 1
     assert "cordial MISMATCH" in out
+
+
+def test_self_check_failure_exits_one(capsys, monkeypatch):
+    import cordial.oracle
+
+    monkeypatch.setattr(cordial.oracle, "check_certificate",
+                        lambda cert: Verdict(False, "forced"))
+    code, _, err = run(capsys, "compute", "--family", "complete", "--n", "4",
+                       "--measure", "ced", "--method", "oracle")
+    assert code == 1 and "internal self-check failed" in err
+
+
+def test_workers_below_one_exits_two(capsys):
+    code, _, err = run(capsys, "compute", "--family", "complete", "--n", "4",
+                       "--workers", "0")
+    assert code == 2 and "workers must be at least 1" in err
 
 
 def test_compute_explicit_graph_oracle_only(capsys, tmp_path):

@@ -4,17 +4,20 @@ The reference implementations here work straight from the definitions with
 no bit tricks, so they can arbitrate the packed scans.
 """
 
+import os
 import random
-from itertools import product
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given
 
 from cordial import (
     DEFAULT_MAX_VERTICES,
     DeficiencyValue,
     InfinityReason,
     SizeLimitExceeded,
+    Verdict,
     VertexLabeling,
     balance,
     ced_oracle,
@@ -30,36 +33,42 @@ from cordial import (
     path_graph,
     wheel_graph,
 )
+from cordial.errors import CordialError, SelfCheckFailed
 from cordial.oracle import (
     _friendly_blocks,
     _iter_encodings,
     _next_same_popcount,
     _popcount_unrank,
+    _reduce,
+    _scan_part,
+    _scan_plan,
+    _split,
     _stream_count,
 )
+from strategies import multigraphs
 
 # ------------------------------------------------- definitional references
 
 
-def _brute_cordial(g):
-    for bits in product((0, 1), repeat=g.n):
-        rep = balance(g, VertexLabeling(bits))
-        if rep.vertex_diff <= 1 and rep.edge_diff <= 1:
-            return True
-    return False
+def _reference(g, mode, halve):
+    """(examined, best) of a scan, from balance() over all 2^n labelings.
 
-
-def _brute_ced(g):
-    """Minimum additions over friendly labelings, None when no repair exists."""
-    best = None
-    for bits in product((0, 1), repeat=g.n):
-        f = VertexLabeling(bits)
+    best is the least (cost, min(x, complement of x)) over candidate
+    labelings x, or None; examined counts the labelings the stream holds.
+    """
+    mask = (1 << g.n) - 1
+    examined, best = 0, None
+    for x in range(1 << g.n):
+        if halve and x & 1:
+            continue  # vertex 0 pinned at label 0
+        f = VertexLabeling.from_encoding(x, g.n)
         rep = balance(g, f)
-        if rep.vertex_diff > 1:
+        if mode != "cvd" and rep.vertex_diff > 1:
             continue
+        examined += 1
         if rep.edge_diff <= 1:
-            cost = 0
-        else:
+            cost = max(0, rep.vertex_diff - 1) if mode == "cvd" else 0
+        elif mode == "ced":
             minority = 0 if rep.e1 > rep.e0 else 1
             pairs = (
                 f[u] ^ f[v] == minority
@@ -69,21 +78,30 @@ def _brute_ced(g):
             if not any(pairs):
                 continue
             cost = rep.edge_diff - 1
-        if best is None or cost < best:
-            best = cost
-    return best
+        else:
+            continue
+        cand = (cost, min(x, mask ^ x))
+        if best is None or cand < best:
+            best = cand
+    return examined, best
+
+
+def _brute_value(g, mode):
+    best = _reference(g, mode, False)[1]
+    return None if best is None else best[0]
+
+
+def _brute_cordial(g):
+    return _brute_value(g, "cordial") is not None
+
+
+def _brute_ced(g):
+    """Minimum additions over friendly labelings, None when no repair exists."""
+    return _brute_value(g, "ced")
 
 
 def _brute_cvd(g):
-    best = None
-    for bits in product((0, 1), repeat=g.n):
-        rep = balance(g, VertexLabeling(bits))
-        if rep.edge_diff > 1:
-            continue
-        cost = max(0, rep.vertex_diff - 1)
-        if best is None or cost < best:
-            best = cost
-    return best
+    return _brute_value(g, "cvd")
 
 
 def _random_graph(rng, max_n=7, max_m=12):
@@ -187,6 +205,73 @@ def test_scan_visits_every_friendly_labeling_exactly_once():
     assert res.labelings_examined == comb(6, 3)
     res = ced_oracle(g, halve_by_complement=True)
     assert res.labelings_examined == comb(5, 3)
+
+
+@given(multigraphs(min_n=0, max_n=9, max_m=20))
+def test_scan_matches_reference_in_every_mode_and_plan(g):
+    for halve in (True, False):
+        refs = {mode: _reference(g, mode, halve) for mode in ("cordial", "ced", "cvd")}
+
+        ok, f = decide_cordial(g, halve_by_complement=halve)
+        best = refs["cordial"][1]
+        assert ok == (best is not None)
+        assert f == (VertexLabeling.from_encoding(best[1], g.n) if ok else None)
+        for mode, oracle in (("ced", ced_oracle), ("cvd", cvd_oracle)):
+            examined, best = refs[mode]
+            res = oracle(g, halve_by_complement=halve)
+            assert res.labelings_examined == examined
+            if best is None:
+                assert res.value.is_infinite and res.witness is None
+            else:
+                assert res.value.value == best[0]
+                assert res.witness.labels == VertexLabeling.from_encoding(best[1], g.n).labels
+
+        with mock.patch("os.cpu_count", return_value=64):
+            plans = [_scan_plan(g.n, halve, w) for w in (2, 3)]
+        for plan in plans:
+            for mode, ref in refs.items():
+                parts = [_scan_part((mode, g.n, g.edges, halve, lo, hi)) for lo, hi in plan]
+                assert _reduce(parts) == ref
+
+
+def test_scan_plan_clamps_parts_and_tiles_the_high_subsets(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    size = 1 << _split(20, True)[2]
+    assert _scan_plan(20, True, 8) == [(0, size // 2), (size // 2, size)]
+    assert _scan_plan(20, True, 1) == [(0, size)]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert len(_scan_plan(20, True, 8)) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    plan = _scan_plan(20, True, 3)
+    assert [lo for lo, _ in plan[1:]] == [hi for _, hi in plan[:-1]]
+    assert plan[0][0] == 0 and plan[-1][1] == size and len(plan) == 3
+    # a tiny graph has few high subsets, so it never gets more parts than that
+    assert len(_scan_plan(3, True, 64)) == 1 << _split(3, True)[2]
+    assert len(_scan_plan(0, True, 64)) == 1
+
+
+def test_worker_count_below_one_is_rejected():
+    for bad in (0, -1):
+        with pytest.raises(CordialError, match="workers"):
+            _scan_plan(6, True, bad)
+        with pytest.raises(CordialError, match="workers"):
+            ced_oracle(complete_graph(4), workers=bad)
+
+
+def test_rejected_witness_raises_self_check_failed(monkeypatch):
+    import cordial.families
+    import cordial.oracle
+
+    def reject(cert):
+        return Verdict(False, "forced")
+
+    monkeypatch.setattr(cordial.oracle, "check_certificate", reject)
+    monkeypatch.setattr(cordial.families, "check_certificate", reject)
+    for oracle in (ced_oracle, cvd_oracle):
+        with pytest.raises(SelfCheckFailed):
+            oracle(complete_graph(4))
+    with pytest.raises(SelfCheckFailed):
+        cordial.families.complete_ced_witness(6)
 
 
 # --------------------------------------------------------- frozen values
