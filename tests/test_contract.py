@@ -1,0 +1,105 @@
+"""CLI contract replay: recorded stdout and exit codes for a fixed matrix.
+
+The fixture tests/data/cli_contract.jsonl holds, one JSON record a line:
+`table --format json` for every family from its minimum size to 40 (search
+capped at 10 vertices), `compute --method formula --format json` for sizes
+1-12 and 30-34, and `construct` for every target at sizes 1-12. A table
+record is followed by one line per row, so a changed row shows as one line
+in a diff. Regenerate with `PYTHONPATH=src python tests/test_contract.py`
+only when an output change is intended.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from cordial.cli import main
+
+FIXTURE = Path(__file__).parent / "data" / "cli_contract.jsonl"
+FAMILIES = ("complete", "cycle", "path", "ladder", "mobius", "wheel")
+
+
+def invocations():
+    """(key, argv) pairs; the key names the record in the fixture."""
+    for family in FAMILIES:
+        yield f"table {family}", ["table", "--families", family, "--max-n", "40",
+                                  "--max-vertices", "10", "--format", "json"]
+    for family in FAMILIES:
+        for n in [*range(1, 13), *range(30, 35)]:
+            yield f"compute {family} {n}", [
+                "compute", "--family", family, "--n", str(n),
+                "--method", "formula", "--format", "json"]
+    for family in FAMILIES:
+        for target in ("cordial", "ced", "cvd"):
+            for n in range(1, 13):
+                yield f"construct {family} {n} {target}", [
+                    "construct", "--family", family, "--n", str(n),
+                    "--target", target]
+
+
+ROW_KEYS = ("family", "size", "cordial", "ced", "cvd", "source", "match",
+            "witnesses", "notes")
+
+
+def invoke(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def record() -> None:
+    lines = []
+    for key, argv in invocations():
+        code, out = invoke(argv)
+        payload = json.loads(out) if out else None
+        if argv[0] != "table":
+            lines.append([key, code, payload])
+            continue
+        rows = payload["rows"]
+        lines.append([key, code, payload["all_match"], len(rows)])
+        for row in rows:
+            row["witnesses"] = [[w["kind"], w["accepted"]] for w in row["witnesses"]]
+            lines.append([row[k] for k in ROW_KEYS])
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text("".join(json.dumps(x, separators=(",", ":")) + "\n"
+                               for x in lines))
+
+
+def recorded():
+    """(key, exit code, exact stdout) for every record in the fixture."""
+    records = [json.loads(line) for line in FIXTURE.read_text().splitlines()]
+    i = 0
+    while i < len(records):
+        key, code, *rest = records[i]
+        i += 1
+        if key.startswith("table "):
+            all_match, count = rest
+            rows = []
+            for values in records[i:i + count]:
+                row = dict(zip(ROW_KEYS, values))
+                row["witnesses"] = [{"kind": k, "accepted": ok}
+                                    for k, ok in row["witnesses"]]
+                rows.append(row)
+            i += count
+            payload = {"rows": rows, "all_match": all_match}
+        else:
+            payload = rest[0]
+        stdout = "" if payload is None else json.dumps(payload, indent=2) + "\n"
+        yield key, code, stdout
+
+
+def test_fixture_covers_the_matrix():
+    assert [key for key, _, _ in recorded()] == [key for key, _ in invocations()]
+
+
+def test_cli_replays_the_recorded_contract():
+    argvs = dict(invocations())
+    diffs = [key for key, code, stdout in recorded()
+             if invoke(argvs[key]) != (code, stdout)]
+    assert diffs == []
+
+
+if __name__ == "__main__":
+    record()
