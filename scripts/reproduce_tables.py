@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from cordial import (
+    MIN_SIZE,
     FamilySpec,
     ced_complete,
     cross_validate,
@@ -83,8 +84,9 @@ def complete_table(cfg: TableConfig):
 
 def families_table(cfg: TableConfig):
     specs = []
-    for family, lo in (("cycle", 3), ("mobius", 3), ("wheel", 3)):
-        specs += [FamilySpec(family, s) for s in range(lo, cfg.max_small + 1)]
+    for family in ("cycle", "mobius", "wheel"):
+        sizes = range(MIN_SIZE[family], cfg.max_small + 1)
+        specs += [FamilySpec(family, s) for s in sizes]
     report = cross_validate(specs, workers=cfg.workers)
     rows = []
     for r in report.rows:

@@ -1,70 +1,28 @@
 #!/usr/bin/env python3
 """Run every constructive labeling and witness up to a bound through the checker.
 
-Covers cordial constructions for complete graphs, cycles, mobius ladders, and
-wheels, plus the deficiency witnesses for complete graphs (both kinds), the
-2-mod-4 mobius ladders, and the 3-mod-4 wheels. Each certificate goes through
-a serialize/parse round trip before verification, so the wire format is
-exercised as well. Prints a per-family summary; exits 1 if anything fails.
+Covers every construction in cordial.families.REGISTRY at every size where it
+applies: cordial constructions for complete graphs, cycles, mobius ladders,
+and wheels, plus the deficiency witnesses for complete graphs (both kinds),
+the 2-mod-4 mobius ladders, and the 3-mod-4 wheels. Each certificate goes
+through a serialize/parse round trip before verification, so the wire format
+is exercised as well. Prints a per-family summary; exits 1 if anything fails.
 """
 
 import argparse
 import sys
 from collections import Counter
 
-from cordial import (
-    StrictlyNoncordial,
-    check_certificate,
-    complete_ced_witness,
-    complete_cordial_labeling,
-    complete_cvd_witness,
-    construct_mobius_labeling,
-    cycle_cordial_labeling,
-    instance_certificate,
-    is_cordial_cycle,
-    is_cordial_mobius,
-    is_cordial_wheel,
-    mobius_ced_witness,
-    mobius_cvd_witness,
-    parse_certificate,
-    serialize_certificate,
-    wheel_ced_witness,
-    wheel_cordial_labeling,
-    wheel_cvd_witness,
-)
+from cordial import MIN_SIZE, check_certificate, parse_certificate, serialize_certificate
+from cordial.families import family_certificates
 
 
 def all_certificates(bound: int):
     """Yield (family, description, certificate) for everything constructible."""
-    for n in (1, 2, 3):
-        yield "complete", f"cordial n={n}", instance_certificate(
-            complete_cordial_labeling(n))
-    for n in range(2, bound + 1):
-        yield "complete", f"ced witness n={n}", complete_ced_witness(n)
-    for n in range(1, bound + 1):
-        try:
-            cert = complete_cvd_witness(n)
-        except StrictlyNoncordial:
-            continue
-        yield "complete", f"cvd witness n={n}", cert
-    for n in range(3, bound + 1):
-        if is_cordial_cycle(n):
-            yield "cycle", f"cordial n={n}", instance_certificate(
-                cycle_cordial_labeling(n))
-    for k in range(3, bound + 1):
-        if is_cordial_mobius(k):
-            yield "mobius", f"cordial k={k}", instance_certificate(
-                construct_mobius_labeling(k))
-        else:
-            yield "mobius", f"ced witness k={k}", mobius_ced_witness(k)
-            yield "mobius", f"cvd witness k={k}", mobius_cvd_witness(k)
-    for n in range(3, bound + 1):
-        if is_cordial_wheel(n):
-            yield "wheel", f"cordial n={n}", instance_certificate(
-                wheel_cordial_labeling(n))
-        elif n >= 7:
-            yield "wheel", f"ced witness n={n}", wheel_ced_witness(n)
-            yield "wheel", f"cvd witness n={n}", wheel_cvd_witness(n)
+    for family, lo in MIN_SIZE.items():
+        for size in range(lo, bound + 1):
+            for target, cert in family_certificates(family, size):
+                yield family, f"{target} size {size}", cert
 
 
 def main(argv=None) -> int:

@@ -4,7 +4,8 @@ plus cross-validation of the closed forms against the exhaustive oracle.
 A certificate proves an upper bound only: Accepted means the exhibited
 labeling (plus its stated augmentation) achieves the claimed value. Matching
 lower bounds come from exhaustion or the parity obstruction and are recorded
-by the validation report, never assumed.
+by the validation report, never assumed. The closed forms, witnesses and
+lower-bound sources that cross_validate compares come from families.REGISTRY.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class Certificate:
             self, "added_vertex_labels", tuple(self.added_vertex_labels)
         )
 
-    def resolve_graph(self) -> MultiGraph:
-        """Expand the graph reference; structural problems raise MalformedCertificate."""
+    def _family_spec(self) -> FamilySpec | None:
+        """Check the graph reference's shape; the family member, not yet built."""
         has_family = self.family is not None or self.param is not None
         has_explicit = self.n is not None or self.edges is not None
         if has_family and (self.family is None or self.param is None):
@@ -74,15 +75,21 @@ class Certificate:
             raise MalformedCertificate("n and edges must appear together")
         if not has_family and not has_explicit:
             raise MalformedCertificate("no graph: need (family, param) or (n, edges)")
-        by_family = by_edges = None
-        if has_family:
-            if self.family not in FAMILIES:
-                raise MalformedCertificate(f"unknown family {self.family!r}")
-            try:
-                by_family = FamilySpec(self.family, self.param).build()
-            except CordialError as exc:
-                raise MalformedCertificate(f"bad family reference: {exc}") from None
-        if has_explicit:
+        if not has_family:
+            return None
+        if self.family not in FAMILIES:
+            raise MalformedCertificate(f"unknown family {self.family!r}")
+        try:
+            return FamilySpec(self.family, self.param)
+        except CordialError as exc:
+            raise MalformedCertificate(f"bad family reference: {exc}") from None
+
+    def resolve_graph(self) -> MultiGraph:
+        """Expand the graph reference; structural problems raise MalformedCertificate."""
+        spec = self._family_spec()
+        by_family = None if spec is None else spec.build()
+        by_edges = None
+        if self.n is not None:
             try:
                 by_edges = new_graph(self.n, self.edges)
             except CordialError as exc:
@@ -131,12 +138,14 @@ def _structural_check(cert: Certificate) -> MultiGraph:
                 f"claimed_value {cert.claimed_value} != "
                 f"{len(cert.added_vertex_labels)} added vertex labels"
             )
-    g = cert.resolve_graph()
-    if len(cert.labels) != g.n:
+    # compared before building: the size of a family member is untrusted input
+    spec = cert._family_spec()
+    n = cert.n if spec is None else spec.vertex_count
+    if len(cert.labels) != n:
         raise MalformedCertificate(
-            f"{len(cert.labels)} labels for a graph on {g.n} vertices"
+            f"{len(cert.labels)} labels for a graph on {n} vertices"
         )
-    return g
+    return cert.resolve_graph()
 
 
 def check_certificate(cert: Certificate) -> Verdict:
@@ -308,69 +317,6 @@ class ValidationReport:
         raise KeyError((family, size))
 
 
-def _closed_forms(family: str, size: int, fam):
-    """Closed-form claims (cordial, ced, cvd-to-compare, cvd-value, notes).
-
-    The cvd comparison claim for complete graphs is the square-rule form,
-    which diverges from the operational minimum at exactly one size; the
-    divergence is what the match flag is meant to surface.
-    """
-    from .oracle import DeficiencyValue  # noqa: PLC0415 (cycle with oracle)
-
-    if family == "complete":
-        cordial = fam.is_cordial_complete(size)
-        ced = fam.ced_complete(size) if size >= 2 else None
-        literal = fam.cvd_complete_literal(size)
-        operational = fam.cvd_complete(size)
-        notes = ()
-        if literal != operational:
-            notes = (
-                f"cvd square-rule value {literal.render()} differs from"
-                f" operational value {operational.render()}",
-            )
-        return cordial, ced, literal, operational, notes
-    if family == "cycle":
-        return fam.is_cordial_cycle(size), None, None, None, ()
-    if family == "mobius":
-        cordial = fam.is_cordial_mobius(size)
-        d = DeficiencyValue.finite(0 if cordial else 1)
-        return cordial, d, d, d, ()
-    if family == "wheel":
-        cordial = fam.is_cordial_wheel(size)
-        d = DeficiencyValue.finite(0 if cordial else 1)
-        return cordial, d, d, d, ()
-    return None, None, None, None, ()
-
-
-def _family_certificates(family: str, size: int, fam) -> list[tuple[str, Certificate]]:
-    certs: list[tuple[str, Certificate]] = []
-    if family == "complete":
-        if size <= 3:
-            certs.append(
-                ("cordial", fam.instance_certificate(fam.complete_cordial_labeling(size)))
-            )
-        if size >= 2:
-            certs.append(("ced", fam.complete_ced_witness(size)))
-        if not fam.cvd_complete(size).is_infinite:
-            certs.append(("cvd", fam.complete_cvd_witness(size)))
-    elif family == "cycle":
-        if size % 4 != 2:
-            certs.append(("cordial", fam.instance_certificate(fam.cycle_cordial_labeling(size))))
-    elif family == "mobius":
-        if size % 4 != 2:
-            certs.append(("cordial", fam.instance_certificate(fam.construct_mobius_labeling(size))))
-        else:
-            certs.append(("ced", fam.mobius_ced_witness(size)))
-            certs.append(("cvd", fam.mobius_cvd_witness(size)))
-    elif family == "wheel":
-        if size % 4 != 3:
-            certs.append(("cordial", fam.instance_certificate(fam.wheel_cordial_labeling(size))))
-        elif size >= 7:
-            certs.append(("ced", fam.wheel_ced_witness(size)))
-            certs.append(("cvd", fam.wheel_cvd_witness(size)))
-    return certs
-
-
 def cross_validate(
     specs: Iterable[FamilySpec],
     *,
@@ -379,9 +325,11 @@ def cross_validate(
 ) -> ValidationReport:
     """Compare closed forms, witnesses, and the oracle over family members.
 
-    The oracle side runs only for members within the search bound; larger
-    members keep their formula values and witness verdicts. Rows are sorted
-    by (family, size) so reports are reproducible.
+    Formulas and witnesses come from families.REGISTRY. The oracle side runs
+    only for members within the search bound; larger members keep their
+    formula values and witness verdicts. Noncordial members of a family with
+    parity_lower get the parity obstruction as their lower bound. Rows are
+    sorted by (family, size) so reports are reproducible.
     """
     # imported here: oracle and families sit above this module in the import graph
     from . import families as fam
@@ -392,10 +340,21 @@ def cross_validate(
     for spec in sorted(set(specs), key=lambda s: (s.family, s.size)):
         g = spec.build()
         within = g.n <= bound
-        cordial_f, ced_f, cvd_cmp, cvd_val, notes = _closed_forms(
-            spec.family, spec.size, fam
-        )
-        notes = list(notes)
+        known = fam.REGISTRY[spec.family]
+        cordial_f = known.formula("cordial", spec.size)
+        ced_f = known.formula("ced", spec.size)
+        cvd_val = known.formula("cvd", spec.size)
+        # the square-rule form diverges from the operational minimum at exactly
+        # one size; the divergence is what the match flag is meant to surface
+        cvd_cmp = known.formula("cvd_square_rule", spec.size)
+        notes = []
+        if cvd_cmp is None:
+            cvd_cmp = cvd_val
+        elif cvd_cmp != cvd_val:
+            notes.append(
+                f"cvd square-rule value {cvd_cmp.render()} differs from"
+                f" operational value {cvd_val.render()}"
+            )
         cordial_o = ced_o = cvd_o = None
         if within:
             cordial_o = orc.decide_cordial(g, max_vertices=bound, workers=workers)[0]
@@ -412,21 +371,19 @@ def cross_validate(
             match = False
             notes.append(f"cvd formula {cvd_cmp.render()} vs oracle {cvd_o.render()}")
         witnesses = []
-        for kind, cert in _family_certificates(spec.family, spec.size, fam):
+        for kind, cert in fam.family_certificates(spec.family, spec.size):
             verdict = check_certificate(cert)
             witnesses.append((kind, verdict.accepted))
             if not verdict.accepted:
                 match = False
                 notes.append(f"{kind} witness rejected: {verdict.reason}")
-        if spec.family == "mobius" and spec.size % 4 == 2:
+        if known.parity_lower and not cordial_f and witnesses:
             parity = parity_obstruction(g)
             if parity.outcome is ParityOutcome.NOT_CORDIAL_BY_PARITY:
                 notes.append("bounds: witness upper, parity obstruction lower")
             else:
                 match = False
                 notes.append("parity obstruction unexpectedly inconclusive")
-        elif spec.family == "wheel" and spec.size % 4 == 3 and spec.size >= 7:
-            notes.append("bounds: witness upper, noncordiality lower")
         has_formula = any(x is not None for x in (cordial_f, ced_f, cvd_val))
         if within:
             source = "both" if has_formula else "oracle"

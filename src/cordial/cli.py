@@ -3,8 +3,9 @@
 Four subcommands: compute (values for one graph, by formula, by exhaustive
 search, or both with a match verdict), construct (emit a certificate),
 verify (check a certificate file), table (cross-validate families over a
-size range). Exit codes: 0 success, 1 semantic failure such as a rejected
-certificate or a formula/search mismatch, 2 usage or structural errors.
+size range). Closed forms and constructions come from families.REGISTRY.
+Exit codes: 0 success, 1 semantic failure such as a rejected certificate or
+a formula/search mismatch, 2 usage or structural errors.
 """
 
 from __future__ import annotations
@@ -85,29 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _formula_value(family: str, size: int, measure: str):
-    """Closed-form value, or None when the family has no formula for it."""
-    if family == "complete":
-        if measure == "cordial":
-            return fam.is_cordial_complete(size)
-        if measure == "ced":
-            return fam.ced_complete(size) if size >= 2 else None
-        return fam.cvd_complete(size)
-    if family == "cycle":
-        return fam.is_cordial_cycle(size) if measure == "cordial" else None
-    if family == "mobius":
-        cordial = fam.is_cordial_mobius(size)
-        if measure == "cordial":
-            return cordial
-        return DeficiencyValue.finite(0 if cordial else 1)
-    if family == "wheel":
-        cordial = fam.is_cordial_wheel(size)
-        if measure == "cordial":
-            return cordial
-        return DeficiencyValue.finite(0 if cordial else 1)
-    return None
-
-
 def _render(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
@@ -158,14 +136,14 @@ def _cmd_compute(args) -> int:
         entry: dict = {"formula": None, "oracle": None, "witness": None,
                        "match": None, "notes": []}
         if family is not None and cfg.method in ("formula", "both"):
-            entry["formula"] = _formula_value(family, args.n, meas)
-            if family == "complete" and meas == "cvd" and entry["formula"] is not None:
-                literal = fam.cvd_complete_literal(args.n)
-                if literal != entry["formula"]:
-                    entry["notes"].append(
-                        f"square-rule form gives {literal.render()};"
-                        f" operational minimum is {entry['formula'].render()}"
-                    )
+            known = fam.REGISTRY[family]
+            entry["formula"] = known.formula(meas, args.n)
+            literal = known.formula("cvd_square_rule", args.n) if meas == "cvd" else None
+            if literal is not None and literal != entry["formula"]:
+                entry["notes"].append(
+                    f"square-rule form gives {literal.render()};"
+                    f" operational minimum is {entry['formula'].render()}"
+                )
         if cfg.method in ("oracle", "both"):
             if meas == "cordial":
                 ok, witness = decide_cordial(
@@ -241,29 +219,10 @@ def _cmd_compute(args) -> int:
 
 
 def _construct(family: str, size: int, target: str) -> Certificate:
-    if family == "complete":
-        if target == "cordial":
-            return fam.instance_certificate(fam.complete_cordial_labeling(size))
-        if target == "ced":
-            return fam.complete_ced_witness(size)
-        return fam.complete_cvd_witness(size)
-    if family == "cycle":
-        if target == "cordial":
-            return fam.instance_certificate(fam.cycle_cordial_labeling(size))
-        raise CordialError(f"no {target} construction for cycles")
-    if family == "mobius":
-        if target == "cordial":
-            return fam.instance_certificate(fam.construct_mobius_labeling(size))
-        if target == "ced":
-            return fam.mobius_ced_witness(size)
-        return fam.mobius_cvd_witness(size)
-    if family == "wheel":
-        if target == "cordial":
-            return fam.instance_certificate(fam.wheel_cordial_labeling(size))
-        if target == "ced":
-            return fam.wheel_ced_witness(size)
-        return fam.wheel_cvd_witness(size)
-    raise CordialError(f"no constructions for family {family!r}")
+    build = fam.REGISTRY[family].constructions.get(target)
+    if build is None:
+        raise CordialError(f"no {target} construction for family {family!r}")
+    return build(size)
 
 
 def _cmd_construct(args) -> int:

@@ -1,5 +1,10 @@
 """Closed forms and constructive witnesses for the named graph families.
 
+REGISTRY, at the end of this module, holds one FamilyDef per family name: the
+closed forms, the witness constructors and the source of the lower bound.
+The CLI, certify.cross_validate and the scripts read it instead of knowing
+the families themselves.
+
 Every witness constructor runs its output through the certificate checker
 before returning, so a bug here surfaces as SelfCheckFailed, not as a wrong
 table entry. Formulas and constructions are independent of the exhaustive
@@ -8,7 +13,8 @@ search; agreement between the two is established by certify.cross_validate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 from .certify import Certificate, check_certificate
 from .errors import (
@@ -423,3 +429,103 @@ def wheel_cvd_witness(n: int) -> Certificate:
     )
     self_check(check_certificate(cert).accepted, "wheel cvd witness rejected")
     return cert
+
+
+# ---------------------------------------------------------------- registry
+
+
+@dataclass(frozen=True)
+class FamilyDef:
+    """What is known about one family, keyed by measure and target.
+
+    cordial, ced and cvd are closed forms of the size, None where the family
+    has none; a form may return None at sizes it does not cover.
+    cvd_square_rule, set only beside a cvd form, is the literal square-rule
+    form that cross-validation compares with the search in place of cvd.
+    constructions maps each target to a certificate constructor, in the
+    order cordial, ced, cvd; a constructor raises NotApplicable,
+    StrictlyNoncordial or SizeTooSmall at sizes without a witness.
+    parity_lower: the parity obstruction is the lower bound that backs the
+    witnesses of noncordial members.
+    """
+
+    cordial: Callable[[int], bool] | None = None
+    ced: Callable[[int], DeficiencyValue | None] | None = None
+    cvd: Callable[[int], DeficiencyValue] | None = None
+    cvd_square_rule: Callable[[int], DeficiencyValue] | None = None
+    constructions: Mapping[str, Callable[[int], Certificate]] = field(
+        default_factory=dict
+    )
+    parity_lower: bool = False
+
+    def formula(self, measure: str, size: int):
+        """Value of the closed form named measure at size, or None."""
+        form = getattr(self, measure)
+        return None if form is None else form(size)
+
+
+def _certified(labeling: Callable[[int], LabeledFamilyInstance]):
+    return lambda size: instance_certificate(labeling(size))
+
+
+def _one_if_noncordial(is_cordial: Callable[[int], bool]):
+    # both deficiencies are 0 on cordial members and 1 on the others
+    return lambda size: DeficiencyValue.finite(0 if is_cordial(size) else 1)
+
+
+REGISTRY: dict[str, FamilyDef] = {
+    "complete": FamilyDef(
+        cordial=is_cordial_complete,
+        ced=lambda n: ced_complete(n) if n >= 2 else None,
+        cvd=cvd_complete,
+        cvd_square_rule=cvd_complete_literal,
+        constructions={
+            "cordial": _certified(complete_cordial_labeling),
+            "ced": complete_ced_witness,
+            "cvd": complete_cvd_witness,
+        },
+    ),
+    "cycle": FamilyDef(
+        cordial=is_cordial_cycle,
+        constructions={"cordial": _certified(cycle_cordial_labeling)},
+    ),
+    "path": FamilyDef(),
+    "ladder": FamilyDef(),
+    "mobius": FamilyDef(
+        cordial=is_cordial_mobius,
+        ced=_one_if_noncordial(is_cordial_mobius),
+        cvd=_one_if_noncordial(is_cordial_mobius),
+        constructions={
+            "cordial": _certified(construct_mobius_labeling),
+            "ced": mobius_ced_witness,
+            "cvd": mobius_cvd_witness,
+        },
+        parity_lower=True,
+    ),
+    "wheel": FamilyDef(
+        cordial=is_cordial_wheel,
+        ced=_one_if_noncordial(is_cordial_wheel),
+        cvd=_one_if_noncordial(is_cordial_wheel),
+        constructions={
+            "cordial": _certified(wheel_cordial_labeling),
+            "ced": wheel_ced_witness,
+            "cvd": wheel_cvd_witness,
+        },
+        parity_lower=True,
+    ),
+}
+
+
+def family_certificates(family: str, size: int) -> list[tuple[str, Certificate]]:
+    """(target, certificate) for every witness the family has at this size.
+
+    Sizes where a constructor does not apply are skipped; a witness that
+    fails its own check still raises SelfCheckFailed.
+    """
+    certs = []
+    for target, build in REGISTRY[family].constructions.items():
+        try:
+            certs.append((target, build(size)))
+        except (NotApplicable, StrictlyNoncordial, SizeTooSmall):
+            continue
+    return certs

@@ -9,20 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import Callable
 
 from .errors import IdOutOfRange, LoopRejected, ParseError, SizeTooSmall
-
-FAMILIES = ("complete", "cycle", "path", "ladder", "mobius", "wheel")
-
-# Smallest size parameter each family generator accepts.
-MIN_SIZE = {
-    "complete": 1,
-    "cycle": 3,
-    "path": 1,
-    "ladder": 1,
-    "mobius": 3,
-    "wheel": 3,
-}
 
 
 @dataclass(frozen=True)
@@ -122,14 +111,24 @@ def wheel_graph(n: int) -> MultiGraph:
     return MultiGraph(n + 1, tuple(edges))
 
 
+@dataclass(frozen=True)
+class _Generator:
+    build: Callable[[int], MultiGraph]
+    min_size: int  # smallest size parameter build accepts
+    vertices: Callable[[int], int]  # vertex count of the member, without building it
+
+
 _GENERATORS = {
-    "complete": complete_graph,
-    "cycle": cycle_graph,
-    "path": path_graph,
-    "ladder": ladder_graph,
-    "mobius": mobius_ladder,
-    "wheel": wheel_graph,
+    "complete": _Generator(complete_graph, 1, lambda n: n),
+    "cycle": _Generator(cycle_graph, 3, lambda n: n),
+    "path": _Generator(path_graph, 1, lambda n: n),
+    "ladder": _Generator(ladder_graph, 1, lambda k: 2 * k),
+    "mobius": _Generator(mobius_ladder, 3, lambda k: 2 * k),
+    "wheel": _Generator(wheel_graph, 3, lambda n: n + 1),
 }
+
+FAMILIES = tuple(_GENERATORS)
+MIN_SIZE = {name: gen.min_size for name, gen in _GENERATORS.items()}
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,12 @@ class FamilySpec:
                 f"{self.family} requires size >= {MIN_SIZE[self.family]}"
             )
 
+    @property
+    def vertex_count(self) -> int:
+        return _GENERATORS[self.family].vertices(self.size)
+
     def build(self) -> MultiGraph:
-        return _GENERATORS[self.family](self.size)
+        return _GENERATORS[self.family].build(self.size)
 
 
 def parse_edge_list(text: str) -> MultiGraph:

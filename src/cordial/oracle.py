@@ -92,20 +92,6 @@ class OracleResult:
     labelings_examined: int
 
 
-def _popcount_unrank(width: int, ones: int, rank: int) -> int:
-    """rank-th width-bit integer with the given popcount, ascending order."""
-    x = 0
-    for pos in range(width - 1, -1, -1):
-        if ones == 0:
-            break
-        below = comb(pos, ones)
-        if rank >= below:
-            x |= 1 << pos
-            rank -= below
-            ones -= 1
-    return x
-
-
 def _next_same_popcount(x: int) -> int:
     # Gosper's hack; caller guarantees x > 0 and a successor exists
     low = x & -x
@@ -141,38 +127,19 @@ def _stream_count(n: int, friendly_only: bool, halve: bool) -> int:
     return 1 << (n - 1 if halve else n)
 
 
-def _iter_encodings(
-    n: int, friendly_only: bool, halve: bool, start: int, stop: int
-) -> Iterator[int]:
-    """Encodings at stream positions [start, stop), in stream order."""
-    if start >= stop:
-        return
+def _iter_encodings(n: int, friendly_only: bool, halve: bool) -> Iterator[int]:
+    """Every encoding of the stream, in stream order."""
     if not friendly_only:
-        if n == 0:
-            yield 0
-            return
         shift = 1 if halve else 0
-        for y in range(start, stop):
+        for y in range(_stream_count(n, False, halve)):
             yield y << shift
         return
-    pos = 0
-    for ones, width, shift, count in _friendly_blocks(n, halve):
-        if pos >= stop:
-            break
-        if pos + count <= start:
-            pos += count
-            continue
-        lo = max(start, pos) - pos
-        hi = min(stop, pos + count) - pos
-        x = _popcount_unrank(width, ones, lo)
-        remaining = hi - lo
-        while True:
-            yield x << shift
-            remaining -= 1
-            if remaining == 0:
-                break
+    for ones, _, shift, count in _friendly_blocks(n, halve):
+        x = (1 << ones) - 1
+        yield x << shift
+        for _ in range(count - 1):
             x = _next_same_popcount(x)
-        pos += count
+            yield x << shift
 
 
 def _split(n: int, halve: bool) -> tuple[int, int, int]:
@@ -436,6 +403,5 @@ def enumerate_labelings(
         raise SizeLimitExceeded(
             f"{n} vertices; enumeration is capped at {max_vertices}"
         )
-    total = _stream_count(n, friendly_only, halve_by_complement)
-    for enc in _iter_encodings(n, friendly_only, halve_by_complement, 0, total):
+    for enc in _iter_encodings(n, friendly_only, halve_by_complement):
         yield VertexLabeling.from_encoding(enc, n)

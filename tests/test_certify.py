@@ -188,6 +188,17 @@ def test_structural_breakage_is_malformed_not_rejected():
     _malformed(family="cycle", param=2)  # below family minimum
 
 
+def test_label_count_is_checked_before_the_family_member_is_built(monkeypatch):
+    def build(spec):
+        raise AssertionError(f"built {spec} before checking the label count")
+
+    monkeypatch.setattr(FamilySpec, "build", build)
+    cert = Certificate(kind="cordial", family="complete", param=10**9,
+                       labels=(0, 1), claimed_value=0)
+    with pytest.raises(MalformedCertificate, match="2 labels for a graph on 1000000000"):
+        check_certificate(cert)
+
+
 # -------------------------------------------------------------- wire format
 
 
@@ -261,10 +272,12 @@ def test_cross_validate_flags_only_the_size_two_complete_row():
 
 def test_cross_validate_checks_witnesses_and_parity():
     report = cross_validate([FamilySpec("mobius", 6), FamilySpec("mobius", 7)])
-    row6 = report.row("mobius", 6)
-    assert row6.match
-    assert ("ced", True) in row6.witnesses and ("cvd", True) in row6.witnesses
-    assert any("parity" in note for note in row6.notes)
+    wheels = cross_validate([FamilySpec("wheel", 7), FamilySpec("wheel", 15)],
+                            max_vertices=10)
+    for row in (report.row("mobius", 6), *wheels.rows):
+        assert row.match
+        assert ("ced", True) in row.witnesses and ("cvd", True) in row.witnesses
+        assert "bounds: witness upper, parity obstruction lower" in row.notes
     row7 = report.row("mobius", 7)
     assert row7.match and ("cordial", True) in row7.witnesses
 

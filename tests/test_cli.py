@@ -1,6 +1,7 @@
 """Command line behavior: output shapes and exit codes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -50,9 +51,10 @@ def test_compute_json_output(capsys):
 
 
 def test_compute_mismatch_exits_one(capsys, monkeypatch):
-    import cordial.families
+    from cordial.families import REGISTRY
 
-    monkeypatch.setattr(cordial.families, "is_cordial_complete", lambda n: False)
+    monkeypatch.setitem(REGISTRY, "complete",
+                        replace(REGISTRY["complete"], cordial=lambda n: False))
     code, out, _ = run(capsys, "compute", "--family", "complete", "--n", "3",
                        "--measure", "cordial")
     assert code == 1

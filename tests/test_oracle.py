@@ -38,7 +38,6 @@ from cordial.oracle import (
     _friendly_blocks,
     _iter_encodings,
     _next_same_popcount,
-    _popcount_unrank,
     _reduce,
     _scan_part,
     _scan_plan,
@@ -120,13 +119,6 @@ def _random_graph(rng, max_n=7, max_m=12):
 # ------------------------------------------------------- stream machinery
 
 
-def test_popcount_unrank_matches_sorted_enumeration():
-    width, ones = 6, 3
-    expected = sorted(x for x in range(1 << width) if x.bit_count() == ones)
-    got = [_popcount_unrank(width, ones, r) for r in range(comb(width, ones))]
-    assert got == expected
-
-
 def test_gosper_step_walks_in_ascending_order():
     xs = [0b111]
     for _ in range(comb(6, 3) - 1):
@@ -142,36 +134,24 @@ def test_friendly_blocks_cover_both_majorities_when_odd():
     assert [(o, c) for o, _, _, c in _friendly_blocks(6, False)] == [(3, comb(6, 3))]
 
 
-def test_stream_chunks_tile_the_enumeration():
-    n = 7
-    total = _stream_count(n, True, False)
-    assert total == comb(7, 3) + comb(7, 4)
-    full = list(_iter_encodings(n, True, False, 0, total))
-    assert len(full) == total
-    pieces = []
-    for a, b in ((0, 10), (10, 11), (11, 40), (40, total)):
-        pieces.extend(_iter_encodings(n, True, False, a, b))
-    assert pieces == full
-
-
 def test_friendly_stream_is_exactly_the_friendly_set():
     n = 6
-    encs = list(_iter_encodings(n, True, False, 0, _stream_count(n, True, False)))
+    encs = list(_iter_encodings(n, True, False))
     assert sorted(encs) == sorted(x for x in range(1 << n) if x.bit_count() == 3)
 
 
 def test_halved_stream_picks_one_labeling_per_complement_pair():
     for n in (4, 5):
         mask = (1 << n) - 1
-        halved = list(_iter_encodings(n, True, True, 0, _stream_count(n, True, True)))
-        full = list(_iter_encodings(n, True, False, 0, _stream_count(n, True, False)))
+        halved = list(_iter_encodings(n, True, True))
+        full = list(_iter_encodings(n, True, False))
         assert all(enc % 2 == 0 for enc in halved)  # vertex 0 pinned at label 0
         assert len(halved) * 2 == len(full)
         assert {min(e, mask ^ e) for e in halved} == {min(e, mask ^ e) for e in full}
 
 
 def test_zero_vertex_stream_has_the_empty_labeling():
-    assert list(_iter_encodings(0, True, True, 0, 1)) == [0]
+    assert list(_iter_encodings(0, True, True)) == [0]
     assert _stream_count(0, False, False) == 1
 
 
@@ -272,6 +252,8 @@ def test_rejected_witness_raises_self_check_failed(monkeypatch):
             oracle(complete_graph(4))
     with pytest.raises(SelfCheckFailed):
         cordial.families.complete_ced_witness(6)
+    with pytest.raises(SelfCheckFailed):
+        cordial.families.family_certificates("complete", 6)
 
 
 # --------------------------------------------------------- frozen values

@@ -1,0 +1,30 @@
+"""The two scripts under scripts/, run in-process on small bounds."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_constructions_counts_every_family(capsys):
+    assert load("verify_constructions").main(["--bound", "60"]) == 0
+    out = capsys.readouterr().out
+    counts = dict(line.split()[:2] for line in out.splitlines()[:5])
+    assert counts == {"complete": "82", "cycle": "44", "mobius": "72",
+                      "wheel": "71", "total": "269"}
+    assert out.endswith("all certificates accepted\n")
+
+
+def test_reproduce_tables_is_consistent(capsys):
+    code = load("reproduce_tables").main(["--max-complete", "8", "--max-small", "10"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "known divergence: complete size 2" in out
+    assert out.endswith("all rows consistent\n")
