@@ -15,29 +15,13 @@ the run unless --strict is given. Any other mismatch always fails the run.
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from cordial import (
-    MIN_SIZE,
-    FamilySpec,
-    ced_complete,
-    cross_validate,
-    cvd_complete,
-    cvd_complete_literal,
-)
+from cordial import MIN_SIZE, FamilySpec, cross_validate
+from cordial.families import REGISTRY
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    max_complete: int
-    max_small: int
-    workers: int
-    csv_dir: Path | None
-    strict: bool
-
-
-def parse_args(argv) -> TableConfig:
+def parse_args(argv) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-complete", type=int, default=14,
                     help="largest complete graph to search (default 14)")
@@ -48,9 +32,7 @@ def parse_args(argv) -> TableConfig:
                     help="also write complete_table.csv and families_table.csv here")
     ap.add_argument("--strict", action="store_true",
                     help="fail on the documented square-rule divergence too")
-    ns = ap.parse_args(argv)
-    return TableConfig(ns.max_complete, ns.max_small, ns.workers,
-                       ns.csv_dir, ns.strict)
+    return ap.parse_args(argv)
 
 
 def _cell(value) -> str:
@@ -59,35 +41,32 @@ def _cell(value) -> str:
     return value.render()
 
 
-def complete_table(cfg: TableConfig):
-    specs = [FamilySpec("complete", n) for n in range(1, cfg.max_complete + 1)]
-    report = cross_validate(specs, workers=cfg.workers)
+def complete_table(args):
+    specs = [FamilySpec("complete", n) for n in range(1, args.max_complete + 1)]
+    report = cross_validate(specs, workers=args.workers)
+    formula = REGISTRY["complete"].formula
     rows = []
     for r in report.rows:
-        n = r.size
-        literal = _cell(cvd_complete_literal(n))
-        operational = _cell(cvd_complete(n))
-        formula_ced = _cell(ced_complete(n) if n >= 2 else None)
         rows.append({
-            "n": n,
+            "n": r.size,
             "cordial": "yes" if r.cordial else "no",
             "ced_search": _cell(r.ced),
-            "ced_formula": formula_ced,
+            "ced_formula": _cell(formula("ced", r.size)),
             "cvd_search": _cell(r.cvd),
-            "cvd_formula": operational,
-            "cvd_square_rule": literal,
+            "cvd_formula": _cell(formula("cvd", r.size)),
+            "cvd_square_rule": _cell(formula("cvd_square_rule", r.size)),
             "match": "yes" if r.match else "no",
             "notes": "; ".join(r.notes),
         })
     return report, rows
 
 
-def families_table(cfg: TableConfig):
+def families_table(args):
     specs = []
     for family in ("cycle", "mobius", "wheel"):
-        sizes = range(MIN_SIZE[family], cfg.max_small + 1)
+        sizes = range(MIN_SIZE[family], args.max_small + 1)
         specs += [FamilySpec(family, s) for s in sizes]
-    report = cross_validate(specs, workers=cfg.workers)
+    report = cross_validate(specs, workers=args.workers)
     rows = []
     for r in report.rows:
         rows.append({
@@ -123,28 +102,28 @@ def write_csv(path: Path, rows, columns) -> None:
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
 
-    report_a, rows_a = complete_table(cfg)
+    report_a, rows_a = complete_table(args)
     cols_a = ["n", "cordial", "ced_search", "ced_formula", "cvd_search",
               "cvd_formula", "cvd_square_rule", "match", "notes"]
     print("Table A: complete graphs")
     print_aligned(rows_a, cols_a)
     print()
 
-    report_b, rows_b = families_table(cfg)
+    report_b, rows_b = families_table(args)
     cols_b = ["family", "size", "cordial", "ced", "cvd", "source",
               "witnesses", "match"]
     print("Table B: cycles, mobius ladders, wheels")
     print_aligned(rows_b, cols_b)
     print()
 
-    if cfg.csv_dir is not None:
-        cfg.csv_dir.mkdir(parents=True, exist_ok=True)
-        write_csv(cfg.csv_dir / "complete_table.csv", rows_a, cols_a)
-        write_csv(cfg.csv_dir / "families_table.csv", rows_b, cols_b)
+    if args.csv_dir is not None:
+        args.csv_dir.mkdir(parents=True, exist_ok=True)
+        write_csv(args.csv_dir / "complete_table.csv", rows_a, cols_a)
+        write_csv(args.csv_dir / "families_table.csv", rows_b, cols_b)
 
-    expected = {("complete", 2)} if not cfg.strict else set()
+    expected = {("complete", 2)} if not args.strict else set()
     bad = [
         r for r in report_a.mismatches + report_b.mismatches
         if (r.family, r.size) not in expected

@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import families as fam
@@ -36,15 +35,6 @@ from .oracle import (
 )
 
 MEASURES = ("cordial", "ced", "cvd")
-
-
-@dataclass(frozen=True)
-class ComputeConfig:
-    measures: tuple[str, ...]
-    method: str
-    workers: int
-    max_vertices: int
-    fmt: str
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,19 +93,13 @@ def _json_value(value):
 
 
 def _cmd_compute(args) -> int:
-    cfg = ComputeConfig(
-        measures=MEASURES if args.measure == "all" else (args.measure,),
-        method=args.method,
-        workers=args.workers,
-        max_vertices=args.max_vertices,
-        fmt=args.format,
-    )
+    measures = MEASURES if args.measure == "all" else (args.measure,)
     family = None
     if args.graph is not None:
         if args.family is not None or args.n is not None:
             print("error: --graph excludes --family/--n", file=sys.stderr)
             return 2
-        if cfg.method != "oracle":
+        if args.method != "oracle":
             print(
                 "error: closed forms need a named family; use --method oracle",
                 file=sys.stderr,
@@ -132,10 +116,10 @@ def _cmd_compute(args) -> int:
         ident = f"{family} n={args.n}"
 
     results: dict[str, dict] = {}
-    for meas in cfg.measures:
+    for meas in measures:
         entry: dict = {"formula": None, "oracle": None, "witness": None,
                        "match": None, "notes": []}
-        if family is not None and cfg.method in ("formula", "both"):
+        if family is not None and args.method in ("formula", "both"):
             known = fam.REGISTRY[family]
             entry["formula"] = known.formula(meas, args.n)
             literal = known.formula("cvd_square_rule", args.n) if meas == "cvd" else None
@@ -144,44 +128,44 @@ def _cmd_compute(args) -> int:
                     f"square-rule form gives {literal.render()};"
                     f" operational minimum is {entry['formula'].render()}"
                 )
-        if cfg.method in ("oracle", "both"):
+        if args.method in ("oracle", "both"):
             if meas == "cordial":
                 ok, witness = decide_cordial(
-                    g, max_vertices=cfg.max_vertices, workers=cfg.workers
+                    g, max_vertices=args.max_vertices, workers=args.workers
                 )
                 entry["oracle"] = ok
                 entry["witness"] = witness.to_string() if witness else None
             elif meas == "ced":
                 entry["oracle"] = ced_oracle(
-                    g, max_vertices=cfg.max_vertices, workers=cfg.workers
+                    g, max_vertices=args.max_vertices, workers=args.workers
                 ).value
             else:
                 entry["oracle"] = cvd_oracle(
-                    g, max_vertices=cfg.max_vertices, workers=cfg.workers
+                    g, max_vertices=args.max_vertices, workers=args.workers
                 ).value
         if entry["formula"] is not None and entry["oracle"] is not None:
             entry["match"] = entry["formula"] == entry["oracle"]
         results[meas] = entry
 
-    if cfg.method == "formula" and all(
-        results[m]["formula"] is None for m in cfg.measures
+    if args.method == "formula" and all(
+        results[m]["formula"] is None for m in measures
     ):
         print(f"error: no closed form for {ident}", file=sys.stderr)
         return 2
 
     exit_code = 0
-    if any(results[m]["match"] is False for m in cfg.measures):
+    if any(results[m]["match"] is False for m in measures):
         exit_code = 1
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "graph": ident,
             "n": g.n,
             "m": g.m,
-            "method": cfg.method,
+            "method": args.method,
             "results": {},
         }
-        for meas in cfg.measures:
+        for meas in measures:
             e = results[meas]
             out = {
                 "formula": _json_value(e["formula"]),
@@ -197,9 +181,9 @@ def _cmd_compute(args) -> int:
         return exit_code
 
     print(f"{ident}: {g.n} vertices, {g.m} edges")
-    for meas in cfg.measures:
+    for meas in measures:
         e = results[meas]
-        if cfg.method in ("formula", "both") and family is not None:
+        if args.method in ("formula", "both") and family is not None:
             rendered = "unavailable" if e["formula"] is None else _render(e["formula"])
             print(f"{meas} formula = {rendered}")
         if e["oracle"] is not None:

@@ -1,12 +1,15 @@
 """Exhaustive search for cordiality and the two deficiency measures.
 
 Labelings are encoded as n-bit integers, bit i giving the label of vertex i.
-A search covers its whole stream (friendly labelings for cordial and ced, all
-labelings for cvd; with halving, vertex 0 is pinned at label 0, which is
-sound because complementing a labeling preserves every edge label) and
-reduces by (cost, canonical encoding), where the canonical encoding of a
-labeling is the smaller of itself and its complement. The reduction makes
-results bit-identical regardless of worker count and of halving.
+A search covers its whole stream: friendly labelings for cordial and ced, all
+labelings for cvd, each with vertex 0 pinned at label 0. Pinning halves the
+stream and is sound because complementing a labeling preserves every edge
+label; labelings_examined counts the halved stream. The search reduces by
+(cost, canonical encoding), where the canonical encoding of a labeling is
+the smaller of itself and its complement, so results are bit-identical
+regardless of worker count and equal to those of a search over all 2**n
+labelings. Every witness, the cordial one included, is passed through the
+certificate checker before it is returned.
 
 The scan kernel splits the free vertices into a low part of at most LOW_BITS
 vertices and a high part holding the rest, vertex n-1 included. With inc[v]
@@ -29,8 +32,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
-from typing import Iterator
 
 from .certify import Certificate, check_certificate
 from .errors import CordialError, SizeLimitExceeded, self_check
@@ -92,64 +93,14 @@ class OracleResult:
     labelings_examined: int
 
 
-def _next_same_popcount(x: int) -> int:
-    # Gosper's hack; caller guarantees x > 0 and a successor exists
-    low = x & -x
-    ripple = x + low
-    return ripple | (((x ^ ripple) >> 2) // low)
-
-
-def _friendly_blocks(
-    n: int, halve: bool
-) -> list[tuple[int, int, int, int]]:
-    """Blocks (ones, width, shift, count) whose concatenation is the friendly stream.
-
-    Within a block the width-bit patterns with the given popcount run in
-    ascending integer order, then get shifted. Halving fixes vertex 0 at
-    label 0, so encodings are even and widths drop by one.
-    """
-    if n == 0:
-        return [(0, 0, 0, 1)]
-    width, shift = (n - 1, 1) if halve else (n, 0)
-    blocks = []
-    for v1 in sorted({n // 2, (n + 1) // 2}):
-        count = comb(width, v1) if v1 <= width else 0
-        if count:
-            blocks.append((v1, width, shift, count))
-    return blocks
-
-
-def _stream_count(n: int, friendly_only: bool, halve: bool) -> int:
-    if friendly_only:
-        return sum(c for _, _, _, c in _friendly_blocks(n, halve))
-    if n == 0:
-        return 1
-    return 1 << (n - 1 if halve else n)
-
-
-def _iter_encodings(n: int, friendly_only: bool, halve: bool) -> Iterator[int]:
-    """Every encoding of the stream, in stream order."""
-    if not friendly_only:
-        shift = 1 if halve else 0
-        for y in range(_stream_count(n, False, halve)):
-            yield y << shift
-        return
-    for ones, _, shift, count in _friendly_blocks(n, halve):
-        x = (1 << ones) - 1
-        yield x << shift
-        for _ in range(count - 1):
-            x = _next_same_popcount(x)
-            yield x << shift
-
-
-def _split(n: int, halve: bool) -> tuple[int, int, int]:
-    """(shift, low, high): pinned low bits, then the low and high part widths.
+def _split(n: int) -> tuple[int, int, int]:
+    """(shift, low, high): the pinned vertex 0, then the low and high part widths.
 
     The high part keeps two vertices whenever it can, so that it always holds
     vertex n-1, which the canonical-witness rule reads, and so that small
     graphs still split into more than two worker parts.
     """
-    shift = 1 if halve and n else 0
+    shift = 1 if n else 0
     width = n - shift
     low = max(0, min(LOW_BITS, width - 2))
     return shift, low, width - low
@@ -163,7 +114,7 @@ def _subset_xors(masks: list[int]) -> list[int]:
     return t
 
 
-def _scan_plan(n: int, halve: bool, workers: int) -> list[tuple[int, int]]:
+def _scan_plan(n: int, workers: int) -> list[tuple[int, int]]:
     """High-subset ranges [lo, hi), one per process the scan will use.
 
     The part count is clamped to the cpu count and to the number of high
@@ -171,7 +122,7 @@ def _scan_plan(n: int, halve: bool, workers: int) -> list[tuple[int, int]]:
     """
     if workers < 1:
         raise CordialError(f"workers must be at least 1, got {workers}")
-    size = 1 << _split(n, halve)[2]
+    size = 1 << _split(n)[2]
     parts = min(workers, size, os.cpu_count() or 1) if workers > 1 else 1
     return [(size * i // parts, size * (i + 1) // parts) for i in range(parts)]
 
@@ -212,8 +163,8 @@ def _scan_part(task) -> tuple[int, tuple[int, int] | None]:
     encoding) over the part's candidates, or None. Labelings that are not
     candidates still count as examined.
     """
-    mode, n, edges, halve, h_lo, h_hi = task
-    shift, low, high = _split(n, halve)
+    mode, n, edges, h_lo, h_hi = task
+    shift, low, high = _split(n)
     inc = [0] * n
     for j, (u, v) in enumerate(edges):
         inc[u] |= 1 << j
@@ -267,27 +218,55 @@ def _reduce(
     return examined, (min(bests) if bests else None)
 
 
-def _run_scan(
-    mode: str,
-    g: MultiGraph,
-    *,
-    halve: bool,
-    workers: int,
-    max_vertices: int,
-) -> tuple[int, tuple[int, int] | None]:
+def _solve(mode: str, g: MultiGraph, max_vertices: int, workers: int) -> OracleResult:
+    """Scan g in one mode and turn the least hit into a checked result.
+
+    The witness is the canonical hit's labeling. A ced witness adds the
+    first vertex pair of the minority edge label cost times, a cvd witness
+    adds the minority vertex label cost times, and a cordial one, whose cost
+    is always 0, adds nothing.
+    """
     if g.n > max_vertices:
         raise SizeLimitExceeded(
             f"graph has {g.n} vertices; exhaustive search is capped at"
             f" {max_vertices} (raise max_vertices to override)"
         )
-    tasks = [
-        (mode, g.n, g.edges, halve, lo, hi)
-        for lo, hi in _scan_plan(g.n, halve, workers)
-    ]
+    tasks = [(mode, g.n, g.edges, lo, hi) for lo, hi in _scan_plan(g.n, workers)]
     if len(tasks) == 1:
-        return _reduce([_scan_part(tasks[0])])
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        return _reduce(list(pool.map(_scan_part, tasks)))
+        examined, best = _reduce([_scan_part(tasks[0])])
+    else:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            examined, best = _reduce(list(pool.map(_scan_part, tasks)))
+    if best is None:
+        reason = (
+            InfinityReason.NO_FEASIBLE_AUGMENTATION
+            if mode == "ced"
+            else InfinityReason.STRICTLY_NONCORDIAL
+        )
+        return OracleResult(DeficiencyValue.infinite(reason), None, examined)
+    cost, canon = best
+    f = VertexLabeling.from_encoding(canon, g.n)
+    added_edges: tuple[tuple[int, int], ...] = ()
+    added_labels: tuple[int, ...] = ()
+    if cost:
+        rep = balance(g, f)
+        if mode == "ced":
+            pair = first_pair_with_edge_label(f, 0 if rep.e1 > rep.e0 else 1)
+            self_check(pair is not None, "ced witness has no vertex pair to repair at")
+            added_edges = (pair,) * cost
+        else:
+            added_labels = (0 if rep.v1 > rep.v0 else 1,) * cost
+    witness = Certificate(
+        kind=mode,
+        labels=f.labels,
+        claimed_value=cost,
+        n=g.n,
+        edges=g.edges,
+        added_edges=added_edges,
+        added_vertex_labels=added_labels,
+    )
+    self_check(check_certificate(witness).accepted, f"{mode} witness rejected")
+    return OracleResult(DeficiencyValue.finite(cost), witness, examined)
 
 
 def decide_cordial(
@@ -295,16 +274,12 @@ def decide_cordial(
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     workers: int = 1,
-    halve_by_complement: bool = True,
 ) -> tuple[bool, VertexLabeling | None]:
     """Exhaustively decide cordiality; on success return the canonical witness."""
-    _, best = _run_scan(
-        "cordial", g, halve=halve_by_complement, workers=workers,
-        max_vertices=max_vertices,
-    )
-    if best is None:
+    witness = _solve("cordial", g, max_vertices, workers).witness
+    if witness is None:
         return False, None
-    return True, VertexLabeling.from_encoding(best[1], g.n)
+    return True, VertexLabeling(witness.labels)
 
 
 def ced_oracle(
@@ -312,7 +287,6 @@ def ced_oracle(
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     workers: int = 1,
-    halve_by_complement: bool = True,
 ) -> OracleResult:
     """Minimum edge additions over friendly labelings, with a checked witness.
 
@@ -320,35 +294,7 @@ def ced_oracle(
     the minority label exist; labelings without them are skipped, and if
     every unbalanced labeling is skipped the value is infinite.
     """
-    examined, best = _run_scan(
-        "ced", g, halve=halve_by_complement, workers=workers,
-        max_vertices=max_vertices,
-    )
-    if best is None:
-        return OracleResult(
-            DeficiencyValue.infinite(InfinityReason.NO_FEASIBLE_AUGMENTATION),
-            None,
-            examined,
-        )
-    cost, canon = best
-    f = VertexLabeling.from_encoding(canon, g.n)
-    added: tuple[tuple[int, int], ...] = ()
-    if cost:
-        rep = balance(g, f)
-        minority = 0 if rep.e1 > rep.e0 else 1
-        pair = first_pair_with_edge_label(f, minority)
-        self_check(pair is not None, "ced witness has no vertex pair to repair at")
-        added = (pair,) * cost
-    witness = Certificate(
-        kind="ced",
-        labels=f.labels,
-        claimed_value=cost,
-        n=g.n,
-        edges=g.edges,
-        added_edges=added,
-    )
-    self_check(check_certificate(witness).accepted, "ced witness rejected")
-    return OracleResult(DeficiencyValue.finite(cost), witness, examined)
+    return _solve("ced", g, max_vertices, workers)
 
 
 def cvd_oracle(
@@ -356,52 +302,10 @@ def cvd_oracle(
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     workers: int = 1,
-    halve_by_complement: bool = True,
 ) -> OracleResult:
     """Minimum isolated-vertex additions over edge-balanced labelings.
 
     The scan covers all labelings, not only friendly ones; when no labeling
     balances the edge labels the value is infinite.
     """
-    examined, best = _run_scan(
-        "cvd", g, halve=halve_by_complement, workers=workers,
-        max_vertices=max_vertices,
-    )
-    if best is None:
-        return OracleResult(
-            DeficiencyValue.infinite(InfinityReason.STRICTLY_NONCORDIAL),
-            None,
-            examined,
-        )
-    cost, canon = best
-    f = VertexLabeling.from_encoding(canon, g.n)
-    added: tuple[int, ...] = ()
-    if cost:
-        rep = balance(g, f)
-        added = ((0 if rep.v1 > rep.v0 else 1),) * cost
-    witness = Certificate(
-        kind="cvd",
-        labels=f.labels,
-        claimed_value=cost,
-        n=g.n,
-        edges=g.edges,
-        added_vertex_labels=added,
-    )
-    self_check(check_certificate(witness).accepted, "cvd witness rejected")
-    return OracleResult(DeficiencyValue.finite(cost), witness, examined)
-
-
-def enumerate_labelings(
-    n: int,
-    *,
-    friendly_only: bool = False,
-    halve_by_complement: bool = False,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> Iterator[VertexLabeling]:
-    """All labelings of n vertices in scan order, as VertexLabeling objects."""
-    if n > max_vertices:
-        raise SizeLimitExceeded(
-            f"{n} vertices; enumeration is capped at {max_vertices}"
-        )
-    for enc in _iter_encodings(n, friendly_only, halve_by_complement):
-        yield VertexLabeling.from_encoding(enc, n)
+    return _solve("cvd", g, max_vertices, workers)

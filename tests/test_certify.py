@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+import cordial.families
 from cordial import (
     Certificate,
     DeficiencyValue,
     FamilySpec,
     MalformedCertificate,
+    Verdict,
     check_certificate,
     complete_ced_witness,
     cross_validate,
@@ -17,6 +19,8 @@ from cordial import (
     parse_certificate,
     serialize_certificate,
 )
+from cordial.errors import SelfCheckFailed
+from cordial.families import REGISTRY
 
 # ------------------------------------------------------------ verdict logic
 
@@ -280,6 +284,43 @@ def test_cross_validate_checks_witnesses_and_parity():
         assert "bounds: witness upper, parity obstruction lower" in row.notes
     row7 = report.row("mobius", 7)
     assert row7.match and ("cordial", True) in row7.witnesses
+
+
+# one size per (family, target) in REGISTRY at which the constructor applies
+_WITNESS_SIZE = {
+    ("complete", "cordial"): 3,
+    ("complete", "ced"): 6,
+    ("complete", "cvd"): 6,
+    ("cycle", "cordial"): 4,
+    ("mobius", "cordial"): 4,
+    ("mobius", "ced"): 6,
+    ("mobius", "cvd"): 6,
+    ("wheel", "cordial"): 4,
+    ("wheel", "ced"): 7,
+    ("wheel", "cvd"): 7,
+}
+
+
+@pytest.mark.parametrize(
+    "family,target",
+    [(family, target) for family, known in REGISTRY.items()
+     for target in known.constructions],
+)
+def test_every_family_witness_is_checked_by_its_constructor(monkeypatch, family, target):
+    # cross_validate reports each returned witness as accepted without checking
+    # it again, which holds only while every constructor checks its own
+    size = _WITNESS_SIZE[family, target]
+    build = REGISTRY[family].constructions[target]
+    assert check_certificate(build(size)).accepted
+
+    def reject(cert):
+        return Verdict(cert.kind != target, "forced")
+
+    monkeypatch.setattr(cordial.families, "check_certificate", reject)
+    with pytest.raises(SelfCheckFailed):
+        build(size)
+    with pytest.raises(SelfCheckFailed):
+        cross_validate([FamilySpec(family, size)], max_vertices=1)
 
 
 def test_cross_validate_beyond_search_bound_uses_formulas():

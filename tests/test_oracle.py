@@ -1,4 +1,5 @@
-"""Exhaustive search: stream machinery, determinism, and frozen small values.
+"""Exhaustive search: agreement with a definitional reference, determinism,
+and frozen small values.
 
 The reference implementations here work straight from the definitions with
 no bit tricks, so they can arbitrate the packed scans.
@@ -10,10 +11,9 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from cordial import (
-    DEFAULT_MAX_VERTICES,
     DeficiencyValue,
     InfinityReason,
     SizeLimitExceeded,
@@ -26,7 +26,6 @@ from cordial import (
     cvd_oracle,
     cycle_graph,
     decide_cordial,
-    enumerate_labelings,
     is_cordial_labeling,
     mobius_ladder,
     new_graph,
@@ -34,16 +33,7 @@ from cordial import (
     wheel_graph,
 )
 from cordial.errors import CordialError, SelfCheckFailed
-from cordial.oracle import (
-    _friendly_blocks,
-    _iter_encodings,
-    _next_same_popcount,
-    _reduce,
-    _scan_part,
-    _scan_plan,
-    _split,
-    _stream_count,
-)
+from cordial.oracle import _reduce, _scan_part, _scan_plan, _split
 from strategies import multigraphs
 
 # ------------------------------------------------- definitional references
@@ -116,54 +106,6 @@ def _random_graph(rng, max_n=7, max_m=12):
     return new_graph(n, edges)
 
 
-# ------------------------------------------------------- stream machinery
-
-
-def test_gosper_step_walks_in_ascending_order():
-    xs = [0b111]
-    for _ in range(comb(6, 3) - 1):
-        xs.append(_next_same_popcount(xs[-1]))
-    assert xs == sorted(x for x in range(1 << 6) if x.bit_count() == 3)
-
-
-def test_friendly_blocks_cover_both_majorities_when_odd():
-    assert [(o, c) for o, _, _, c in _friendly_blocks(5, False)] == [
-        (2, comb(5, 2)),
-        (3, comb(5, 3)),
-    ]
-    assert [(o, c) for o, _, _, c in _friendly_blocks(6, False)] == [(3, comb(6, 3))]
-
-
-def test_friendly_stream_is_exactly_the_friendly_set():
-    n = 6
-    encs = list(_iter_encodings(n, True, False))
-    assert sorted(encs) == sorted(x for x in range(1 << n) if x.bit_count() == 3)
-
-
-def test_halved_stream_picks_one_labeling_per_complement_pair():
-    for n in (4, 5):
-        mask = (1 << n) - 1
-        halved = list(_iter_encodings(n, True, True))
-        full = list(_iter_encodings(n, True, False))
-        assert all(enc % 2 == 0 for enc in halved)  # vertex 0 pinned at label 0
-        assert len(halved) * 2 == len(full)
-        assert {min(e, mask ^ e) for e in halved} == {min(e, mask ^ e) for e in full}
-
-
-def test_zero_vertex_stream_has_the_empty_labeling():
-    assert list(_iter_encodings(0, True, True)) == [0]
-    assert _stream_count(0, False, False) == 1
-
-
-def test_enumerate_labelings_and_cap():
-    labs = list(enumerate_labelings(3))
-    assert len(labs) == 8 and len(set(labs)) == 8
-    friendly = list(enumerate_labelings(4, friendly_only=True))
-    assert len(friendly) == comb(4, 2)
-    with pytest.raises(SizeLimitExceeded):
-        next(enumerate_labelings(DEFAULT_MAX_VERTICES + 1))
-
-
 # ------------------------------------------------------ scan vs definition
 
 
@@ -180,60 +122,68 @@ def test_oracles_match_definitional_brute_force(seed):
 
 
 def test_scan_visits_every_friendly_labeling_exactly_once():
-    g = complete_graph(6)
-    res = ced_oracle(g, halve_by_complement=False)
-    assert res.labelings_examined == comb(6, 3)
-    res = ced_oracle(g, halve_by_complement=True)
-    assert res.labelings_examined == comb(5, 3)
+    # vertex 0 is pinned at label 0, so one labeling of each complement pair
+    assert ced_oracle(complete_graph(6)).labelings_examined == comb(5, 3)
+    empty = new_graph(0, [])
+    assert cvd_oracle(empty).labelings_examined == 1
+    assert decide_cordial(empty) == (True, VertexLabeling(()))
 
 
+@example(complete_graph(7))
+@example(wheel_graph(5))
+@example(mobius_ladder(4))
+@example(new_graph(0, []))
 @given(multigraphs(min_n=0, max_n=9, max_m=20))
 def test_scan_matches_reference_in_every_mode_and_plan(g):
-    for halve in (True, False):
-        refs = {mode: _reference(g, mode, halve) for mode in ("cordial", "ced", "cvd")}
+    # the scan pins vertex 0, so it examines the halved stream, yet its best
+    # (cost, canonical encoding) must be that of all 2^n labelings
+    refs = {
+        mode: (_reference(g, mode, True)[0], _reference(g, mode, False)[1])
+        for mode in ("cordial", "ced", "cvd")
+    }
 
-        ok, f = decide_cordial(g, halve_by_complement=halve)
-        best = refs["cordial"][1]
-        assert ok == (best is not None)
-        assert f == (VertexLabeling.from_encoding(best[1], g.n) if ok else None)
-        for mode, oracle in (("ced", ced_oracle), ("cvd", cvd_oracle)):
-            examined, best = refs[mode]
-            res = oracle(g, halve_by_complement=halve)
-            assert res.labelings_examined == examined
-            if best is None:
-                assert res.value.is_infinite and res.witness is None
-            else:
-                assert res.value.value == best[0]
-                assert res.witness.labels == VertexLabeling.from_encoding(best[1], g.n).labels
+    ok, f = decide_cordial(g)
+    best = refs["cordial"][1]
+    assert ok == (best is not None)
+    assert f == (VertexLabeling.from_encoding(best[1], g.n) if ok else None)
+    for mode, oracle in (("ced", ced_oracle), ("cvd", cvd_oracle)):
+        examined, best = refs[mode]
+        res = oracle(g)
+        assert res.labelings_examined == examined
+        if best is None:
+            assert res.value.is_infinite and res.witness is None
+        else:
+            assert res.value.value == best[0]
+            assert res.witness.labels == VertexLabeling.from_encoding(best[1], g.n).labels
 
-        with mock.patch("os.cpu_count", return_value=64):
-            plans = [_scan_plan(g.n, halve, w) for w in (2, 3)]
-        for plan in plans:
-            for mode, ref in refs.items():
-                parts = [_scan_part((mode, g.n, g.edges, halve, lo, hi)) for lo, hi in plan]
-                assert _reduce(parts) == ref
+    with mock.patch("os.cpu_count", return_value=64):
+        plans = [_scan_plan(g.n, w) for w in (2, 3)]
+    for plan in plans:
+        for mode, ref in refs.items():
+            parts = [_scan_part((mode, g.n, g.edges, lo, hi)) for lo, hi in plan]
+            assert _reduce(parts) == ref
 
 
 def test_scan_plan_clamps_parts_and_tiles_the_high_subsets(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    size = 1 << _split(20, True)[2]
-    assert _scan_plan(20, True, 8) == [(0, size // 2), (size // 2, size)]
-    assert _scan_plan(20, True, 1) == [(0, size)]
+    size = 1 << _split(20)[2]
+    assert _scan_plan(20, 8) == [(0, size // 2), (size // 2, size)]
+    assert _scan_plan(20, 1) == [(0, size)]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert len(_scan_plan(20, True, 8)) == 1
+    assert len(_scan_plan(20, 8)) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    plan = _scan_plan(20, True, 3)
+    plan = _scan_plan(20, 3)
     assert [lo for lo, _ in plan[1:]] == [hi for _, hi in plan[:-1]]
     assert plan[0][0] == 0 and plan[-1][1] == size and len(plan) == 3
     # a tiny graph has few high subsets, so it never gets more parts than that
-    assert len(_scan_plan(3, True, 64)) == 1 << _split(3, True)[2]
-    assert len(_scan_plan(0, True, 64)) == 1
+    assert len(_scan_plan(3, 64)) == 1 << _split(3)[2]
+    assert len(_scan_plan(0, 64)) == 1
 
 
 def test_worker_count_below_one_is_rejected():
     for bad in (0, -1):
         with pytest.raises(CordialError, match="workers"):
-            _scan_plan(6, True, bad)
+            _scan_plan(6, bad)
         with pytest.raises(CordialError, match="workers"):
             ced_oracle(complete_graph(4), workers=bad)
 
@@ -250,6 +200,8 @@ def test_rejected_witness_raises_self_check_failed(monkeypatch):
     for oracle in (ced_oracle, cvd_oracle):
         with pytest.raises(SelfCheckFailed):
             oracle(complete_graph(4))
+    with pytest.raises(SelfCheckFailed):
+        decide_cordial(cycle_graph(4))
     with pytest.raises(SelfCheckFailed):
         cordial.families.complete_ced_witness(6)
     with pytest.raises(SelfCheckFailed):
@@ -323,17 +275,8 @@ def test_cordial_witness_is_cordial_and_scan_invariant():
     g = cycle_graph(4)
     ok, f = decide_cordial(g)
     assert ok and is_cordial_labeling(g, f)
-    assert decide_cordial(g, halve_by_complement=False) == (ok, f)
-
-
-def test_halving_does_not_change_results():
-    for g in (complete_graph(7), wheel_graph(5), mobius_ladder(4)):
-        a = ced_oracle(g, halve_by_complement=True)
-        b = ced_oracle(g, halve_by_complement=False)
-        assert (a.value, a.witness) == (b.value, b.witness)
-        a = cvd_oracle(g, halve_by_complement=True)
-        b = cvd_oracle(g, halve_by_complement=False)
-        assert (a.value, a.witness) == (b.value, b.witness)
+    # the same canonical witness as a search over every labeling
+    assert f == VertexLabeling.from_encoding(_reference(g, "cordial", False)[1][1], g.n)
 
 
 def test_worker_count_does_not_change_results():
