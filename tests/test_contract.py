@@ -3,9 +3,9 @@
 The fixture tests/data/cli_contract.jsonl holds, one JSON record a line:
 `table --format json` for every family from its minimum size to 40 (search
 capped at 10 vertices), `compute --method formula --format json` for sizes
-1-12 and 30-34, and `construct` for every target at sizes 1-12. A table
-record is followed by one line per row, so a changed row shows as one line
-in a diff. Regenerate with `PYTHONPATH=src python tests/test_contract.py`
+1-12 and 30-34, and `construct` for every target at sizes 1-12 (mobius also
+at widths 13-40, 197-200 and 385-388). A table record is followed by one
+line per row, so a changed row shows as one line in a diff. Regenerate with `PYTHONPATH=src python tests/test_contract.py`
 only when an output change is intended.
 """
 
@@ -36,6 +36,11 @@ def invocations():
                 yield f"construct {family} {n} {target}", [
                     "construct", "--family", family, "--n", str(n),
                     "--target", target]
+    for target in ("cordial", "ced", "cvd"):
+        for n in [*range(13, 41), *range(197, 201), *range(385, 389)]:
+            yield f"construct mobius {n} {target}", [
+                "construct", "--family", "mobius", "--n", str(n),
+                "--target", target]
 
 
 ROW_KEYS = ("family", "size", "cordial", "ced", "cvd", "source", "match",
