@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from cordial import MIN_SIZE, FamilySpec, cross_validate
+from cordial.cli import worker_count
 from cordial.families import REGISTRY
 
 
@@ -27,7 +28,7 @@ def parse_args(argv) -> argparse.Namespace:
                     help="largest complete graph to search (default 14)")
     ap.add_argument("--max-small", type=int, default=12,
                     help="largest cycle/mobius/wheel size to search (default 12)")
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=worker_count, default=1)
     ap.add_argument("--csv-dir", type=Path, default=None,
                     help="also write complete_table.csv and families_table.csv here")
     ap.add_argument("--strict", action="store_true",

@@ -37,6 +37,14 @@ from .oracle import (
 MEASURES = ("cordial", "ced", "cvd")
 
 
+def worker_count(text: str) -> int:
+    """argparse type for --workers: rejects counts below 1 before any work."""
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cordial",
@@ -50,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", metavar="PATH", help="edge list file instead of a family")
     p.add_argument("--measure", choices=MEASURES + ("all",), default="all")
     p.add_argument("--method", choices=("oracle", "formula", "both"), default="both")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=worker_count, default=1)
     p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -70,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated family names",
     )
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=worker_count, default=1)
     p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     return parser

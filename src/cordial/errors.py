@@ -37,10 +37,6 @@ class NotApplicable(CordialError):
     """The requested construction does not exist for this parameter."""
 
 
-class NoUnitCrossEdge(CordialError):
-    """No cross-edge with both endpoints labeled 1 is available to graft at."""
-
-
 class StrictlyNoncordial(CordialError):
     """No edge-balanced labeling exists, so no finite vertex deficiency does."""
 

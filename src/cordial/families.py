@@ -19,7 +19,6 @@ from typing import Callable, Mapping
 from .certify import Certificate, check_certificate
 from .errors import (
     NotApplicable,
-    NoUnitCrossEdge,
     SizeTooSmall,
     StrictlyNoncordial,
     self_check,
@@ -198,8 +197,8 @@ _MOBIUS_BASE_LABELS = {
     5: (1, 1, 1, 1, 0, 1, 0, 0, 0, 0),
 }
 
-# width-6 seeds for the deficiency witnesses; both carry a (1, 1) cross edge
-# at index 0 so the same splice used for cordial widths extends them
+# width-6 seeds for the deficiency witnesses; like the base labelings they
+# label vertices 0 and 6 with 1, so the period-4 pattern extends them too
 _MOBIUS6_CED_LABELS = (1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0)  # e0 = 10, e1 = 8
 _MOBIUS6_CVD_LABELS = (1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0)  # balanced, v1 = 7
 
@@ -209,116 +208,44 @@ def is_cordial_mobius(k: int) -> bool:
     return k % 4 != 2
 
 
-def base_mobius_labeling(k: int) -> LabeledFamilyInstance:
-    FamilySpec("mobius", k)
-    if k not in _MOBIUS_BASE_LABELS:
-        raise NotApplicable("base labelings exist for widths 3, 4 and 5 only")
-    return LabeledFamilyInstance.build("mobius", k, _MOBIUS_BASE_LABELS[k])
+def _mobius_labels(seed: tuple[int, ...], k0: int, k: int) -> tuple[int, ...]:
+    """Width-k labels: the width-k0 seed followed by (k - k0) // 4 periods.
 
-
-def _unit_cross_edge(inst: LabeledFamilyInstance) -> int:
-    """Smallest i whose cross edge (i, i+k) has both endpoints labeled 1."""
-    k = inst.spec.size
-    f = inst.labeling
-    for i in range(k):
-        if f[i] == 1 and f[i + k] == 1:
-            return i
-    raise NoUnitCrossEdge(
-        f"no cross edge with both endpoints labeled 1 in the width-{k} instance"
-    )
-
-
-@dataclass(frozen=True)
-class GraftSeams:
-    """Edge-label multisets removed and added by one splice, both sorted."""
-
-    removed_labels: tuple[int, ...]
-    added_labels: tuple[int, ...]
-
-
-def graft_with_seams(
-    big: LabeledFamilyInstance, patch: LabeledFamilyInstance
-) -> tuple[LabeledFamilyInstance, GraftSeams]:
-    """Splice the patch ladder into the big one at (1, 1) cross edges.
-
-    Both instances are cut at their first all-ones cross edge; the four cycle
-    edges incident to the cuts are replaced by four seam edges. Because each
-    cut edge joins two 1-labeled vertices, the seam edge labels reproduce the
-    removed edge labels exactly, so every balance count is additive.
+    A period grafts the width-4 base labeling in at vertex 0: 1101 goes after
+    the seed's top half and 1000 after its bottom half. When vertices 0 and
+    k0 are both labeled 1, the two cycle edges the graft cuts keep their
+    labels, so each period adds exactly 4 zeros, 4 ones, 6 edges labeled 0
+    and 6 edges labeled 1.
     """
-    kb, kp = big.spec.size, patch.spec.size
-    fb, fp = big.labeling, patch.labeling
-    nb, npp = 2 * kb, 2 * kp
-    t0 = _unit_cross_edge(big)
-    s0 = _unit_cross_edge(patch)
-    b0, u0 = t0 + kb, s0 + kp
-    top_big = [fb[(t0 + i) % nb] for i in range(kb)]
-    top_patch = [fp[(s0 + i) % npp] for i in range(kp)]
-    bottom_big = [fb[(b0 + i) % nb] for i in range(kb)]
-    bottom_patch = [fp[(u0 + i) % npp] for i in range(kp)]
-    labels = tuple(top_big + top_patch + bottom_big + bottom_patch)
-    merged = LabeledFamilyInstance.build("mobius", kb + kp, labels)
-    removed = sorted(
-        (
-            fb[(b0 - 1) % nb] ^ fb[b0 % nb],
-            fb[(t0 - 1) % nb] ^ fb[t0],
-            fp[(u0 - 1) % npp] ^ fp[u0 % npp],
-            fp[(s0 - 1) % npp] ^ fp[s0],
-        )
-    )
-    added = sorted(
-        (
-            fb[(b0 - 1) % nb] ^ fp[s0],
-            fp[(u0 - 1) % npp] ^ fb[b0 % nb],
-            fb[(t0 - 1) % nb] ^ fp[u0 % npp],
-            fp[(s0 - 1) % npp] ^ fb[t0],
-        )
-    )
-    self_check(removed == added, "seam exchange must conserve edge labels")
-    return merged, GraftSeams(tuple(removed), tuple(added))
-
-
-def graft(
-    big: LabeledFamilyInstance, patch: LabeledFamilyInstance
-) -> LabeledFamilyInstance:
-    return graft_with_seams(big, patch)[0]
+    r = (k - k0) // 4
+    return seed[:k0] + (1, 1, 0, 1) * r + seed[k0:] + (1, 0, 0, 0) * r
 
 
 def construct_mobius_labeling(k: int) -> LabeledFamilyInstance:
-    """Cordial labeling for any admissible width, by repeated splicing."""
+    """Cordial labeling for any admissible width: a base labeling plus periods."""
     FamilySpec("mobius", k)
     if k % 4 == 2:
         raise NotApplicable("no cordial labeling exists when the width is 2 modulo 4")
     k0 = {3: 3, 0: 4, 1: 5}[k % 4]
-    inst = base_mobius_labeling(k0)
-    for _ in range((k - k0) // 4):
-        inst = graft(inst, base_mobius_labeling(4))
-    self_check(inst.is_cordial, "spliced mobius labeling not cordial")
-    return inst
-
-
-def _grow_mobius_seed(k: int, seed: tuple[int, ...]) -> LabeledFamilyInstance:
-    FamilySpec("mobius", k)
-    if k % 4 != 2:
-        raise NotApplicable(
-            "the deficiency witnesses apply to widths 2 modulo 4 only"
-        )
-    inst = LabeledFamilyInstance.build("mobius", 6, seed)
-    for _ in range((k - 6) // 4):
-        inst = graft(inst, base_mobius_labeling(4))
+    labels = _mobius_labels(_MOBIUS_BASE_LABELS[k0], k0, k)
+    inst = LabeledFamilyInstance.build("mobius", k, labels)
+    self_check(inst.is_cordial, "mobius labeling not cordial")
     return inst
 
 
 def mobius_ced_witness(k: int) -> Certificate:
     """Friendly labeling two edges apart plus one mixed edge addition."""
-    inst = _grow_mobius_seed(k, _MOBIUS6_CED_LABELS)
-    pair = first_pair_with_edge_label(inst.labeling, 1)
+    FamilySpec("mobius", k)
+    if k % 4 != 2:
+        raise NotApplicable("the deficiency witnesses apply to widths 2 modulo 4 only")
+    labels = _mobius_labels(_MOBIUS6_CED_LABELS, 6, k)
+    pair = first_pair_with_edge_label(VertexLabeling(labels), 1)
     self_check(pair is not None, "no mixed pair in mobius labeling")
     cert = Certificate(
         kind="ced",
         family="mobius",
         param=k,
-        labels=inst.labeling.labels,
+        labels=labels,
         claimed_value=1,
         added_edges=(pair,),
     )
@@ -328,16 +255,18 @@ def mobius_ced_witness(k: int) -> Certificate:
 
 def mobius_cvd_witness(k: int) -> Certificate:
     """Edge-balanced labeling two vertices apart plus one isolated zero."""
-    inst = _grow_mobius_seed(k, _MOBIUS6_CVD_LABELS)
-    rep = inst.balance
-    added = ((0 if rep.v1 > rep.v0 else 1),)
+    FamilySpec("mobius", k)
+    if k % 4 != 2:
+        raise NotApplicable("the deficiency witnesses apply to widths 2 modulo 4 only")
+    labels = _mobius_labels(_MOBIUS6_CVD_LABELS, 6, k)
+    v1 = sum(labels)
     cert = Certificate(
         kind="cvd",
         family="mobius",
         param=k,
-        labels=inst.labeling.labels,
+        labels=labels,
         claimed_value=1,
-        added_vertex_labels=added,
+        added_vertex_labels=((0 if v1 > len(labels) - v1 else 1),),
     )
     self_check(check_certificate(cert).accepted, "mobius cvd witness rejected")
     return cert

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 import cordial as c
+from cordial.families import _mobius_labels
 
 
 @contextmanager
@@ -192,7 +193,7 @@ def _random_labeled_graph(rng):
 
 def test_criterion_8_property_suites():
     desc = ("properties: count partitions, complement symmetry, zero-deficiency"
-            " equivalence, determinism, splice conservation, round-trip")
+            " equivalence, determinism, period additivity, round-trip")
     with criterion(8, desc, 300.0):
         rng = random.Random(2026)
         pairs = [_random_labeled_graph(rng) for _ in range(1000)]
@@ -234,24 +235,25 @@ def test_criterion_8_property_suites():
                 }) == 1
             assert len({c.decide_cordial(g, workers=w) for w in (1, 2, 8)}) == 1
 
-        # splicing conserves seam labels at every step of every induction
-        # chain used above: the three cordial chains and the two seeds
-        patch = c.base_mobius_labeling(4)
-        chains = [c.base_mobius_labeling(k0) for k0 in (3, 4, 5)]
-        chains.append(
-            c.LabeledFamilyInstance.build("mobius", 6, c.mobius_ced_witness(6).labels)
-        )
-        chains.append(
-            c.LabeledFamilyInstance.build("mobius", 6, c.mobius_cvd_witness(6).labels)
-        )
+        # one period adds exactly (4, 4, 6, 6) to (v0, v1, e0, e1) at every
+        # step of every induction chain used above: the three cordial chains
+        # and the two seeds, whose labels stay the seed plus whole periods
+        chains = [c.construct_mobius_labeling(k0) for k0 in (3, 4, 5)]
+        chains += [
+            c.LabeledFamilyInstance.build("mobius", 6, witness(6).labels)
+            for witness in (c.mobius_ced_witness, c.mobius_cvd_witness)
+        ]
         for cur in chains:
+            k0, seed = cur.spec.size, cur.labeling.labels
             while cur.spec.size <= 200:
-                merged, seams = c.graft_with_seams(cur, patch)
-                assert sorted(seams.removed_labels) == sorted(seams.added_labels)
-                assert merged.balance.e0 == cur.balance.e0 + patch.balance.e0
-                assert merged.balance.e1 == cur.balance.e1 + patch.balance.e1
-                assert merged.balance.v0 == cur.balance.v0 + patch.balance.v0
-                assert merged.balance.v1 == cur.balance.v1 + patch.balance.v1
+                k = cur.spec.size
+                labels = _mobius_labels(cur.labeling.labels, k, k + 4)
+                assert labels == _mobius_labels(seed, k0, k + 4)
+                merged = c.LabeledFamilyInstance.build("mobius", k + 4, labels)
+                assert merged.balance.v0 == cur.balance.v0 + 4
+                assert merged.balance.v1 == cur.balance.v1 + 4
+                assert merged.balance.e0 == cur.balance.e0 + 6
+                assert merged.balance.e1 == cur.balance.e1 + 6
                 cur = merged
 
         # certificates survive serialization and re-verification

@@ -72,9 +72,20 @@ def test_self_check_failure_exits_one(capsys, monkeypatch):
 
 
 def test_workers_below_one_exits_two(capsys):
-    code, _, err = run(capsys, "compute", "--family", "complete", "--n", "4",
-                       "--workers", "0")
-    assert code == 2 and "workers must be at least 1" in err
+    argvs = [
+        ["compute", "--family", "complete", "--n", "4", "--workers", "0"],
+        # rejected even where no scan would run
+        ["compute", "--family", "mobius", "--n", "6", "--method", "formula",
+         "--workers", "0"],
+        ["table", "--families", "path", "--max-n", "3", "--max-vertices", "0",
+         "--workers", "0"],
+        ["table", "--families", "path", "--max-n", "3", "--max-vertices", "2",
+         "--workers", "-5"],
+    ]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"workers must be at least 1, got {argv[-1]}" in err
 
 
 def test_compute_explicit_graph_oracle_only(capsys, tmp_path):

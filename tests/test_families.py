@@ -1,4 +1,4 @@
-"""Closed forms, base labelings, the splice induction, and family witnesses."""
+"""Closed forms, base labelings, the period-4 induction, and family witnesses."""
 
 import pytest
 
@@ -6,12 +6,10 @@ from cordial import (
     DeficiencyValue,
     LabeledFamilyInstance,
     NotApplicable,
-    NoUnitCrossEdge,
     SizeTooSmall,
     StrictlyNoncordial,
     VertexLabeling,
     balance,
-    base_mobius_labeling,
     ced_complete,
     check_certificate,
     complete_cordial_labeling,
@@ -23,8 +21,6 @@ from cordial import (
     cvd_complete,
     cvd_complete_literal,
     cycle_cordial_labeling,
-    graft,
-    graft_with_seams,
     instance_certificate,
     is_cordial_complete,
     is_cordial_cycle,
@@ -37,6 +33,7 @@ from cordial import (
     wheel_cvd_witness,
     wheel_graph,
 )
+from cordial.families import _mobius_labels
 
 # ----------------------------------------------------------- complete forms
 
@@ -100,43 +97,54 @@ def test_complete_witnesses():
 def test_base_labelings_are_friendly_with_pinned_counts():
     counts = {3: (4, 5), 4: (6, 6), 5: (8, 7)}
     for k, (e0, e1) in counts.items():
-        inst = base_mobius_labeling(k)
+        inst = construct_mobius_labeling(k)
         assert (inst.balance.e0, inst.balance.e1) == (e0, e1)
         assert inst.balance.vertex_diff <= 1
         assert inst.is_cordial
-        # the splice anchor: a cross edge with both ends labeled 1
+        # the graft anchor: a cross edge with both ends labeled 1
         assert inst.labeling[0] == 1 and inst.labeling[k] == 1
 
 
 def test_base_labeling_gating():
     with pytest.raises(SizeTooSmall):
-        base_mobius_labeling(2)
+        construct_mobius_labeling(2)
     with pytest.raises(NotApplicable):
-        base_mobius_labeling(6)
+        construct_mobius_labeling(6)
+
+
+def add_period(inst: LabeledFamilyInstance) -> LabeledFamilyInstance:
+    k = inst.spec.size
+    labels = _mobius_labels(inst.labeling.labels, k, k + 4)
+    return LabeledFamilyInstance.build("mobius", k + 4, labels)
 
 
 def test_graft_adds_four_to_the_width():
-    merged = graft(base_mobius_labeling(5), base_mobius_labeling(4))
+    merged = add_period(construct_mobius_labeling(5))
     assert merged.spec.size == 9
     assert merged.is_cordial
+    assert merged.labeling == construct_mobius_labeling(9).labeling
+
+
+def counts(inst: LabeledFamilyInstance) -> tuple[int, int, int, int]:
+    rep = inst.balance
+    return rep.v0, rep.v1, rep.e0, rep.e1
 
 
 def test_graft_seams_conserve_edge_labels():
     big = construct_mobius_labeling(9)
-    merged, seams = graft_with_seams(big, base_mobius_labeling(4))
-    assert seams.removed_labels == seams.added_labels
-    assert len(seams.removed_labels) == 4
-    # balance counts are therefore additive across the splice
-    assert merged.balance.e0 == big.balance.e0 + 6
-    assert merged.balance.e1 == big.balance.e1 + 6
-    assert merged.balance.v1 == big.balance.v1 + 4
+    merged = add_period(big)
+    # the two cut cycle edges keep their labels, so the counts are additive
+    # and one period adds what the width-4 base labeling has on its own
+    step = [b - a for a, b in zip(counts(big), counts(merged))]
+    assert step == list(counts(construct_mobius_labeling(4))) == [4, 4, 6, 6]
 
 
 def test_graft_requires_a_unit_cross_edge():
-    # labels chosen so every cross edge (i, i+3) joins a 0 and a 1
+    # labels chosen so every cross edge (i, i+3) joins a 0 and a 1: the cut
+    # edges change label and the counts are no longer additive
     awkward = LabeledFamilyInstance.build("mobius", 3, (0, 0, 0, 1, 1, 1))
-    with pytest.raises(NoUnitCrossEdge):
-        graft(awkward, base_mobius_labeling(4))
+    step = [b - a for a, b in zip(counts(awkward), counts(add_period(awkward)))]
+    assert step == [4, 4, 8, 4]
 
 
 def test_construct_mobius_all_admissible_widths():

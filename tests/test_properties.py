@@ -1,6 +1,6 @@
 """Definitional invariants over randomized graphs and labelings."""
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import labeled_multigraphs, multigraphs
 
@@ -10,18 +10,20 @@ from cordial import (
     ParityOutcome,
     VertexLabeling,
     balance,
-    base_mobius_labeling,
     ced_oracle,
     check_certificate,
+    construct_mobius_labeling,
     cvd_oracle,
     decide_cordial,
-    graft_with_seams,
     is_cordial_labeling,
+    mobius_ced_witness,
+    mobius_cvd_witness,
     new_graph,
     parity_obstruction,
     parse_certificate,
     serialize_certificate,
 )
+from cordial.families import _mobius_labels
 
 
 @settings(max_examples=1000)
@@ -99,12 +101,26 @@ def test_oracle_certificates_survive_the_wire(g):
 @settings(max_examples=60)
 @given(st.integers(3, 6), st.integers(0, 2 ** 12 - 1))
 def test_graft_conserves_seam_labels_for_any_anchored_labeling(k, enc):
-    bits = tuple((enc >> i) & 1 for i in range(2 * k))
-    assume(any(bits[i] == 1 and bits[i + k] == 1 for i in range(k)))
+    bits = [(enc >> i) & 1 for i in range(2 * k)]
+    bits[0] = bits[k] = 1
     big = LabeledFamilyInstance.build("mobius", k, bits)
-    merged, seams = graft_with_seams(big, base_mobius_labeling(4))
-    assert seams.removed_labels == seams.added_labels
-    assert merged.balance.e0 == big.balance.e0 + 6
-    assert merged.balance.e1 == big.balance.e1 + 6
+    merged = LabeledFamilyInstance.build(
+        "mobius", k + 4, _mobius_labels(tuple(bits), k, k + 4)
+    )
     assert merged.balance.v0 == big.balance.v0 + 4
     assert merged.balance.v1 == big.balance.v1 + 4
+    assert merged.balance.e0 == big.balance.e0 + 6
+    assert merged.balance.e1 == big.balance.e1 + 6
+
+
+@given(st.integers(3, 200))
+def test_mobius_constructions_are_their_seed_plus_periods(k):
+    if k % 4 == 2:
+        for witness in (mobius_ced_witness, mobius_cvd_witness):
+            assert witness(k).labels == _mobius_labels(witness(6).labels, 6, k)
+    else:
+        k0 = {3: 3, 0: 4, 1: 5}[k % 4]
+        seed = construct_mobius_labeling(k0).labeling.labels
+        assert construct_mobius_labeling(k).labeling.labels == _mobius_labels(
+            seed, k0, k
+        )

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -28,3 +30,10 @@ def test_reproduce_tables_is_consistent(capsys):
     assert code == 0
     assert "known divergence: complete size 2" in out
     assert out.endswith("all rows consistent\n")
+
+
+def test_reproduce_tables_rejects_workers_below_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load("reproduce_tables").main(["--workers", "0"])
+    assert exc.value.code == 2
+    assert "workers must be at least 1, got 0" in capsys.readouterr().err
