@@ -340,8 +340,8 @@ def cross_validate(
     bound = orc.DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
     rows = []
     for spec in sorted(set(specs), key=lambda s: (s.family, s.size)):
-        g = spec.build()
-        within = g.n <= bound
+        within = spec.vertex_count <= bound
+        g = spec.build() if within else None
         known = fam.REGISTRY[spec.family]
         cordial_f = known.formula("cordial", spec.size)
         ced_f = known.formula("ced", spec.size)
@@ -377,7 +377,7 @@ def cross_validate(
             (kind, True) for kind, _ in fam.family_certificates(spec.family, spec.size)
         ]
         if known.parity_lower and not cordial_f and witnesses:
-            parity = parity_obstruction(g)
+            parity = parity_obstruction(g or spec.build())
             if parity.outcome is ParityOutcome.NOT_CORDIAL_BY_PARITY:
                 notes.append("bounds: witness upper, parity obstruction lower")
             else:

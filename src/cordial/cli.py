@@ -30,6 +30,7 @@ from .oracle import (
     DEFAULT_MAX_VERTICES,
     DeficiencyValue,
     ced_oracle,
+    check_search_size,
     cvd_oracle,
     decide_cordial,
 )
@@ -114,13 +115,18 @@ def _cmd_compute(args) -> int:
             )
             return 2
         g = parse_edge_list(Path(args.graph).read_text())
+        n, m = g.n, g.m
         ident = f"graph from {args.graph}"
     else:
         if args.family is None or args.n is None:
             print("error: need --family with --n, or --graph", file=sys.stderr)
             return 2
         family = args.family
-        g = FamilySpec(family, args.n).build()
+        spec = FamilySpec(family, args.n)
+        n, m = spec.vertex_count, spec.edge_count
+        if args.method != "formula":
+            check_search_size(n, args.max_vertices)
+            g = spec.build()
         ident = f"{family} n={args.n}"
 
     results: dict[str, dict] = {}
@@ -168,8 +174,8 @@ def _cmd_compute(args) -> int:
     if args.format == "json":
         payload = {
             "graph": ident,
-            "n": g.n,
-            "m": g.m,
+            "n": n,
+            "m": m,
             "method": args.method,
             "results": {},
         }
@@ -188,7 +194,7 @@ def _cmd_compute(args) -> int:
         print(json.dumps(payload, indent=2))
         return exit_code
 
-    print(f"{ident}: {g.n} vertices, {g.m} edges")
+    print(f"{ident}: {n} vertices, {m} edges")
     for meas in measures:
         e = results[meas]
         if args.method in ("formula", "both") and family is not None:

@@ -116,15 +116,16 @@ class _Generator:
     build: Callable[[int], MultiGraph]
     min_size: int  # smallest size parameter build accepts
     vertices: Callable[[int], int]  # vertex count of the member, without building it
+    edges: Callable[[int], int]  # edge count of the member, without building it
 
 
 _GENERATORS = {
-    "complete": _Generator(complete_graph, 1, lambda n: n),
-    "cycle": _Generator(cycle_graph, 3, lambda n: n),
-    "path": _Generator(path_graph, 1, lambda n: n),
-    "ladder": _Generator(ladder_graph, 1, lambda k: 2 * k),
-    "mobius": _Generator(mobius_ladder, 3, lambda k: 2 * k),
-    "wheel": _Generator(wheel_graph, 3, lambda n: n + 1),
+    "complete": _Generator(complete_graph, 1, lambda n: n, lambda n: n * (n - 1) // 2),
+    "cycle": _Generator(cycle_graph, 3, lambda n: n, lambda n: n),
+    "path": _Generator(path_graph, 1, lambda n: n, lambda n: n - 1),
+    "ladder": _Generator(ladder_graph, 1, lambda k: 2 * k, lambda k: 3 * k - 2),
+    "mobius": _Generator(mobius_ladder, 3, lambda k: 2 * k, lambda k: 3 * k),
+    "wheel": _Generator(wheel_graph, 3, lambda n: n + 1, lambda n: 2 * n),
 }
 
 FAMILIES = tuple(_GENERATORS)
@@ -149,6 +150,10 @@ class FamilySpec:
     @property
     def vertex_count(self) -> int:
         return _GENERATORS[self.family].vertices(self.size)
+
+    @property
+    def edge_count(self) -> int:
+        return _GENERATORS[self.family].edges(self.size)
 
     def build(self) -> MultiGraph:
         return _GENERATORS[self.family].build(self.size)

@@ -2,28 +2,26 @@
 
 Labelings are encoded as n-bit integers, bit i giving the label of vertex i.
 A search covers its whole stream: friendly labelings for cordial and ced, all
-labelings for cvd, each with vertex 0 pinned at label 0. Pinning halves the
+labelings for cvd, each with vertex n-1 pinned at label 0. Pinning halves the
 stream and is sound because complementing a labeling preserves every edge
-label; labelings_examined counts the halved stream. The search reduces by
-(cost, canonical encoding), where the canonical encoding of a labeling is
-the smaller of itself and its complement, so results are bit-identical
-regardless of worker count and equal to those of a search over all 2**n
-labelings. Every witness, the cordial one included, is passed through the
-certificate checker before it is returned.
+label; labelings_examined counts the halved stream. The canonical encoding of
+a labeling is the smaller of itself and its complement, the one with vertex
+n-1 labeled 0, so every encoding the scan visits is already canonical. The
+search reduces by (cost, encoding), so results are bit-identical regardless
+of worker count and equal to those of a search over all 2**n labelings. Every
+witness, the cordial one included, is passed through the certificate checker
+before it is returned.
 
-The scan kernel splits the free vertices into a low part of at most LOW_BITS
-vertices and a high part holding the rest, vertex n-1 included. With inc[v]
-the bitmask of edges at v, the 1-labeled edges of the labeling made of low
-subset l and high subset h are A[l] ^ B[h], where A and B are the XORs of
-the subsets' incidence masks, built by doubling. The low table is grouped by
-popcount, so for one h the labelings with a given ones count form a block
-whose e1 values come from one list comprehension over A. Cost depends only
-on (ones, e1), so a block is judged by its cheapest admissible e1 values and
-at most its least canonical hit can win: when vertex n-1 is 0 in h every
-encoding is its own canonical form and the first hit in ascending order wins;
-otherwise the complements are, and the last hit wins, found as the first hit
-in the block listed in descending order. Worker processes take contiguous
-ranges of high subsets.
+The scan kernel splits the free vertices 0..n-2 into a low part of at most
+LOW_BITS vertices and a high part holding the rest. With inc[v] the bitmask
+of edges at v, the 1-labeled edges of the labeling made of low subset l and
+high subset h are A[l] ^ B[h], where A and B are the XORs of the subsets'
+incidence masks, built by doubling. The low table is grouped by popcount and
+listed in ascending order, so for one h the labelings with a given ones count
+form a block whose e1 values come from one list comprehension over A. Cost
+depends only on (ones, e1), so a block is judged by its cheapest admissible
+e1 values, and its first hit is its least encoding. Worker processes take
+contiguous ranges of high subsets.
 """
 
 from __future__ import annotations
@@ -93,17 +91,15 @@ class OracleResult:
     labelings_examined: int
 
 
-def _split(n: int) -> tuple[int, int, int]:
-    """(shift, low, high): the pinned vertex 0, then the low and high part widths.
+def _split(n: int) -> tuple[int, int]:
+    """(low, high): the widths of the low and high parts of vertices 0..n-2.
 
-    The high part keeps two vertices whenever it can, so that it always holds
-    vertex n-1, which the canonical-witness rule reads, and so that small
-    graphs still split into more than two worker parts.
+    Vertex n-1 is pinned. The high part keeps two vertices whenever it can,
+    so that small graphs still split into more than two worker parts.
     """
-    shift = 1 if n else 0
-    width = n - shift
+    width = max(0, n - 1)
     low = max(0, min(LOW_BITS, width - 2))
-    return shift, low, width - low
+    return low, width - low
 
 
 def _subset_xors(masks: list[int]) -> list[int]:
@@ -122,7 +118,7 @@ def _scan_plan(n: int, workers: int) -> list[tuple[int, int]]:
     """
     if workers < 1:
         raise CordialError(f"workers must be at least 1, got {workers}")
-    size = 1 << _split(n)[2]
+    size = 1 << _split(n)[1]
     parts = min(workers, size, os.cpu_count() or 1) if workers > 1 else 1
     return [(size * i // parts, size * (i + 1) // parts) for i in range(parts)]
 
@@ -159,35 +155,30 @@ def _block_rule(mode: str, n: int, m: int):
 def _scan_part(task) -> tuple[int, tuple[int, int] | None]:
     """Scan the labelings whose high subset lies in [h_lo, h_hi).
 
-    Returns (examined, best), best being the minimum (cost, canonical
-    encoding) over the part's candidates, or None. Labelings that are not
-    candidates still count as examined.
+    Returns (examined, best), best being the minimum (cost, encoding) over
+    the part's candidates, or None. Labelings that are not candidates still
+    count as examined.
     """
     mode, n, edges, h_lo, h_hi = task
-    shift, low, high = _split(n)
+    low, high = _split(n)
     inc = [0] * n
     for j, (u, v) in enumerate(edges):
         inc[u] |= 1 << j
         inc[v] |= 1 << j
-    B = _subset_xors(inc[shift + low:])
-    ascending = [([], []) for _ in range(low + 1)]
-    for l, a in enumerate(_subset_xors(inc[shift:shift + low])):
-        A_k, L_k = ascending[l.bit_count()]
+    B = _subset_xors(inc[low:low + high])
+    table = [([], []) for _ in range(low + 1)]
+    for l, a in enumerate(_subset_xors(inc[:low])):
+        A_k, L_k = table[l.bit_count()]
         A_k.append(a)
-        L_k.append(l << shift)
-    descending = [(A_k[::-1], L_k[::-1]) for A_k, L_k in ascending]
+        L_k.append(l)
     judge = _block_rule(mode, n, len(edges))
     min_ones, max_ones = (0, n) if mode == "cvd" else (n // 2, (n + 1) // 2)
-    mask = (1 << n) - 1
-    top = (1 << (high - 1)) if high else 0  # vertex n-1's bit within h
     best: tuple[int, int] | None = None
     examined = 0
     for h in range(h_lo, h_hi):
         b = B[h]
         h_ones = h.bit_count()
-        x_high = h << (shift + low)
-        flip = h & top
-        table = descending if flip else ascending
+        x_high = h << low
         for ones in range(max(min_ones, h_ones), min(max_ones, h_ones + low) + 1):
             A_k, L_k = table[ones - h_ones]
             E = [(a ^ b).bit_count() for a in A_k]
@@ -201,12 +192,19 @@ def _scan_part(task) -> tuple[int, tuple[int, int] | None]:
             hits = [E.index(t) for t in targets if t in E]
             if not hits:
                 continue
-            canon = L_k[min(hits)] | x_high
-            if flip:
-                canon ^= mask
-            if best is None or (cost, canon) < best:
-                best = (cost, canon)
+            x = L_k[min(hits)] | x_high
+            if best is None or (cost, x) < best:
+                best = (cost, x)
     return examined, best
+
+
+def check_search_size(n: int, max_vertices: int) -> None:
+    """Raise SizeLimitExceeded when n vertices are beyond the search cap."""
+    if n > max_vertices:
+        raise SizeLimitExceeded(
+            f"graph has {n} vertices; exhaustive search is capped at"
+            f" {max_vertices} (raise max_vertices to override)"
+        )
 
 
 def _reduce(
@@ -226,11 +224,7 @@ def _solve(mode: str, g: MultiGraph, max_vertices: int, workers: int) -> OracleR
     adds the minority vertex label cost times, and a cordial one, whose cost
     is always 0, adds nothing.
     """
-    if g.n > max_vertices:
-        raise SizeLimitExceeded(
-            f"graph has {g.n} vertices; exhaustive search is capped at"
-            f" {max_vertices} (raise max_vertices to override)"
-        )
+    check_search_size(g.n, max_vertices)
     tasks = [(mode, g.n, g.edges, lo, hi) for lo, hi in _scan_plan(g.n, workers)]
     if len(tasks) == 1:
         examined, best = _reduce([_scan_part(tasks[0])])

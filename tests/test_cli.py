@@ -117,6 +117,25 @@ def test_compute_respects_size_cap(capsys):
     assert code == 2 and "capped at 5" in err
 
 
+def test_compute_reads_family_sizes_without_building(capsys, monkeypatch):
+    from cordial import FamilySpec
+
+    def refuse(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.setattr(FamilySpec, "build", refuse)
+    code, out, _ = run(capsys, "compute", "--family", "complete", "--n", "2000",
+                       "--method", "formula")
+    assert code == 0
+    assert out.startswith("complete n=2000: 2000 vertices, 1999000 edges\n")
+    code, out, err = run(capsys, "compute", "--family", "complete", "--n", "2000")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: graph has 2000 vertices; exhaustive search is capped at 24"
+        " (raise max_vertices to override)\n"
+    )
+
+
 def test_construct_writes_verifiable_certificates(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "--family", "wheel", "--n", "11",
                        "--target", "cvd")

@@ -1,8 +1,14 @@
 """Generators, multigraph canonicalization, and the edge-list format."""
 
-import pytest
+from types import ModuleType
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import cordial
 from cordial import (
+    FAMILIES,
     MIN_SIZE,
     FamilySpec,
     IdOutOfRange,
@@ -88,6 +94,23 @@ def test_family_minimum_sizes(family):
     FamilySpec(family, MIN_SIZE[family]).build()
     with pytest.raises(SizeTooSmall):
         FamilySpec(family, MIN_SIZE[family] - 1)
+
+
+@given(
+    st.sampled_from(FAMILIES).flatmap(
+        lambda f: st.tuples(st.just(f), st.integers(MIN_SIZE[f], 60))
+    )
+)
+def test_family_counts_match_the_built_member(member):
+    spec = FamilySpec(*member)
+    g = spec.build()
+    assert (spec.vertex_count, spec.edge_count) == (g.n, g.m)
+
+
+def test_package_exports_resolve_and_are_not_modules():
+    assert len(set(cordial.__all__)) == len(cordial.__all__)
+    for name in cordial.__all__:
+        assert not isinstance(getattr(cordial, name), ModuleType), name
 
 
 def test_unknown_family_rejected():

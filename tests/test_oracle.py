@@ -49,7 +49,7 @@ def _reference(g, mode, halve):
     examined, best = 0, None
     for x in range(1 << g.n):
         if halve and x & 1:
-            continue  # vertex 0 pinned at label 0
+            continue  # halved at vertex 0, not at the scan's vertex n-1
         f = VertexLabeling.from_encoding(x, g.n)
         rep = balance(g, f)
         if mode != "cvd" and rep.vertex_diff > 1:
@@ -122,21 +122,24 @@ def test_oracles_match_definitional_brute_force(seed):
 
 
 def test_scan_visits_every_friendly_labeling_exactly_once():
-    # vertex 0 is pinned at label 0, so one labeling of each complement pair
+    # vertex n-1 is pinned at label 0, so one labeling of each complement pair
     assert ced_oracle(complete_graph(6)).labelings_examined == comb(5, 3)
     empty = new_graph(0, [])
     assert cvd_oracle(empty).labelings_examined == 1
     assert decide_cordial(empty) == (True, VertexLabeling(()))
 
 
+@example(wheel_graph(12))  # 13 vertices: the low part is full, high part 2
+@example(mobius_ladder(7))  # 14 vertices: high part 3
 @example(complete_graph(7))
 @example(wheel_graph(5))
 @example(mobius_ladder(4))
 @example(new_graph(0, []))
 @given(multigraphs(min_n=0, max_n=9, max_m=20))
 def test_scan_matches_reference_in_every_mode_and_plan(g):
-    # the scan pins vertex 0, so it examines the halved stream, yet its best
-    # (cost, canonical encoding) must be that of all 2^n labelings
+    # the scan pins vertex n-1, so it examines the halved stream, yet its best
+    # (cost, canonical encoding) must be that of all 2^n labelings; the
+    # reference halves at vertex 0, which by symmetry has the same size
     refs = {
         mode: (_reference(g, mode, True)[0], _reference(g, mode, False)[1])
         for mode in ("cordial", "ced", "cvd")
@@ -166,7 +169,7 @@ def test_scan_matches_reference_in_every_mode_and_plan(g):
 
 def test_scan_plan_clamps_parts_and_tiles_the_high_subsets(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    size = 1 << _split(20)[2]
+    size = 1 << _split(20)[-1]
     assert _scan_plan(20, 8) == [(0, size // 2), (size // 2, size)]
     assert _scan_plan(20, 1) == [(0, size)]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
@@ -176,7 +179,7 @@ def test_scan_plan_clamps_parts_and_tiles_the_high_subsets(monkeypatch):
     assert [lo for lo, _ in plan[1:]] == [hi for _, hi in plan[:-1]]
     assert plan[0][0] == 0 and plan[-1][1] == size and len(plan) == 3
     # a tiny graph has few high subsets, so it never gets more parts than that
-    assert len(_scan_plan(3, 64)) == 1 << _split(3)[2]
+    assert len(_scan_plan(3, 64)) == 1 << _split(3)[-1]
     assert len(_scan_plan(0, 64)) == 1
 
 
