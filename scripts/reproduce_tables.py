@@ -86,7 +86,7 @@ def families_table(args):
 
 
 def print_aligned(rows, columns) -> None:
-    widths = {c: max(len(c), *(len(str(row[c])) for row in rows)) for c in columns}
+    widths = {c: max([len(c), *(len(str(row[c])) for row in rows)]) for c in columns}
     header = "  ".join(c.ljust(widths[c]) for c in columns)
     print(header)
     print("-" * len(header))

@@ -359,9 +359,9 @@ def cross_validate(
             )
         cordial_o = ced_o = cvd_o = None
         if within:
-            cordial_o = orc.decide_cordial(g, max_vertices=bound, workers=workers)[0]
-            ced_o = orc.ced_oracle(g, max_vertices=bound, workers=workers).value
-            cvd_o = orc.cvd_oracle(g, max_vertices=bound, workers=workers).value
+            found = orc.solve(g, orc.MEASURES, max_vertices=bound, workers=workers)
+            cordial_o = found["cordial"].witness is not None
+            ced_o, cvd_o = found["ced"].value, found["cvd"].value
         match = True
         if cordial_f is not None and cordial_o is not None and cordial_f != cordial_o:
             match = False

@@ -26,16 +26,14 @@ from .certify import (
 )
 from .errors import CordialError, MalformedCertificate, SelfCheckFailed
 from .graph_core import FAMILIES, MIN_SIZE, FamilySpec, MultiGraph, parse_edge_list
+from .labeling import VertexLabeling
 from .oracle import (
     DEFAULT_MAX_VERTICES,
+    MEASURES,
     DeficiencyValue,
-    ced_oracle,
     check_search_size,
-    cvd_oracle,
-    decide_cordial,
+    solve,
 )
-
-MEASURES = ("cordial", "ced", "cvd")
 
 
 def worker_count(text: str) -> int:
@@ -129,6 +127,11 @@ def _cmd_compute(args) -> int:
             g = spec.build()
         ident = f"{family} n={args.n}"
 
+    searched = {}
+    if args.method != "formula":
+        searched = solve(
+            g, measures, max_vertices=args.max_vertices, workers=args.workers
+        )
     results: dict[str, dict] = {}
     for meas in measures:
         entry: dict = {"formula": None, "oracle": None, "witness": None,
@@ -142,21 +145,12 @@ def _cmd_compute(args) -> int:
                     f"square-rule form gives {literal.render()};"
                     f" operational minimum is {entry['formula'].render()}"
                 )
-        if args.method in ("oracle", "both"):
-            if meas == "cordial":
-                ok, witness = decide_cordial(
-                    g, max_vertices=args.max_vertices, workers=args.workers
-                )
-                entry["oracle"] = ok
-                entry["witness"] = witness.to_string() if witness else None
-            elif meas == "ced":
-                entry["oracle"] = ced_oracle(
-                    g, max_vertices=args.max_vertices, workers=args.workers
-                ).value
-            else:
-                entry["oracle"] = cvd_oracle(
-                    g, max_vertices=args.max_vertices, workers=args.workers
-                ).value
+        if meas == "cordial" and meas in searched:
+            witness = searched[meas].witness
+            entry["oracle"] = witness is not None
+            entry["witness"] = witness and VertexLabeling(witness.labels).to_string()
+        elif meas in searched:
+            entry["oracle"] = searched[meas].value
         if entry["formula"] is not None and entry["oracle"] is not None:
             entry["match"] = entry["formula"] == entry["oracle"]
         results[meas] = entry

@@ -1,16 +1,19 @@
 """Exhaustive search for cordiality and the two deficiency measures.
 
 Labelings are encoded as n-bit integers, bit i giving the label of vertex i.
-A search covers its whole stream: friendly labelings for cordial and ced, all
-labelings for cvd, each with vertex n-1 pinned at label 0. Pinning halves the
-stream and is sound because complementing a labeling preserves every edge
-label; labelings_examined counts the halved stream. The canonical encoding of
-a labeling is the smaller of itself and its complement, the one with vertex
-n-1 labeled 0, so every encoding the scan visits is already canonical. The
-search reduces by (cost, encoding), so results are bit-identical regardless
-of worker count and equal to those of a search over all 2**n labelings. Every
-witness, the cordial one included, is passed through the certificate checker
-before it is returned.
+Each measure depends on a labeling only through its cell (ones, e1), its
+counts of 1-labeled vertices and edges. So one scan serves any set of
+measures: it records the least encoding reaching each cell, _cost prices the
+cells in each mode, and a result's witness is the least encoding among its
+cheapest cells. The scan covers the friendly labelings, or all of them when
+cvd is asked for, with vertex n-1 pinned at label 0. Pinning is sound because
+complementing a labeling preserves every edge label, and the canonical
+encoding, the smaller of a labeling and its complement, is the one with
+vertex n-1 labeled 0. labelings_examined counts the halved stream of the
+result's own mode. Results are bit-identical whatever the worker count or the
+modes scanned alongside, and equal to those of a search over all 2**n
+labelings. Every witness passes the certificate checker before it is
+returned.
 
 The scan kernel splits the free vertices 0..n-2 into a low part of at most
 LOW_BITS vertices and a high part holding the rest. With inc[v] the bitmask
@@ -18,10 +21,9 @@ of edges at v, the 1-labeled edges of the labeling made of low subset l and
 high subset h are A[l] ^ B[h], where A and B are the XORs of the subsets'
 incidence masks, built by doubling. The low table is grouped by popcount and
 listed in ascending order, so for one h the labelings with a given ones count
-form a block whose e1 values come from one list comprehension over A. Cost
-depends only on (ones, e1), so a block is judged by its cheapest admissible
-e1 values, and its first hit is its least encoding. Worker processes take
-contiguous ranges of high subsets.
+form a block whose e1 values come from one list comprehension over A. High
+subsets ascend, so the first hit of a cell is its least encoding. Worker
+processes take contiguous ranges of high subsets.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from enum import Enum
 from .certify import Certificate, check_certificate
 from .errors import CordialError, SizeLimitExceeded, self_check
 from .graph_core import MultiGraph
-from .labeling import VertexLabeling, balance, first_pair_with_edge_label
+from .labeling import VertexLabeling, first_pair_with_edge_label
 
 DEFAULT_MAX_VERTICES = 24
+MEASURES = ("cordial", "ced", "cvd")
 LOW_BITS = 10  # low table of at most 2**10 entries, rebuilt per call
 
 
@@ -123,43 +126,37 @@ def _scan_plan(n: int, workers: int) -> list[tuple[int, int]]:
     return [(size * i // parts, size * (i + 1) // parts) for i in range(parts)]
 
 
-def _block_rule(mode: str, n: int, m: int):
-    """judge(E, ones) -> (cost, e1 targets) or None, for one block of labelings.
+def _ones_range(modes, n: int) -> range:
+    """The ones counts of the stream that modes scan."""
+    return range(n + 1) if "cvd" in modes else range(n // 2, (n + 1) // 2 + 1)
 
-    E lists the block's e1 values and ones is its fixed ones count; None
-    means no labeling in the block is a candidate.
+
+def _cost(mode: str, n: int, m: int, ones: int, e1: int) -> int | None:
+    """The cost in mode of every labeling in the cell (ones, e1).
+
+    None means the cell holds no candidate: cordial and ced take only
+    friendly labelings, cordial and cvd only edge-balanced ones.
     """
-    balanced = sorted({m // 2, (m + 1) // 2})
-    if mode == "cordial":
-        return lambda E, ones: (0, balanced)
+    vertex_gap, edge_gap = abs(n - 2 * ones), abs(m - 2 * e1)
     if mode == "cvd":
-        return lambda E, ones: (max(0, abs(n - 2 * ones) - 1), balanced)
-
-    def ced(E, ones):
-        # surplus label-1 edges are repaired with a mixed vertex pair, surplus
-        # label-0 edges with a same-labeled pair
-        light = 0 < ones < n
-        heavy = ones > 1 or n - ones > 1
-        feasible = [
-            e for e in set(E)
-            if abs(m - 2 * e) <= 1 or (heavy if 2 * e > m else light)
-        ]
-        if not feasible:
-            return None
-        gap = min(abs(m - 2 * e) for e in feasible)
-        return max(0, gap - 1), [e for e in feasible if abs(m - 2 * e) == gap]
-
-    return ced
+        return max(0, vertex_gap - 1) if edge_gap <= 1 else None
+    if vertex_gap > 1:
+        return None
+    if edge_gap <= 1:
+        return 0
+    # ced adds edges of the minority label. A friendly labeling of three or
+    # more vertices has a mixed and a same-labeled pair to add them at; one
+    # of two vertices has no same-labeled pair, and every edge is 1-labeled
+    return edge_gap - 1 if mode == "ced" and n > 2 else None
 
 
-def _scan_part(task) -> tuple[int, tuple[int, int] | None]:
-    """Scan the labelings whose high subset lies in [h_lo, h_hi).
+def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int):
+    """Scan the labelings with min_ones..max_ones ones, high subset in [h_lo, h_hi).
 
-    Returns (examined, best), best being the minimum (cost, encoding) over
-    the part's candidates, or None. Labelings that are not candidates still
-    count as examined.
+    Returns (examined, first): examined[ones] counts the labelings visited
+    with that ones count, and first maps each reached (ones, e1) cell to the
+    least encoding reaching it.
     """
-    mode, n, edges, h_lo, h_hi = task
     low, high = _split(n)
     inc = [0] * n
     for j, (u, v) in enumerate(edges):
@@ -171,10 +168,9 @@ def _scan_part(task) -> tuple[int, tuple[int, int] | None]:
         A_k, L_k = table[l.bit_count()]
         A_k.append(a)
         L_k.append(l)
-    judge = _block_rule(mode, n, len(edges))
-    min_ones, max_ones = (0, n) if mode == "cvd" else (n // 2, (n + 1) // 2)
-    best: tuple[int, int] | None = None
-    examined = 0
+    examined = [0] * (n + 1)
+    reached = [set() for _ in range(n + 1)]
+    first: dict[tuple[int, int], int] = {}
     for h in range(h_lo, h_hi):
         b = B[h]
         h_ones = h.bit_count()
@@ -182,20 +178,12 @@ def _scan_part(task) -> tuple[int, tuple[int, int] | None]:
         for ones in range(max(min_ones, h_ones), min(max_ones, h_ones + low) + 1):
             A_k, L_k = table[ones - h_ones]
             E = [(a ^ b).bit_count() for a in A_k]
-            examined += len(E)
-            judged = judge(E, ones)
-            if judged is None:
-                continue
-            cost, targets = judged
-            if best is not None and cost > best[0]:
-                continue
-            hits = [E.index(t) for t in targets if t in E]
-            if not hits:
-                continue
-            x = L_k[min(hits)] | x_high
-            if best is None or (cost, x) < best:
-                best = (cost, x)
-    return examined, best
+            examined[ones] += len(E)
+            if not reached[ones].issuperset(E):
+                for e1 in set(E) - reached[ones]:
+                    first[ones, e1] = L_k[E.index(e1)] | x_high
+                reached[ones].update(E)
+    return examined, first
 
 
 def check_search_size(n: int, max_vertices: int) -> None:
@@ -207,49 +195,46 @@ def check_search_size(n: int, max_vertices: int) -> None:
         )
 
 
-def _reduce(
-    results: list[tuple[int, tuple[int, int] | None]]
-) -> tuple[int, tuple[int, int] | None]:
-    """Total examined and the least best over the parts' (examined, best)."""
-    examined = sum(r[0] for r in results)
-    bests = [r[1] for r in results if r[1] is not None]
-    return examined, (min(bests) if bests else None)
+def _reduce(parts) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """Summed examined counts and the least encoding per cell over the parts."""
+    examined = [sum(counts) for counts in zip(*(p[0] for p in parts))]
+    first: dict[tuple[int, int], int] = {}
+    for _, cells in parts:
+        for cell, x in cells.items():
+            first[cell] = min(x, first.get(cell, x))
+    return examined, first
 
 
-def _solve(mode: str, g: MultiGraph, max_vertices: int, workers: int) -> OracleResult:
-    """Scan g in one mode and turn the least hit into a checked result.
+def _result(mode: str, g: MultiGraph, examined: list[int], first) -> OracleResult:
+    """Read one mode's checked result off a scan's examined counts and cells.
 
-    The witness is the canonical hit's labeling. A ced witness adds the
-    first vertex pair of the minority edge label cost times, a cvd witness
-    adds the minority vertex label cost times, and a cordial one, whose cost
-    is always 0, adds nothing.
+    The witness is the least encoding among the cheapest cells. A ced
+    witness adds the first vertex pair of the minority edge label cost times,
+    a cvd witness adds the minority vertex label cost times, and a cordial
+    one, whose cost is always 0, adds nothing.
     """
-    check_search_size(g.n, max_vertices)
-    tasks = [(mode, g.n, g.edges, lo, hi) for lo, hi in _scan_plan(g.n, workers)]
-    if len(tasks) == 1:
-        examined, best = _reduce([_scan_part(tasks[0])])
-    else:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            examined, best = _reduce(list(pool.map(_scan_part, tasks)))
-    if best is None:
-        reason = (
-            InfinityReason.NO_FEASIBLE_AUGMENTATION
-            if mode == "ced"
-            else InfinityReason.STRICTLY_NONCORDIAL
-        )
-        return OracleResult(DeficiencyValue.infinite(reason), None, examined)
-    cost, canon = best
+    count = sum(examined[ones] for ones in _ones_range((mode,), g.n))
+    costs = [
+        (cost, x, ones, e1)
+        for (ones, e1), x in first.items()
+        if (cost := _cost(mode, g.n, g.m, ones, e1)) is not None
+    ]
+    if not costs:
+        reason = InfinityReason.STRICTLY_NONCORDIAL
+        if mode == "ced":
+            reason = InfinityReason.NO_FEASIBLE_AUGMENTATION
+        return OracleResult(DeficiencyValue.infinite(reason), None, count)
+    cost, canon, ones, e1 = min(costs)
     f = VertexLabeling.from_encoding(canon, g.n)
     added_edges: tuple[tuple[int, int], ...] = ()
     added_labels: tuple[int, ...] = ()
     if cost:
-        rep = balance(g, f)
         if mode == "ced":
-            pair = first_pair_with_edge_label(f, 0 if rep.e1 > rep.e0 else 1)
+            pair = first_pair_with_edge_label(f, 0 if 2 * e1 > g.m else 1)
             self_check(pair is not None, "ced witness has no vertex pair to repair at")
             added_edges = (pair,) * cost
         else:
-            added_labels = (0 if rep.v1 > rep.v0 else 1,) * cost
+            added_labels = (0 if 2 * ones > g.n else 1,) * cost
     witness = Certificate(
         kind=mode,
         labels=f.labels,
@@ -260,7 +245,30 @@ def _solve(mode: str, g: MultiGraph, max_vertices: int, workers: int) -> OracleR
         added_vertex_labels=added_labels,
     )
     self_check(check_certificate(witness).accepted, f"{mode} witness rejected")
-    return OracleResult(DeficiencyValue.finite(cost), witness, examined)
+    return OracleResult(DeficiencyValue.finite(cost), witness, count)
+
+
+def solve(
+    g: MultiGraph,
+    modes: tuple[str, ...],
+    *,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
+    workers: int = 1,
+) -> dict[str, OracleResult]:
+    """Answer each of modes, a subset of MEASURES, from one scan of g.
+
+    Each result equals that of a scan in its mode alone.
+    """
+    check_search_size(g.n, max_vertices)
+    ones = _ones_range(modes, g.n)
+    plan = _scan_plan(g.n, workers)
+    tasks = [(g.n, g.edges, ones[0], ones[-1], lo, hi) for lo, hi in plan]
+    if len(tasks) == 1:
+        examined, first = _reduce([_scan_part(*tasks[0])])
+    else:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            examined, first = _reduce(list(pool.map(_scan_part, *zip(*tasks))))
+    return {mode: _result(mode, g, examined, first) for mode in modes}
 
 
 def decide_cordial(
@@ -270,10 +278,9 @@ def decide_cordial(
     workers: int = 1,
 ) -> tuple[bool, VertexLabeling | None]:
     """Exhaustively decide cordiality; on success return the canonical witness."""
-    witness = _solve("cordial", g, max_vertices, workers).witness
-    if witness is None:
-        return False, None
-    return True, VertexLabeling(witness.labels)
+    res = solve(g, ("cordial",), max_vertices=max_vertices, workers=workers)
+    witness = res["cordial"].witness
+    return (False, None) if witness is None else (True, VertexLabeling(witness.labels))
 
 
 def ced_oracle(
@@ -288,7 +295,7 @@ def ced_oracle(
     the minority label exist; labelings without them are skipped, and if
     every unbalanced labeling is skipped the value is infinite.
     """
-    return _solve("ced", g, max_vertices, workers)
+    return solve(g, ("ced",), max_vertices=max_vertices, workers=workers)["ced"]
 
 
 def cvd_oracle(
@@ -302,4 +309,4 @@ def cvd_oracle(
     The scan covers all labelings, not only friendly ones; when no labeling
     balances the edge labels the value is infinite.
     """
-    return _solve("cvd", g, max_vertices, workers)
+    return solve(g, ("cvd",), max_vertices=max_vertices, workers=workers)["cvd"]

@@ -7,6 +7,7 @@ no bit tricks, so they can arbitrate the packed scans.
 
 import os
 import random
+from itertools import combinations
 from math import comb
 from unittest import mock
 
@@ -15,6 +16,7 @@ from hypothesis import example, given
 
 from cordial import (
     DeficiencyValue,
+    FamilySpec,
     InfinityReason,
     SizeLimitExceeded,
     Verdict,
@@ -23,6 +25,7 @@ from cordial import (
     ced_oracle,
     check_certificate,
     complete_graph,
+    cross_validate,
     cvd_oracle,
     cycle_graph,
     decide_cordial,
@@ -30,10 +33,21 @@ from cordial import (
     mobius_ladder,
     new_graph,
     path_graph,
+    serialize_certificate,
     wheel_graph,
 )
+from cordial import cli, oracle
 from cordial.errors import CordialError, SelfCheckFailed
-from cordial.oracle import _reduce, _scan_part, _scan_plan, _split
+from cordial.oracle import (
+    MEASURES,
+    _ones_range,
+    _reduce,
+    _result,
+    _scan_part,
+    _scan_plan,
+    _split,
+    solve,
+)
 from strategies import multigraphs
 
 # ------------------------------------------------- definitional references
@@ -145,13 +159,8 @@ def test_scan_matches_reference_in_every_mode_and_plan(g):
         for mode in ("cordial", "ced", "cvd")
     }
 
-    ok, f = decide_cordial(g)
-    best = refs["cordial"][1]
-    assert ok == (best is not None)
-    assert f == (VertexLabeling.from_encoding(best[1], g.n) if ok else None)
-    for mode, oracle in (("ced", ced_oracle), ("cvd", cvd_oracle)):
+    def check(mode, res):
         examined, best = refs[mode]
-        res = oracle(g)
         assert res.labelings_examined == examined
         if best is None:
             assert res.value.is_infinite and res.witness is None
@@ -159,12 +168,68 @@ def test_scan_matches_reference_in_every_mode_and_plan(g):
             assert res.value.value == best[0]
             assert res.witness.labels == VertexLabeling.from_encoding(best[1], g.n).labels
 
+    ok, f = decide_cordial(g)
+    best = refs["cordial"][1]
+    assert ok == (best is not None)
+    assert f == (VertexLabeling.from_encoding(best[1], g.n) if ok else None)
+    check("ced", ced_oracle(g))
+    check("cvd", cvd_oracle(g))
+
     with mock.patch("os.cpu_count", return_value=64):
         plans = [_scan_plan(g.n, w) for w in (2, 3)]
     for plan in plans:
-        for mode, ref in refs.items():
-            parts = [_scan_part((mode, g.n, g.edges, lo, hi)) for lo, hi in plan]
-            assert _reduce(parts) == ref
+        for mode in refs:
+            ones = _ones_range((mode,), g.n)
+            task = (g.n, g.edges, ones[0], ones[-1])
+            parts = [_scan_part(*task, *h) for h in plan]
+            check(mode, _result(mode, g, *_reduce(parts)))
+
+
+class _InlinePool:
+    """Stands in for the process pool: runs each part in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
+@example(wheel_graph(12))
+@example(mobius_ladder(7))
+@given(multigraphs(max_n=9))
+def test_one_scan_answers_any_modes_like_single_mode_calls(g):
+    # a multi-part plan reduces the parts' cells, so every subset of modes on
+    # every plan must give exactly the single-mode, single-part results; the
+    # pool runs in process here, test_worker_count_does_not_change_results
+    # starts real worker processes
+    def key(res):
+        witness = res.witness and serialize_certificate(res.witness)
+        return res.value, witness, res.labelings_examined
+
+    cordial = solve(g, ("cordial",))["cordial"]
+    alone = {"cordial": key(cordial), "ced": key(ced_oracle(g))}
+    alone["cvd"] = key(cvd_oracle(g))
+    ok, f = decide_cordial(g)
+    assert ok == (cordial.witness is not None)
+    assert f == (VertexLabeling(cordial.witness.labels) if ok else None)
+    subsets = [s for k in (1, 2, 3) for s in combinations(MEASURES, k)]
+    with mock.patch("os.cpu_count", return_value=64), \
+            mock.patch("cordial.oracle.ProcessPoolExecutor", _InlinePool):
+        for workers in (1, 2, 3):
+            plan = _scan_plan(g.n, workers)
+            assert len(plan) == min(workers, 1 << _split(g.n)[1])
+            for modes in subsets:
+                got = solve(g, modes, workers=workers)
+                assert list(got) == list(modes)
+                assert {mode: key(got[mode]) for mode in modes} == {
+                    mode: alone[mode] for mode in modes
+                }
 
 
 def test_scan_plan_clamps_parts_and_tiles_the_high_subsets(monkeypatch):
@@ -280,6 +345,22 @@ def test_cordial_witness_is_cordial_and_scan_invariant():
     assert ok and is_cordial_labeling(g, f)
     # the same canonical witness as a search over every labeling
     assert f == VertexLabeling.from_encoding(_reference(g, "cordial", False)[1][1], g.n)
+
+
+def test_cross_validate_and_compute_scan_each_graph_once(monkeypatch, capsys):
+    calls = []
+    scan_part = oracle._scan_part
+
+    def counted(*task):
+        calls.append(task)
+        return scan_part(*task)
+
+    monkeypatch.setattr(oracle, "_scan_part", counted)
+    assert cross_validate([FamilySpec("wheel", 6)]).all_match
+    assert len(calls) == 1
+    assert cli.main(["compute", "--family", "wheel", "--n", "6"]) == 0
+    assert len(calls) == 2
+    assert "cvd MATCH" in capsys.readouterr().out
 
 
 def test_worker_count_does_not_change_results():

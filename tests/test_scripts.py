@@ -32,6 +32,16 @@ def test_reproduce_tables_is_consistent(capsys):
     assert out.endswith("all rows consistent\n")
 
 
+def test_reproduce_tables_prints_empty_tables(capsys):
+    # no complete member at size 0 and no cycle, mobius or wheel at size 2
+    code = load("reproduce_tables").main(["--max-complete", "0", "--max-small", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "Table A: complete graphs\nn  cordial  ced_search" in out
+    assert "Table B: cycles, mobius ladders, wheels\nfamily  size  cordial" in out
+    assert out.endswith("all rows consistent\n")
+
+
 def test_reproduce_tables_rejects_workers_below_one(capsys):
     with pytest.raises(SystemExit) as exc:
         load("reproduce_tables").main(["--workers", "0"])
