@@ -44,6 +44,14 @@ def worker_count(text: str) -> int:
     return workers
 
 
+def vertex_cap(text: str) -> int:
+    """argparse type for --max-vertices: rejects a negative cap before any work."""
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"max-vertices must be non-negative, got {cap}")
+    return cap
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cordial",
@@ -58,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=MEASURES + ("all",), default="all")
     p.add_argument("--method", choices=("oracle", "formula", "both"), default="both")
     p.add_argument("--workers", type=worker_count, default=1)
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    p.add_argument("--max-vertices", type=vertex_cap, default=DEFAULT_MAX_VERTICES)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("construct", help="emit a certificate for a family member")
@@ -78,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--workers", type=worker_count, default=1)
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    p.add_argument("--max-vertices", type=vertex_cap, default=DEFAULT_MAX_VERTICES)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     return parser
 

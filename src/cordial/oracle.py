@@ -16,22 +16,31 @@ labelings. Every witness passes the certificate checker before it is
 returned.
 
 The scan kernel splits the free vertices 0..n-2 into a low part of at most
-LOW_BITS vertices and a high part holding the rest. With inc[v] the bitmask
-of edges at v, the 1-labeled edges of the labeling made of low subset l and
-high subset h are A[l] ^ B[h], where A and B are the XORs of the subsets'
-incidence masks, built by doubling. The low table is grouped by popcount and
-listed in ascending order, so for one h the labelings with a given ones count
-form a block whose e1 values come from one list comprehension over A. High
-subsets ascend, so the first hit of a cell is its least encoding. Worker
-processes take contiguous ranges of high subsets.
+LOW_BITS vertices and a high part holding the rest. For one high subset h a
+single big-int expression holds the e1 of every low subset l, one
+fixed-width lane per l: e1 = alpha(l) + beta(h) - 2 w(l, h), where alpha and
+beta count the edges leaving l and h and w those between them. alpha and w
+are packed per lane, and the packed w moves by one precomputed step as h
+ascends, so no packed table over the high subsets is kept. Lanes are 1, 2, 4
+or 8 bytes, the least that holds m, and every lane's value lies in 0..m, so
+the bytes of the sum are the lanes. They are grouped by popcount and ascend
+inside each group, so the labelings with a given ones count form one byte
+slice; bytes.translate drops the e1 values already reached, and only a new
+value is located. High subsets ascend, so the first hit of a cell is its
+least encoding. Worker processes take contiguous ranges of high subsets.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from itertools import accumulate
+from math import comb
 
 from .certify import Certificate, check_certificate
 from .errors import CordialError, SizeLimitExceeded, self_check
@@ -40,7 +49,8 @@ from .labeling import VertexLabeling, first_pair_with_edge_label
 
 DEFAULT_MAX_VERTICES = 24
 MEASURES = ("cordial", "ced", "cvd")
-LOW_BITS = 10  # low table of at most 2**10 entries, rebuilt per call
+LOW_BITS = 10  # at most 2**10 lanes; each layout is built once per process
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # lane bytes -> array typecode
 
 
 class InfinityReason(Enum):
@@ -150,6 +160,27 @@ def _cost(mode: str, n: int, m: int, ones: int, e1: int) -> int | None:
     return edge_gap - 1 if mode == "ced" and n > 2 else None
 
 
+@cache
+def _lanes(low: int, width: int):
+    """The lane layout of the low subsets at width bytes per lane.
+
+    Lane i holds low subset order[i]; the lanes are grouped by popcount,
+    group k spanning lanes bounds[k]..bounds[k+1]-1, ascending inside each
+    group. ones packs a 1 in every lane and ind[x] a 1 in the lanes of the
+    subsets holding vertex x.
+    """
+    order = tuple(sorted(range(1 << low), key=lambda l: (l.bit_count(), l)))
+    bounds = (0, *accumulate(comb(low, k) for k in range(low + 1)))
+    code = _LANE_CODES[width]
+    ind = tuple(_pack([l >> x & 1 for l in order], code) for x in range(low))
+    return order, bounds, code, _pack([1] * len(order), code), ind
+
+
+def _pack(values, code: str) -> int:
+    """The int whose lane i, in E.to_bytes(..., sys.byteorder), is values[i]."""
+    return int.from_bytes(array(code, values).tobytes(), sys.byteorder)
+
+
 def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int):
     """Scan the labelings with min_ones..max_ones ones, high subset in [h_lo, h_hi).
 
@@ -158,31 +189,64 @@ def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int
     least encoding reaching it.
     """
     low, high = _split(n)
+    width = next(w for w in _LANE_CODES if len(edges) < 1 << 8 * w)
+    order, bounds, code, ones_lanes, ind = _lanes(low, width)
     inc = [0] * n
+    cross = [0] * high  # cross[y] packs the edges from each low subset to y
     for j, (u, v) in enumerate(edges):
         inc[u] |= 1 << j
         inc[v] |= 1 << j
+        u, v = min(u, v), max(u, v)
+        if u < low <= v < low + high:
+            cross[v - low] += ind[u]
+    A = _subset_xors(inc[:low])
     B = _subset_xors(inc[low:low + high])
-    table = [([], []) for _ in range(low + 1)]
-    for l, a in enumerate(_subset_xors(inc[:low])):
-        A_k, L_k = table[l.bit_count()]
-        A_k.append(a)
-        L_k.append(l)
+    # g packs alpha(l) - 2 w(l, h) per lane: alpha(l) counts the edges
+    # leaving l and w(l, h) those between l and h, so adding beta(h), the
+    # edges leaving h, gives e1 = alpha + beta - 2w of labeling l | h << low.
+    # From h - 1 to h, high vertex t, the lowest set bit of h, joins and the
+    # vertices below t leave, so g moves by steps[t]
+    g = _pack([A[l].bit_count() for l in order], code)
+    g -= 2 * sum(c for y, c in enumerate(cross) if h_lo >> y & 1)
+    steps, below = [], 0
+    for c in cross:
+        steps.append((below - c) << 1)
+        below += c
+    size = len(order) * width
     examined = [0] * (n + 1)
-    reached = [set() for _ in range(n + 1)]
+    seen = [b"" if width == 1 else set() for _ in range(n + 1)]  # e1s per ones count
     first: dict[tuple[int, int], int] = {}
     for h in range(h_lo, h_hi):
-        b = B[h]
+        if h > h_lo:
+            g += steps[(h & -h).bit_length() - 1]
         h_ones = h.bit_count()
+        groups = range(max(0, min_ones - h_ones), min(low, max_ones - h_ones) + 1)
+        if not groups:
+            continue
+        # every lane holds an e1 in [0, m], so E's digits are the lanes
+        E = (g + B[h].bit_count() * ones_lanes).to_bytes(size, sys.byteorder)
+        if width > 1:
+            E = memoryview(E).cast(code)
         x_high = h << low
-        for ones in range(max(min_ones, h_ones), min(max_ones, h_ones + low) + 1):
-            A_k, L_k = table[ones - h_ones]
-            E = [(a ^ b).bit_count() for a in A_k]
-            examined[ones] += len(E)
-            if not reached[ones].issuperset(E):
-                for e1 in set(E) - reached[ones]:
-                    first[ones, e1] = L_k[E.index(e1)] | x_high
-                reached[ones].update(E)
+        for k in groups:
+            ones = h_ones + k
+            start = bounds[k]
+            block = E[start:bounds[k + 1]]
+            examined[ones] += len(block)
+            if width == 1:
+                new = block.translate(None, seen[ones])
+                if not new:
+                    continue
+                new = set(new)
+                seen[ones] += bytes(new)
+            else:
+                new = set(block) - seen[ones]
+                if not new:
+                    continue
+                seen[ones] |= new
+                block = block.tolist()
+            for e1 in new:
+                first[ones, e1] = order[start + block.index(e1)] | x_high
     return examined, first
 
 

@@ -88,6 +88,21 @@ def test_workers_below_one_exits_two(capsys):
         assert f"workers must be at least 1, got {argv[-1]}" in err
 
 
+def test_negative_vertex_cap_exits_two(capsys):
+    argvs = [
+        ["compute", "--family", "path", "--n", "3", "--max-vertices", "-1"],
+        ["table", "--families", "path", "--max-n", "3", "--max-vertices", "-4"],
+    ]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"max-vertices must be non-negative, got {argv[-1]}" in err
+    # a zero cap is allowed: it searches nothing and says so
+    code, _, err = run(capsys, "compute", "--family", "path", "--n", "3",
+                       "--max-vertices", "0")
+    assert code == 2 and "capped at 0" in err
+
+
 def test_compute_explicit_graph_oracle_only(capsys, tmp_path):
     path = tmp_path / "m6.txt"
     path.write_text(emit_edge_list(mobius_ladder(6)))

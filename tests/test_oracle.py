@@ -7,7 +7,7 @@ no bit tricks, so they can arbitrate the packed scans.
 
 import os
 import random
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb
 from unittest import mock
 
@@ -120,6 +120,13 @@ def _random_graph(rng, max_n=7, max_m=12):
     return new_graph(n, edges)
 
 
+def _crossing_multigraph(m, n=7, side=3):
+    """m parallel-heavy edges between vertices 0..side-1 and the rest, so the
+    labeling with exactly 0..side-1 labeled 1 puts all m edges on label 1."""
+    rng = random.Random(m)
+    return new_graph(n, [(rng.randrange(side), rng.randrange(side, n)) for _ in range(m)])
+
+
 # ------------------------------------------------------ scan vs definition
 
 
@@ -149,6 +156,8 @@ def test_scan_visits_every_friendly_labeling_exactly_once():
 @example(wheel_graph(5))
 @example(mobius_ladder(4))
 @example(new_graph(0, []))
+@example(_crossing_multigraph(255))  # e1 reaches 255, the top of a 1-byte lane
+@example(_crossing_multigraph(256))  # the first graph with 2-byte lanes
 @given(multigraphs(min_n=0, max_n=9, max_m=20))
 def test_scan_matches_reference_in_every_mode_and_plan(g):
     # the scan pins vertex n-1, so it examines the halved stream, yet its best
@@ -183,6 +192,40 @@ def test_scan_matches_reference_in_every_mode_and_plan(g):
             task = (g.n, g.edges, ones[0], ones[-1])
             parts = [_scan_part(*task, *h) for h in plan]
             check(mode, _result(mode, g, *_reduce(parts)))
+
+
+def _recount(g, min_ones, max_ones, h_lo, h_hi):
+    """_scan_part's (examined, first) from balance() on every labeling."""
+    low = _split(g.n)[0]
+    examined, first = [0] * (g.n + 1), {}
+    for x in range(h_lo << low, h_hi << low):
+        rep = balance(g, VertexLabeling.from_encoding(x, g.n))
+        if min_ones <= rep.v1 <= max_ones:
+            examined[rep.v1] += 1
+            first.setdefault((rep.v1, rep.e1), x)
+    return examined, first
+
+
+def test_scan_part_matches_a_recount_on_any_high_range():
+    # n <= 3 leaves the low part empty, n = 13 and 14 fill it; m = 255 is the
+    # last graph with 1-byte lanes. Cases alternate lane widths and run
+    # twice, so a layout cached for one width and reused for another shows
+    rng = random.Random(8)
+    narrow, wide = [], []
+    for n in (0, 1, 2, 3, 13, 14):
+        for m in ((0,) if n < 2 else (12 + n, 255, 256 + n)):
+            if m < 255:
+                g = new_graph(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
+            else:
+                g = _crossing_multigraph(m, n, n // 2)
+            size = 1 << _split(n)[1]
+            lo = rng.randrange(size)
+            hi = min(size, lo + rng.randint(1, 2))
+            for ones in (_ones_range(("cvd",), n), _ones_range(("ced",), n)):
+                (narrow if m < 256 else wide).append((g, ones[0], ones[-1], lo, hi))
+    cases = [c for pair in zip_longest(narrow, wide) for c in pair if c]
+    for g, *task in cases * 2:
+        assert _scan_part(g.n, g.edges, *task) == _recount(g, *task)
 
 
 class _InlinePool:
