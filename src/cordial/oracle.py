@@ -169,11 +169,15 @@ def _lanes(low: int, width: int):
     group. ones packs a 1 in every lane and ind[x] a 1 in the lanes of the
     subsets holding vertex x.
     """
-    order = tuple(sorted(range(1 << low), key=lambda l: (l.bit_count(), l)))
+    order = tuple(sorted(range(1 << low), key=int.bit_count))  # a stable sort
     bounds = (0, *accumulate(comb(low, k) for k in range(low + 1)))
     code = _LANE_CODES[width]
-    ind = tuple(_pack([l >> x & 1 for l in order], code) for x in range(low))
-    return order, bounds, code, _pack([1] * len(order), code), ind
+    ones = _pack([1] * len(order), code)
+    # octets[i] packs bits 8i..8i+7 of each lane's subset, so one shift and
+    # a mask with ones leave the bit of vertex x in every lane
+    octets = [_pack([l >> s & 255 for l in order], code) for s in range(0, low, 8)]
+    ind = tuple(octets[x >> 3] >> (x & 7) & ones for x in range(low))
+    return order, bounds, code, ones, ind
 
 
 def _pack(values, code: str) -> int:
@@ -196,8 +200,7 @@ def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int
     for j, (u, v) in enumerate(edges):
         inc[u] |= 1 << j
         inc[v] |= 1 << j
-        u, v = min(u, v), max(u, v)
-        if u < low <= v < low + high:
+        if u < low <= v < low + high:  # edges are canonical, u < v
             cross[v - low] += ind[u]
     A = _subset_xors(inc[:low])
     B = _subset_xors(inc[low:low + high])
@@ -207,11 +210,12 @@ def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int
     # From h - 1 to h, high vertex t, the lowest set bit of h, joins and the
     # vertices below t leave, so g moves by steps[t]
     g = _pack([A[l].bit_count() for l in order], code)
-    g -= 2 * sum(c for y, c in enumerate(cross) if h_lo >> y & 1)
     steps, below = [], 0
-    for c in cross:
+    for y, c in enumerate(cross):
         steps.append((below - c) << 1)
         below += c
+        if h_lo >> y & 1:
+            g -= c << 1
     size = len(order) * width
     examined = [0] * (n + 1)
     seen = [b"" if width == 1 else set() for _ in range(n + 1)]  # e1s per ones count
@@ -237,8 +241,8 @@ def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int
                 new = block.translate(None, seen[ones])
                 if not new:
                     continue
+                seen[ones] += new
                 new = set(new)
-                seen[ones] += bytes(new)
             else:
                 new = set(block) - seen[ones]
                 if not new:
