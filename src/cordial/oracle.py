@@ -25,9 +25,10 @@ ascends, so no packed table over the high subsets is kept. Lanes are 1, 2, 4
 or 8 bytes, the least that holds m, and every lane's value lies in 0..m, so
 the bytes of the sum are the lanes. They are grouped by popcount and ascend
 inside each group, so the labelings with a given ones count form one byte
-slice; bytes.translate drops the e1 values already reached, and only a new
-value is located. High subsets ascend, so the first hit of a cell is its
-least encoding. Worker processes take contiguous ranges of high subsets.
+slice; bytes.translate, or a set difference for lanes wider than a byte,
+drops the e1 values already reached, and only a new value is located. High
+subsets ascend, so the first hit of a cell is its least encoding. Worker
+processes take contiguous ranges of high subsets.
 """
 
 from __future__ import annotations
