@@ -9,26 +9,27 @@ cheapest cells. The scan covers the friendly labelings, or all of them when
 cvd is asked for, with vertex n-1 pinned at label 0. Pinning is sound because
 complementing a labeling preserves every edge label, and the canonical
 encoding, the smaller of a labeling and its complement, is the one with
-vertex n-1 labeled 0. labelings_examined counts the halved stream of the
-result's own mode. Results are bit-identical whatever the worker count or the
-modes scanned alongside, and equal to those of a search over all 2**n
+vertex n-1 labeled 0. labelings_examined is the size of the halved stream of
+the result's own mode. Results are bit-identical whatever the worker count or
+the modes scanned alongside, and equal to those of a search over all 2**n
 labelings. Every witness passes the certificate checker before it is
 returned.
 
 The scan kernel splits the free vertices 0..n-2 into a low part of at most
 LOW_BITS vertices and a high part holding the rest. For one high subset h a
-single big-int expression holds the e1 of every low subset l, one
-fixed-width lane per l: e1 = alpha(l) + beta(h) - 2 w(l, h), where alpha and
-beta count the edges leaving l and h and w those between them. alpha and w
-are packed per lane, and the packed w moves by one precomputed step as h
-ascends, so no packed table over the high subsets is kept. Lanes are 1, 2, 4
-or 8 bytes, the least that holds m, and every lane's value lies in 0..m, so
-the bytes of the sum are the lanes. They are grouped by popcount and ascend
-inside each group, so the labelings with a given ones count form one byte
-slice; bytes.translate, or a set difference for lanes wider than a byte,
-drops the e1 values already reached, and only a new value is located. High
-subsets ascend, so the first hit of a cell is its least encoding. Worker
-processes take contiguous ranges of high subsets.
+single big int holds the e1 of every low subset l, one fixed-width lane per
+l: e1 = alpha(l) + beta(h) - 2 w(l, h), where alpha and beta count the edges
+leaving l and h and w those between them. All three are built from the
+distinct vertex pairs and their multiplicities, beta as a small-int table.
+Lanes are 1, 2, 4 or 8 bytes, the least that holds m. Packing is linear, so
+a lane may overflow while the terms are summed, yet every final lane lies in
+0..m and the bytes of the sum are the lanes. Lanes are grouped by popcount,
+ascending inside a group, so each ones count is one byte slice, and
+bytes.translate or a set difference finds the e1 values not reached before.
+High subsets ascend, so the first hit of a cell is its least encoding, and
+a scan stops after the first high subset that reaches a cordial cell,
+|n - 2 ones| <= 1 and |m - 2 e1| <= 1: every measure prices exactly those
+cells at 0. Worker processes take contiguous ranges of high subsets.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb
 
 from .certify import Certificate, check_certificate
@@ -97,7 +98,8 @@ class OracleResult:
     """Outcome of one exhaustive scan.
 
     witness is an accepted certificate achieving the value, or None when the
-    value is infinite. labelings_examined counts every encoding visited.
+    value is infinite. labelings_examined is the size of the mode's halved
+    stream of labelings, the stream the result is exact over.
     """
 
     value: DeficiencyValue
@@ -114,14 +116,6 @@ def _split(n: int) -> tuple[int, int]:
     width = max(0, n - 1)
     low = max(0, min(LOW_BITS, width - 2))
     return low, width - low
-
-
-def _subset_xors(masks: list[int]) -> list[int]:
-    """t[s] is the XOR of masks[j] over the set bits j of s, built by doubling."""
-    t = [0]
-    for inc in masks:
-        t += [x ^ inc for x in t]
-    return t
 
 
 def _scan_plan(n: int, workers: int) -> list[tuple[int, int]]:
@@ -189,38 +183,40 @@ def _pack(values, code: str) -> int:
 def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int):
     """Scan the labelings with min_ones..max_ones ones, high subset in [h_lo, h_hi).
 
-    Returns (examined, first): examined[ones] counts the labelings visited
-    with that ones count, and first maps each reached (ones, e1) cell to the
-    least encoding reaching it.
+    Returns first, mapping each reached (ones, e1) cell to the least encoding
+    reaching it. The scan ends with the first high subset at which a cordial
+    cell is reached, once all of that subset's cells are recorded.
     """
     low, high = _split(n)
-    width = next(w for w in _LANE_CODES if len(edges) < 1 << 8 * w)
+    m = len(edges)
+    width = next(w for w in _LANE_CODES if m < 1 << 8 * w)
     order, bounds, code, ones_lanes, ind = _lanes(low, width)
-    inc = [0] * n
+    pairs = Counter(edges)  # edges are canonical, u < v
+    deg = Counter(chain.from_iterable(edges))
+    # g packs alpha(l) - 2 w(l, h) per lane, starting at h = h_lo: alpha(l)
+    # counts the edges leaving l and w(l, h) those between l and h, so adding
+    # beta(h), the edges leaving h, gives e1 of labeling l | h << low
+    g = sum(deg[x] * ind[x] for x in range(low))
     cross = [0] * high  # cross[y] packs the edges from each low subset to y
-    for j, (u, v) in enumerate(edges):
-        inc[u] |= 1 << j
-        inc[v] |= 1 << j
-        if u < low <= v < low + high:  # edges are canonical, u < v
-            cross[v - low] += ind[u]
-    A = _subset_xors(inc[:low])
-    B = _subset_xors(inc[low:low + high])
-    # g packs alpha(l) - 2 w(l, h) per lane: alpha(l) counts the edges
-    # leaving l and w(l, h) those between l and h, so adding beta(h), the
-    # edges leaving h, gives e1 = alpha + beta - 2w of labeling l | h << low.
-    # From h - 1 to h, high vertex t, the lowest set bit of h, joins and the
-    # vertices below t leave, so g moves by steps[t]
-    g = _pack([A[l].bit_count() for l in order], code)
-    steps, below = [], 0
-    for y, c in enumerate(cross):
-        steps.append((below - c) << 1)
-        below += c
-        if h_lo >> y & 1:
-            g -= c << 1
+    for (u, v), c in pairs.items():
+        if v < low:
+            g -= 2 * c * (ind[u] & ind[v])
+        elif u < low and v < low + high:
+            cross[v - low] += c * ind[u]
+    beta = [0]
+    for y in range(low, low + high):
+        pull = [0]  # pull[s] counts the edges from y to high subset s
+        for z in range(low, y):
+            pull += [p + pairs[z, y] for p in pull]
+        beta += [b + deg[y] - 2 * p for b, p in zip(beta, pull)]
+    # from h - 1 to h, the lowest set bit t of h joins and the bits below t leave
+    steps = [(below - c) << 1 for below, c in zip(accumulate(cross, initial=0), cross)]
+    g -= 2 * sum(c for y, c in enumerate(cross) if h_lo >> y & 1)
     size = len(order) * width
-    examined = [0] * (n + 1)
     seen = [b"" if width == 1 else set() for _ in range(n + 1)]  # e1s per ones count
+    balanced = {m // 2, (m + 1) // 2}  # the e1 values of cordial cells
     first: dict[tuple[int, int], int] = {}
+    cordial = False
     for h in range(h_lo, h_hi):
         if h > h_lo:
             g += steps[(h & -h).bit_length() - 1]
@@ -229,15 +225,13 @@ def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int
         if not groups:
             continue
         # every lane holds an e1 in [0, m], so E's digits are the lanes
-        E = (g + B[h].bit_count() * ones_lanes).to_bytes(size, sys.byteorder)
+        E = (g + beta[h] * ones_lanes).to_bytes(size, sys.byteorder)
         if width > 1:
             E = memoryview(E).cast(code)
-        x_high = h << low
         for k in groups:
             ones = h_ones + k
             start = bounds[k]
             block = E[start:bounds[k + 1]]
-            examined[ones] += len(block)
             if width == 1:
                 new = block.translate(None, seen[ones])
                 if not new:
@@ -251,8 +245,11 @@ def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int
                 seen[ones] |= new
                 block = block.tolist()
             for e1 in new:
-                first[ones, e1] = order[start + block.index(e1)] | x_high
-    return examined, first
+                first[ones, e1] = order[start + block.index(e1)] | h << low
+            cordial |= abs(n - 2 * ones) <= 1 and not balanced.isdisjoint(new)
+        if cordial:
+            break
+    return first
 
 
 def check_search_size(n: int, max_vertices: int) -> None:
@@ -264,29 +261,29 @@ def check_search_size(n: int, max_vertices: int) -> None:
         )
 
 
-def _reduce(parts) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """Summed examined counts and the least encoding per cell over the parts."""
-    examined = [sum(counts) for counts in zip(*(p[0] for p in parts))]
+def _reduce(parts) -> dict[tuple[int, int], int]:
+    """The least encoding per cell over the parts' cell maps."""
     first: dict[tuple[int, int], int] = {}
-    for _, cells in parts:
+    for cells in parts:
         for cell, x in cells.items():
             first[cell] = min(x, first.get(cell, x))
-    return examined, first
+    return first
 
 
-def _result(mode: str, g: MultiGraph, examined: list[int], first) -> OracleResult:
-    """Read one mode's checked result off a scan's examined counts and cells.
+def _result(mode: str, g: MultiGraph, first) -> OracleResult:
+    """Read one mode's checked result off a scan's cells.
 
     The witness is the least encoding among the cheapest cells. A ced
     witness adds the first vertex pair of the minority edge label cost times,
     a cvd witness adds the minority vertex label cost times, and a cordial
     one, whose cost is always 0, adds nothing.
     """
-    count = sum(examined[ones] for ones in _ones_range((mode,), g.n))
+    n, m = g.n, g.m
+    count = sum(comb(max(n - 1, 0), ones) for ones in _ones_range((mode,), n))
     costs = [
         (cost, x, ones, e1)
         for (ones, e1), x in first.items()
-        if (cost := _cost(mode, g.n, g.m, ones, e1)) is not None
+        if (cost := _cost(mode, n, m, ones, e1)) is not None
     ]
     if not costs:
         reason = InfinityReason.STRICTLY_NONCORDIAL
@@ -294,21 +291,21 @@ def _result(mode: str, g: MultiGraph, examined: list[int], first) -> OracleResul
             reason = InfinityReason.NO_FEASIBLE_AUGMENTATION
         return OracleResult(DeficiencyValue.infinite(reason), None, count)
     cost, canon, ones, e1 = min(costs)
-    f = VertexLabeling.from_encoding(canon, g.n)
+    f = VertexLabeling.from_encoding(canon, n)
     added_edges: tuple[tuple[int, int], ...] = ()
     added_labels: tuple[int, ...] = ()
     if cost:
         if mode == "ced":
-            pair = first_pair_with_edge_label(f, 0 if 2 * e1 > g.m else 1)
+            pair = first_pair_with_edge_label(f, 0 if 2 * e1 > m else 1)
             self_check(pair is not None, "ced witness has no vertex pair to repair at")
             added_edges = (pair,) * cost
         else:
-            added_labels = (0 if 2 * ones > g.n else 1,) * cost
+            added_labels = (0 if 2 * ones > n else 1,) * cost
     witness = Certificate(
         kind=mode,
         labels=f.labels,
         claimed_value=cost,
-        n=g.n,
+        n=n,
         edges=g.edges,
         added_edges=added_edges,
         added_vertex_labels=added_labels,
@@ -333,11 +330,13 @@ def solve(
     plan = _scan_plan(g.n, workers)
     tasks = [(g.n, g.edges, ones[0], ones[-1], lo, hi) for lo, hi in plan]
     if len(tasks) == 1:
-        examined, first = _reduce([_scan_part(*tasks[0])])
+        first = _scan_part(*tasks[0])
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            examined, first = _reduce(list(pool.map(_scan_part, *zip(*tasks))))
-    return {mode: _result(mode, g, examined, first) for mode in modes}
+            first = _reduce(pool.map(_scan_part, *zip(*tasks)))
+    return {mode: _result(mode, g, first) for mode in modes}
 
 
 def decide_cordial(

@@ -1,10 +1,15 @@
 """Command line behavior: output shapes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import cordial
 from cordial import Verdict, emit_edge_list, mobius_ladder, parse_certificate
 from cordial.cli import main
 
@@ -237,3 +242,14 @@ def test_help_and_missing_subcommand(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    # only a scan split over several parts starts a process pool, so a fresh
+    # interpreter importing the cli must not load multiprocessing; the answer
+    # travels in the exit code, so it holds under python -O too
+    src = str(Path(cordial.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cordial.cli; sys.exit(int('multiprocessing' in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0

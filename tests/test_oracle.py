@@ -191,19 +191,27 @@ def test_scan_matches_reference_in_every_mode_and_plan(g):
             ones = _ones_range((mode,), g.n)
             task = (g.n, g.edges, ones[0], ones[-1])
             parts = [_scan_part(*task, *h) for h in plan]
-            check(mode, _result(mode, g, *_reduce(parts)))
+            check(mode, _result(mode, g, _reduce(parts)))
 
 
 def _recount(g, min_ones, max_ones, h_lo, h_hi):
-    """_scan_part's (examined, first) from balance() on every labeling."""
+    """_scan_part's cells from balance() on every labeling of each high subset
+    in [h_lo, h_hi), up to and including the first that reaches a cordial cell."""
     low = _split(g.n)[0]
-    examined, first = [0] * (g.n + 1), {}
-    for x in range(h_lo << low, h_hi << low):
-        rep = balance(g, VertexLabeling.from_encoding(x, g.n))
-        if min_ones <= rep.v1 <= max_ones:
-            examined[rep.v1] += 1
-            first.setdefault((rep.v1, rep.e1), x)
-    return examined, first
+    first, cordial = {}, False
+    for h in range(h_lo, h_hi):
+        for x in range(h << low, (h + 1) << low):
+            rep = balance(g, VertexLabeling.from_encoding(x, g.n))
+            if min_ones <= rep.v1 <= max_ones:
+                first.setdefault((rep.v1, rep.e1), x)
+                cordial |= rep.vertex_diff <= 1 and rep.edge_diff <= 1
+        if cordial:
+            break
+    return first
+
+
+def _holds_cordial_cell(g, cells):
+    return any(abs(g.n - 2 * v1) <= 1 and abs(g.m - 2 * e1) <= 1 for v1, e1 in cells)
 
 
 def test_scan_part_matches_a_recount_on_any_high_range():
@@ -226,6 +234,94 @@ def test_scan_part_matches_a_recount_on_any_high_range():
     cases = [c for pair in zip_longest(narrow, wide) for c in pair if c]
     for g, *task in cases * 2:
         assert _scan_part(g.n, g.edges, *task) == _recount(g, *task)
+
+
+@pytest.mark.parametrize("m", [255, 256])
+def test_scan_part_is_exact_when_degree_sums_overflow_a_lane(m):
+    # all m edges lie among the 10 low vertices of a 13-vertex graph, so the
+    # lanes of large low subsets sum degrees past 255 before twice the pairs
+    # inside them are taken off; m = 256 is the twin with 2-byte lanes
+    rng = random.Random(m)
+    g = new_graph(13, [tuple(rng.sample(range(10), 2)) for _ in range(m)])
+    assert _split(13) == (10, 2)
+    for ones in (_ones_range(("cvd",), 13), _ones_range(("ced",), 13)):
+        task = (ones[0], ones[-1], 0, 4)
+        assert _scan_part(g.n, g.edges, *task) == _recount(g, *task)
+
+
+def _planted_cordial_multigraph(n, seed):
+    """A multigraph on n vertices, cordial under a planted labeling whose high
+    subset holds the top high vertex t = n-2 alone.
+
+    Vertex 0 links t to the pinned vertex n-1 and every other edge is
+    doubled, so t and n-1 are the only odd-degree vertices and e1 is odd
+    exactly when their labels differ. m/2 is odd, so every cordial labeling
+    with n-1 labeled 0 labels t with 1, and none has a lower high subset.
+    """
+    rng = random.Random(seed)
+    low = _split(n)[0]
+    ones = rng.sample(range(low), n // 2 - 1) + [n - 2]
+    labels = [int(v in ones) for v in range(n)]
+    pairs = list(combinations(range(n), 2))
+    mixed = [(u, v) for u, v in pairs if labels[u] != labels[v]]
+    same = [(u, v) for u, v in pairs if labels[u] == labels[v]]
+    # m = 26 and the planted labeling puts 1 + 2 * 6 = m/2 edges on label 1
+    edges = [(0, n - 2), (0, n - 1)] + 2 * rng.sample(mixed, 6) + 2 * rng.sample(same, 6)
+    g = new_graph(n, edges)
+    assert is_cordial_labeling(g, VertexLabeling(tuple(labels)))
+    return g
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_scan_stops_at_the_witness_high_subset(n):
+    g = _planted_cordial_multigraph(n, n)
+    low, high = _split(n)
+    top = 1 << (high - 1)  # the high subset of the planted labeling
+    for mode in MEASURES:
+        res = solve(g, (mode,))[mode]
+        best = _reference(g, mode, False)[1]
+        assert res.value.value == best[0] == 0
+        assert res.witness.labels == VertexLabeling.from_encoding(best[1], n).labels
+        assert best[1] >> low == top
+        ones = _ones_range((mode,), n)
+        first = _scan_part(n, g.edges, ones[0], ones[-1], 0, 1 << high)
+        # nothing above the witness's high subset is scanned, all of it is
+        assert max(x >> low for x in first.values()) == top
+        assert first == _recount(g, ones[0], ones[-1], 0, 1 << high)
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_each_part_stops_on_its_own_and_reduce_keeps_the_least(n):
+    # the planted graph reaches cordial cells only in the later parts of a
+    # plan; the mobius ladder or wheel reaches one in every high subset, so
+    # every part stops at its first
+    low, high = _split(n)
+    late = _planted_cordial_multigraph(n, n)
+    early = mobius_ladder(7) if n == 14 else wheel_graph(12)
+    ones = _ones_range(("cvd",), n)
+    with mock.patch("os.cpu_count", return_value=64):
+        plans = [_scan_plan(n, w) for w in (2, 3)]
+    for g in (late, early):
+        task = (n, g.edges, ones[0], ones[-1])
+        whole = _result("cvd", g, _scan_part(*task, 0, 1 << high))
+        for plan in plans:
+            parts = [_scan_part(*task, *h) for h in plan]
+            stops = [_holds_cordial_cell(g, cells) for cells in parts]
+            if g is late:
+                assert not stops[0] and stops[-1]
+            else:
+                assert all(stops)
+                assert [max(x >> low for x in cells.values()) for cells in parts] == [
+                    lo for lo, _ in plan
+                ]
+            reduced = _reduce(parts)
+            assert reduced == {
+                cell: min(cells[cell] for cells in parts if cell in cells)
+                for cell in set().union(*parts)
+            }
+            got = _result("cvd", g, reduced)
+            assert got.value == whole.value
+            assert got.witness.labels == whole.witness.labels
 
 
 class _InlinePool:
@@ -263,7 +359,7 @@ def test_one_scan_answers_any_modes_like_single_mode_calls(g):
     assert f == (VertexLabeling(cordial.witness.labels) if ok else None)
     subsets = [s for k in (1, 2, 3) for s in combinations(MEASURES, k)]
     with mock.patch("os.cpu_count", return_value=64), \
-            mock.patch("cordial.oracle.ProcessPoolExecutor", _InlinePool):
+            mock.patch("concurrent.futures.ProcessPoolExecutor", _InlinePool):
         for workers in (1, 2, 3):
             plan = _scan_plan(g.n, workers)
             assert len(plan) == min(workers, 1 << _split(g.n)[1])
