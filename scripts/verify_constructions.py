@@ -25,9 +25,17 @@ def all_certificates(bound: int):
                 yield family, f"{target} size {size}", cert
 
 
+def size_bound(text: str) -> int:
+    """argparse type for --bound: a bound below 1 would check nothing."""
+    bound = int(text)
+    if bound < 1:
+        raise argparse.ArgumentTypeError(f"bound must be at least 1, got {bound}")
+    return bound
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--bound", type=int, default=200,
+    ap.add_argument("--bound", type=size_bound, default=200,
                     help="largest family size to construct (default 200)")
     ns = ap.parse_args(argv)
 

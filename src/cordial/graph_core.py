@@ -53,7 +53,7 @@ class MultiGraph:
 
 def new_graph(n: int, edges) -> MultiGraph:
     """Build a multigraph from any iterable of endpoint pairs."""
-    return MultiGraph(n, tuple((u, v) for u, v in edges))
+    return MultiGraph(n, tuple(edges))  # MultiGraph unpacks and checks each pair
 
 
 def complete_graph(n: int) -> MultiGraph:

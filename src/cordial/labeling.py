@@ -93,10 +93,9 @@ def balance(g: MultiGraph, f: VertexLabeling) -> BalanceReport:
         raise LengthMismatch(
             f"labeling has {len(f)} bits for a graph on {g.n} vertices"
         )
-    v1 = sum(f.labels)
-    e1 = 0
-    for u, v in g.edges:
-        e1 += f[u] ^ f[v]
+    labels = f.labels
+    v1 = sum(labels)
+    e1 = sum([labels[u] ^ labels[v] for u, v in g.edges])
     return BalanceReport(v0=g.n - v1, v1=v1, e0=g.m - e1, e1=e1)
 
 

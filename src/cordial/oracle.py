@@ -29,7 +29,11 @@ bytes.translate or a set difference finds the e1 values not reached before.
 High subsets ascend, so the first hit of a cell is its least encoding, and
 a scan stops after the first high subset that reaches a cordial cell,
 |n - 2 ones| <= 1 and |m - 2 e1| <= 1: every measure prices exactly those
-cells at 0. Worker processes take contiguous ranges of high subsets.
+cells at 0. A scan over several processes splits the high subsets into
+contiguous parts. The calling process scans the first high subset before any
+process starts, and a cordial cell reached there settles the scan with no
+process started; otherwise one process per later part starts and the caller
+scans the rest of the first part itself.
 """
 
 from __future__ import annotations
@@ -119,10 +123,12 @@ def _split(n: int) -> tuple[int, int]:
 
 
 def _scan_plan(n: int, workers: int) -> list[tuple[int, int]]:
-    """High-subset ranges [lo, hi), one per process the scan will use.
+    """High-subset ranges [lo, hi), one per process the scan may use.
 
-    The part count is clamped to the cpu count and to the number of high
-    subsets, so a large worker count never starts idle processes.
+    The calling process scans the first part and one started process each
+    later part; none starts when the first high subset reaches a cordial
+    cell. The part count is clamped to the cpu count and to the number of
+    high subsets, so a large worker count never starts idle processes.
     """
     if workers < 1:
         raise CordialError(f"workers must be at least 1, got {workers}")
@@ -134,6 +140,16 @@ def _scan_plan(n: int, workers: int) -> list[tuple[int, int]]:
 def _ones_range(modes, n: int) -> range:
     """The ones counts of the stream that modes scan."""
     return range(n + 1) if "cvd" in modes else range(n // 2, (n + 1) // 2 + 1)
+
+
+def _reaches_cordial(n: int, m: int, ones: int, e1s) -> bool:
+    """Whether a cell (ones, e1) with e1 in e1s is cordial.
+
+    A cordial cell, |n - 2 ones| <= 1 and |m - 2 e1| <= 1, is one every
+    measure prices at 0, and no cell is cheaper, so a scan that reaches one
+    may stop once the high subset that reached it is recorded.
+    """
+    return abs(n - 2 * ones) <= 1 and not {m // 2, (m + 1) // 2}.isdisjoint(e1s)
 
 
 def _cost(mode: str, n: int, m: int, ones: int, e1: int) -> int | None:
@@ -207,14 +223,14 @@ def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int
     for y in range(low, low + high):
         pull = [0]  # pull[s] counts the edges from y to high subset s
         for z in range(low, y):
-            pull += [p + pairs[z, y] for p in pull]
+            c = pairs[z, y]
+            pull += [p + c for p in pull]
         beta += [b + deg[y] - 2 * p for b, p in zip(beta, pull)]
     # from h - 1 to h, the lowest set bit t of h joins and the bits below t leave
     steps = [(below - c) << 1 for below, c in zip(accumulate(cross, initial=0), cross)]
     g -= 2 * sum(c for y, c in enumerate(cross) if h_lo >> y & 1)
     size = len(order) * width
     seen = [b"" if width == 1 else set() for _ in range(n + 1)]  # e1s per ones count
-    balanced = {m // 2, (m + 1) // 2}  # the e1 values of cordial cells
     first: dict[tuple[int, int], int] = {}
     cordial = False
     for h in range(h_lo, h_hi):
@@ -246,7 +262,7 @@ def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int
                 block = block.tolist()
             for e1 in new:
                 first[ones, e1] = order[start + block.index(e1)] | h << low
-            cordial |= abs(n - 2 * ones) <= 1 and not balanced.isdisjoint(new)
+            cordial |= _reaches_cordial(n, m, ones, new)
         if cordial:
             break
     return first
@@ -279,11 +295,17 @@ def _result(mode: str, g: MultiGraph, first) -> OracleResult:
     one, whose cost is always 0, adds nothing.
     """
     n, m = g.n, g.m
-    count = sum(comb(max(n - 1, 0), ones) for ones in _ones_range((mode,), n))
+    rows = _ones_range((mode,), n)
+    count = sum(comb(max(n - 1, 0), ones) for ones in rows)
+    if mode == "ced":  # a friendly cell of any e1 may be repaired
+        cells = [cell for cell in first if cell[0] in rows]
+    else:  # only edge-balanced cells are candidates
+        cells = [(ones, e1) for ones in rows for e1 in {m // 2, (m + 1) // 2}]
     costs = [
         (cost, x, ones, e1)
-        for (ones, e1), x in first.items()
-        if (cost := _cost(mode, n, m, ones, e1)) is not None
+        for ones, e1 in cells
+        if (x := first.get((ones, e1))) is not None
+        and (cost := _cost(mode, n, m, ones, e1)) is not None
     ]
     if not costs:
         reason = InfinityReason.STRICTLY_NONCORDIAL
@@ -327,15 +349,21 @@ def solve(
     """
     check_search_size(g.n, max_vertices)
     ones = _ones_range(modes, g.n)
-    plan = _scan_plan(g.n, workers)
-    tasks = [(g.n, g.edges, ones[0], ones[-1], lo, hi) for lo, hi in plan]
-    if len(tasks) == 1:
-        first = _scan_part(*tasks[0])
+    task = (g.n, g.edges, ones[0], ones[-1])
+    (lo, hi), *rest = _scan_plan(g.n, workers)
+    if not rest:
+        first = _scan_part(*task, lo, hi)
     else:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+        # a cordial cell in the first high subset stops a one-process scan
+        # there too, so no later cell can change a value or a witness
+        first = _scan_part(*task, lo, lo + 1)
+        if not any(_reaches_cordial(g.n, g.m, k, (e1,)) for k, e1 in first):
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            first = _reduce(pool.map(_scan_part, *zip(*tasks)))
+            with ProcessPoolExecutor(max_workers=len(rest)) as pool:
+                parts = pool.map(_scan_part, *zip(*(task + part for part in rest)))
+                own = _scan_part(*task, lo + 1, hi)
+                first = _reduce([first, own, *parts])
     return {mode: _result(mode, g, first) for mode in modes}
 
 

@@ -89,6 +89,15 @@ def test_out_of_range_rejected():
         new_graph(3, [(0, 3)])
 
 
+def test_malformed_pairs_rejected_and_any_pairs_accepted():
+    with pytest.raises(ValueError):
+        new_graph(3, [(0, 1, 2)])
+    with pytest.raises(TypeError):
+        new_graph(3, [5])
+    g = new_graph(3, ([2, 0] for _ in range(2)))
+    assert g.edges == ((0, 2), (0, 2)) and all(type(e) is tuple for e in g.edges)
+
+
 @pytest.mark.parametrize("family", sorted(MIN_SIZE))
 def test_family_minimum_sizes(family):
     FamilySpec(family, MIN_SIZE[family]).build()

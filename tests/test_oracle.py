@@ -7,8 +7,11 @@ no bit tricks, so they can arbitrate the packed scans.
 
 import os
 import random
+import subprocess
+import sys
 from itertools import combinations, zip_longest
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -324,6 +327,11 @@ def test_each_part_stops_on_its_own_and_reduce_keeps_the_least(n):
             assert got.witness.labels == whole.witness.labels
 
 
+def _key(res):
+    witness = res.witness and serialize_certificate(res.witness)
+    return res.value, witness, res.labelings_examined
+
+
 class _InlinePool:
     """Stands in for the process pool: runs each part in this process."""
 
@@ -347,13 +355,9 @@ def test_one_scan_answers_any_modes_like_single_mode_calls(g):
     # every plan must give exactly the single-mode, single-part results; the
     # pool runs in process here, test_worker_count_does_not_change_results
     # starts real worker processes
-    def key(res):
-        witness = res.witness and serialize_certificate(res.witness)
-        return res.value, witness, res.labelings_examined
-
     cordial = solve(g, ("cordial",))["cordial"]
-    alone = {"cordial": key(cordial), "ced": key(ced_oracle(g))}
-    alone["cvd"] = key(cvd_oracle(g))
+    alone = {"cordial": _key(cordial), "ced": _key(ced_oracle(g))}
+    alone["cvd"] = _key(cvd_oracle(g))
     ok, f = decide_cordial(g)
     assert ok == (cordial.witness is not None)
     assert f == (VertexLabeling(cordial.witness.labels) if ok else None)
@@ -366,9 +370,85 @@ def test_one_scan_answers_any_modes_like_single_mode_calls(g):
             for modes in subsets:
                 got = solve(g, modes, workers=workers)
                 assert list(got) == list(modes)
-                assert {mode: key(got[mode]) for mode in modes} == {
+                assert {mode: _key(got[mode]) for mode in modes} == {
                     mode: alone[mode] for mode in modes
                 }
+
+
+class _NoPool:
+    def __init__(self, max_workers):
+        raise RuntimeError("a scan settled by its first high subset started a pool")
+
+
+@pytest.mark.parametrize("g", [mobius_ladder(7), wheel_graph(12)], ids=["M7", "W12"])
+def test_scan_settled_by_the_first_high_subset_starts_no_pool(g):
+    alone = {mode: _key(solve(g, (mode,))[mode]) for mode in MEASURES}
+    assert _holds_cordial_cell(g, _scan_part(g.n, g.edges, 0, g.n, 0, 1))
+    with mock.patch("os.cpu_count", return_value=64), \
+            mock.patch("concurrent.futures.ProcessPoolExecutor", _NoPool):
+        for workers in (2, 3):
+            assert len(_scan_plan(g.n, workers)) == workers
+            got = solve(g, MEASURES, workers=workers)
+            assert {mode: _key(got[mode]) for mode in MEASURES} == alone
+
+
+def _recording_pool(log):
+    """An in-process pool that logs its size and the high ranges it maps."""
+
+    class Pool(_InlinePool):
+        def __init__(self, max_workers):
+            log.append(max_workers)
+
+        def map(self, fn, *columns):
+            log.extend(zip(*columns[-2:]))
+            return map(fn, *columns)
+
+    return Pool
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_unsettled_scan_starts_one_process_per_later_part(n):
+    # the caller scans the first part itself, so a pool of len(plan) - 1
+    # processes gets exactly the later parts; K7 reaches no cordial cell and
+    # the planted graph reaches its first in a later part
+    for g in (complete_graph(7), _planted_cordial_multigraph(n, n)):
+        alone = {mode: _key(solve(g, (mode,))[mode]) for mode in MEASURES}
+        assert not _holds_cordial_cell(g, _scan_part(g.n, g.edges, 0, g.n, 0, 1))
+        for workers in (2, 3):
+            log = []
+            with mock.patch("os.cpu_count", return_value=64), \
+                    mock.patch("concurrent.futures.ProcessPoolExecutor",
+                               _recording_pool(log)):
+                plan = _scan_plan(g.n, workers)
+                for modes in [(mode,) for mode in MEASURES] + [MEASURES]:
+                    log.clear()
+                    got = solve(g, modes, workers=workers)
+                    assert log == [len(plan) - 1, *plan[1:]]
+                    assert {mode: _key(got[mode]) for mode in modes} == {
+                        mode: alone[mode] for mode in modes
+                    }
+
+
+@pytest.mark.parametrize("family,n,loaded", [("mobius", 8, False), ("complete", 6, True)])
+def test_two_worker_compute_loads_multiprocessing_only_for_a_pool(family, n, loaded):
+    # M8 reaches a cordial cell in its first high subset, K6 never does; the
+    # child reports on stdout, so the check holds under python -O too
+    src = str(Path(oracle.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import os, sys\n"
+        "os.cpu_count = lambda: 2  # a two-part plan on any machine\n"
+        "from cordial.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "sys.exit(status)\n"
+    )
+    args = ["compute", "--family", family, "--n", str(n), "--measure", "cvd",
+            "--method", "oracle", "--workers", "2"]
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loaded)
 
 
 def test_scan_plan_clamps_parts_and_tiles_the_high_subsets(monkeypatch):
@@ -503,9 +583,10 @@ def test_cross_validate_and_compute_scan_each_graph_once(monkeypatch, capsys):
 
 
 def test_worker_count_does_not_change_results():
-    g = wheel_graph(5)
-    runs = [ced_oracle(g, workers=w) for w in (1, 2, 5)]
-    assert len({(r.value, r.witness, r.labelings_examined) for r in runs}) == 1
+    # W5 is settled by its first high subset, K6 starts the real pool
+    for g in (wheel_graph(5), complete_graph(6)):
+        runs = [ced_oracle(g, workers=w) for w in (1, 2, 5)]
+        assert len({(r.value, r.witness, r.labelings_examined) for r in runs}) == 1
 
 
 def test_size_cap_is_enforced_and_overridable():

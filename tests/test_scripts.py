@@ -24,6 +24,22 @@ def test_verify_constructions_counts_every_family(capsys):
     assert out.endswith("all certificates accepted\n")
 
 
+@pytest.mark.parametrize("bound", ["-3", "0"])
+def test_verify_constructions_rejects_a_bound_below_one(bound, capsys):
+    # such a bound would check no certificate yet report success
+    with pytest.raises(SystemExit) as exc:
+        load("verify_constructions").main(["--bound", bound])
+    assert exc.value.code == 2
+    assert f"bound must be at least 1, got {bound}" in capsys.readouterr().err
+
+
+def test_verify_constructions_checks_something_at_bound_one(capsys):
+    assert load("verify_constructions").main(["--bound", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("complete     2 certificates checked\ntotal        2\n")
+    assert out.endswith("all certificates accepted\n")
+
+
 def test_reproduce_tables_is_consistent(capsys):
     code = load("reproduce_tables").main(["--max-complete", "8", "--max-small", "10"])
     out = capsys.readouterr().out
