@@ -29,11 +29,18 @@ bytes.translate or a set difference finds the e1 values not reached before.
 High subsets ascend, so the first hit of a cell is its least encoding, and
 a scan stops after the first high subset that reaches a cordial cell,
 |n - 2 ones| <= 1 and |m - 2 e1| <= 1: every measure prices exactly those
-cells at 0. A scan over several processes splits the high subsets into
-contiguous parts. The calling process scans the first high subset before any
-process starts, and a cordial cell reached there settles the scan with no
-process started; otherwise one process per later part starts and the caller
-scans the rest of the first part itself.
+cells at 0. A scan that may use several processes starts none until it
+has to: the calling process scans the high subsets alone, always the first,
+until its time spent reaches what the last pool it started cost it beyond
+its own scanning (0 before any pool). A scan that ends by then starts no
+process; otherwise the rest is split into contiguous parts, one process
+starts per later part and the caller scans the first. This is the
+ski-rental rule (Karlin, Manasse, Rudolph, Sleator, "Competitive snoopy
+caching", Algorithmica 3, 1988): when the last pool's cost predicts the
+next one's, a scan takes at most twice as long as the better of scanning
+alone to the end and starting the pool at once, and the rule needs no size
+threshold. Every part stops at its own cordial cell, so the cells that
+decide a result, and the results, do not depend on where the hand-off falls.
 """
 
 from __future__ import annotations
@@ -45,8 +52,9 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from math import comb
+from time import perf_counter
 
 from .certify import Certificate, check_certificate
 from .errors import CordialError, SizeLimitExceeded, self_check
@@ -57,6 +65,9 @@ DEFAULT_MAX_VERTICES = 24
 MEASURES = ("cordial", "ced", "cvd")
 LOW_BITS = 10  # at most 2**10 lanes; each layout is built once per process
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # lane bytes -> array typecode
+# seconds the last pool this process started cost the caller beyond its own
+# scanning, and so how long a multi-part scan runs alone before it starts one
+_pool_cost = 0.0
 
 
 class InfinityReason(Enum):
@@ -122,19 +133,21 @@ def _split(n: int) -> tuple[int, int]:
     return low, width - low
 
 
-def _scan_plan(n: int, workers: int) -> list[tuple[int, int]]:
-    """High-subset ranges [lo, hi), one per process the scan may use.
+def _scan_plan(n: int, workers: int, lo: int = 0) -> list[tuple[int, int]]:
+    """High-subset ranges tiling [lo, 2**high), one per process the scan may use.
 
-    The calling process scans the first part and one started process each
-    later part; none starts when the first high subset reaches a cordial
-    cell. The part count is clamped to the cpu count and to the number of
-    high subsets, so a large worker count never starts idle processes.
+    The ranges are contiguous, non-empty and ascending, at most workers of
+    them, clamped to the cpu count and to the number of high subsets in the
+    range, so a large worker count never starts idle processes. solve splits
+    the whole range with it, and again the rest of a scan the calling
+    process hands off.
     """
     if workers < 1:
         raise CordialError(f"workers must be at least 1, got {workers}")
-    size = 1 << _split(n)[1]
-    parts = min(workers, size, os.cpu_count() or 1) if workers > 1 else 1
-    return [(size * i // parts, size * (i + 1) // parts) for i in range(parts)]
+    size = (1 << _split(n)[1]) - lo
+    # os.cpu_count reads sysfs on each call, which a one-worker scan skips
+    parts = min(workers, size, (os.cpu_count() or 1) if workers > 1 else 1)
+    return [(lo + size * i // parts, lo + size * (i + 1) // parts) for i in range(parts)]
 
 
 def _ones_range(modes, n: int) -> range:
@@ -203,6 +216,20 @@ def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int
     reaching it. The scan ends with the first high subset at which a cordial
     cell is reached, once all of that subset's cells are recorded.
     """
+    first: dict[tuple[int, int], int] = {}
+    for _ in _scan(n, edges, min_ones, max_ones, h_lo, h_hi, first):
+        pass
+    return first
+
+
+def _scan(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int, first):
+    """_scan_part as a generator that records cells into first.
+
+    It yields each high subset h once all of its cells are recorded, and
+    returns instead at the end of the range or at a cordial stop. The terms
+    are built once, so a caller that pauses the scan and resumes it later
+    does not build them again.
+    """
     low, high = _split(n)
     m = len(edges)
     width = next(w for w in _LANE_CODES if m < 1 << 8 * w)
@@ -231,19 +258,19 @@ def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int
     g -= 2 * sum(c for y, c in enumerate(cross) if h_lo >> y & 1)
     size = len(order) * width
     seen = [b"" if width == 1 else set() for _ in range(n + 1)]  # e1s per ones count
-    first: dict[tuple[int, int], int] = {}
-    cordial = False
     for h in range(h_lo, h_hi):
         if h > h_lo:
             g += steps[(h & -h).bit_length() - 1]
         h_ones = h.bit_count()
         groups = range(max(0, min_ones - h_ones), min(low, max_ones - h_ones) + 1)
         if not groups:
+            yield h
             continue
         # every lane holds an e1 in [0, m], so E's digits are the lanes
         E = (g + beta[h] * ones_lanes).to_bytes(size, sys.byteorder)
         if width > 1:
             E = memoryview(E).cast(code)
+        cordial = False
         for k in groups:
             ones = h_ones + k
             start = bounds[k]
@@ -264,8 +291,8 @@ def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int
                 first[ones, e1] = order[start + block.index(e1)] | h << low
             cordial |= _reaches_cordial(n, m, ones, new)
         if cordial:
-            break
-    return first
+            return
+        yield h
 
 
 def check_search_size(n: int, max_vertices: int) -> None:
@@ -345,26 +372,64 @@ def solve(
 ) -> dict[str, OracleResult]:
     """Answer each of modes, a subset of MEASURES, from one scan of g.
 
-    Each result equals that of a scan in its mode alone.
+    Each result equals that of a scan in its mode alone, with any worker
+    count. With workers > 1 the calling process scans alone for as long as
+    the last pool it started cost, and starts at most workers - 1 processes,
+    clamped by _scan_plan, only for a scan still running then.
     """
     check_search_size(g.n, max_vertices)
     ones = _ones_range(modes, g.n)
     task = (g.n, g.edges, ones[0], ones[-1])
-    (lo, hi), *rest = _scan_plan(g.n, workers)
-    if not rest:
-        first = _scan_part(*task, lo, hi)
+    plan = _scan_plan(g.n, workers)
+    if len(plan) == 1:
+        first = _scan_part(*task, *plan[0])
     else:
-        # a cordial cell in the first high subset stops a one-process scan
-        # there too, so no later cell can change a value or a witness
-        first = _scan_part(*task, lo, lo + 1)
-        if not any(_reaches_cordial(g.n, g.m, k, (e1,)) for k, e1 in first):
-            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-            with ProcessPoolExecutor(max_workers=len(rest)) as pool:
-                parts = pool.map(_scan_part, *zip(*(task + part for part in rest)))
-                own = _scan_part(*task, lo + 1, hi)
-                first = _reduce([first, own, *parts])
+        first = _scan_shared(task, plan)
     return {mode: _result(mode, g, first) for mode in modes}
+
+
+def _scan_shared(task, plan) -> dict[tuple[int, int], int]:
+    """The cells of a scan that may use one process per range of plan.
+
+    The calling process scans the high subsets alone, in ascending order,
+    until its time spent reaches _pool_cost, what the last pool cost it, or
+    the scan ends. Only then does it split the rest and start one process
+    per later range, scanning the first range itself. Each range stops at
+    its own cordial cell, and _reduce keeps the least encoding per cell, so
+    the cells that decide a result do not depend on where the hand-off
+    falls.
+    """
+    global _pool_cost
+    first: dict[tuple[int, int], int] = {}
+    scan = _scan(*task, plan[0][0], plan[-1][1], first)
+    start = perf_counter()
+    for h in scan:  # always high subset 0, as the deadline is checked after it
+        if perf_counter() - start >= _pool_cost:
+            break
+    else:
+        return first  # a cordial stop or the whole range, and no process started
+    rest = _scan_plan(task[0], len(plan), h + 1)[1:]
+    if not rest:  # one range or none is left, which no pool can share
+        for _ in scan:
+            pass
+        return first
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
+    begin = perf_counter()
+    with ProcessPoolExecutor(max_workers=len(rest)) as pool:
+        # the pool's threads pass the parts on only while they hold the GIL,
+        # which a scanning caller yields every few milliseconds; waiting for a
+        # no-op queued ahead of the parts lets them do it while it waits
+        ready = pool.submit(int)
+        parts = pool.map(_scan_part, *zip(*(task + part for part in rest)))
+        ready.result()
+        mark = perf_counter()
+        for _ in islice(scan, rest[0][0] - h - 1):  # the caller's own range
+            pass
+        alone = perf_counter() - mark
+        first = _reduce([first, *parts])
+    _pool_cost = perf_counter() - begin - alone
+    return first
 
 
 def decide_cordial(

@@ -5,11 +5,13 @@ The reference implementations here work straight from the definitions with
 no bit tricks, so they can arbitrate the packed scans.
 """
 
+import math
 import os
 import random
 import subprocess
 import sys
-from itertools import combinations, zip_longest
+from concurrent.futures import Future
+from itertools import combinations, count, zip_longest
 from math import comb
 from pathlib import Path
 from unittest import mock
@@ -346,6 +348,11 @@ class _InlinePool:
 
     map = staticmethod(map)
 
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
 
 @example(wheel_graph(12))
 @example(mobius_ladder(7))
@@ -377,7 +384,7 @@ def test_one_scan_answers_any_modes_like_single_mode_calls(g):
 
 class _NoPool:
     def __init__(self, max_workers):
-        raise RuntimeError("a scan settled by its first high subset started a pool")
+        raise RuntimeError("a scan that needs no pool started one")
 
 
 @pytest.mark.parametrize("g", [mobius_ladder(7), wheel_graph(12)], ids=["M7", "W12"])
@@ -407,10 +414,11 @@ def _recording_pool(log):
 
 
 @pytest.mark.parametrize("n", [13, 14])
-def test_unsettled_scan_starts_one_process_per_later_part(n):
-    # the caller scans the first part itself, so a pool of len(plan) - 1
-    # processes gets exactly the later parts; K7 reaches no cordial cell and
-    # the planted graph reaches its first in a later part
+def test_unsettled_scan_starts_one_process_per_later_part(n, free_pool):
+    # at no pool cost the caller hands off after high subset 0 and scans the
+    # first range of the rest itself, so a pool of len(parts) - 1 processes
+    # gets exactly the later ranges; K7 reaches no cordial cell and the
+    # planted graph reaches its first in a later range
     for g in (complete_graph(7), _planted_cordial_multigraph(n, n)):
         alone = {mode: _key(solve(g, (mode,))[mode]) for mode in MEASURES}
         assert not _holds_cordial_cell(g, _scan_part(g.n, g.edges, 0, g.n, 0, 1))
@@ -419,13 +427,58 @@ def test_unsettled_scan_starts_one_process_per_later_part(n):
             with mock.patch("os.cpu_count", return_value=64), \
                     mock.patch("concurrent.futures.ProcessPoolExecutor",
                                _recording_pool(log)):
-                plan = _scan_plan(g.n, workers)
+                parts = _scan_plan(g.n, workers, 1)
+                assert len(parts) == len(_scan_plan(g.n, workers))
                 for modes in [(mode,) for mode in MEASURES] + [MEASURES]:
                     log.clear()
                     got = solve(g, modes, workers=workers)
-                    assert log == [len(plan) - 1, *plan[1:]]
+                    assert log == [len(parts) - 1, *parts[1:]]
                     assert {mode: _key(got[mode]) for mode in modes} == {
                         mode: alone[mode] for mode in modes
+                    }
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_scan_that_ends_before_a_pool_pays_starts_no_pool(n, monkeypatch):
+    # a pool that costs more than any scan keeps the caller scanning alone to
+    # a cordial stop or the end of the range, with no process started
+    monkeypatch.setattr(oracle, "_pool_cost", math.inf)
+    for g in (complete_graph(7), _planted_cordial_multigraph(n, n)):
+        alone = {mode: _key(solve(g, (mode,))[mode]) for mode in MEASURES}
+        with mock.patch("os.cpu_count", return_value=64), \
+                mock.patch("concurrent.futures.ProcessPoolExecutor", _NoPool):
+            for workers in (2, 3):
+                assert len(_scan_plan(g.n, workers)) == workers
+                got = solve(g, MEASURES, workers=workers)
+                assert {mode: _key(got[mode]) for mode in MEASURES} == alone
+
+
+@example(complete_graph(7))
+@example(_planted_cordial_multigraph(14, 14))
+@example(_crossing_multigraph(256, 14, 7))  # 2-byte lanes, 8 high subsets
+@given(multigraphs(max_n=9))
+def test_results_do_not_depend_on_the_hand_off_point(g):
+    # a stub clock ticks once per reading, so a pool cost of h hands off at
+    # high subset h: the caller has scanned 0..h-1 alone, and the rest is
+    # split, unless a cordial cell settled the scan first
+    subsets = [s for k in (1, 2, 3) for s in combinations(MEASURES, k)]
+    alone = {modes: solve(g, modes) for modes in subsets}
+    size = 1 << _split(g.n)[1]
+    log = []
+    with mock.patch("os.cpu_count", return_value=64), \
+            mock.patch("concurrent.futures.ProcessPoolExecutor", _recording_pool(log)):
+        for h in range(1, size + 1):
+            settled = _holds_cordial_cell(g, _scan_part(g.n, g.edges, 0, g.n, 0, h))
+            for workers in (2, 3):
+                rest = _scan_plan(g.n, workers, h)[1:]
+                for modes in subsets:
+                    log.clear()
+                    with mock.patch.object(oracle, "_pool_cost", h), \
+                            mock.patch.object(oracle, "perf_counter", count().__next__):
+                        got = solve(g, modes, workers=workers)
+                    assert log == ([] if settled or not rest else [len(rest), *rest])
+                    assert {mode: _key(r) for mode, r in got.items()} == {
+                        mode: _key(r) for mode, r in alone[modes].items()
                     }
 
 
@@ -465,6 +518,14 @@ def test_scan_plan_clamps_parts_and_tiles_the_high_subsets(monkeypatch):
     # a tiny graph has few high subsets, so it never gets more parts than that
     assert len(_scan_plan(3, 64)) == 1 << _split(3)[-1]
     assert len(_scan_plan(0, 64)) == 1
+    # a range that starts above 0 is tiled the same way, and one shorter than
+    # the part count gets one part per high subset, an empty one none
+    assert _scan_plan(20, 3, 5) == [(5, 5 + (size - 5) // 3),
+                                    (5 + (size - 5) // 3, 5 + 2 * (size - 5) // 3),
+                                    (5 + 2 * (size - 5) // 3, size)]
+    assert _scan_plan(20, 3, size - 2) == [(size - 2, size - 1), (size - 1, size)]
+    assert _scan_plan(20, 1, size - 1) == [(size - 1, size)]
+    assert _scan_plan(20, 3, size) == _scan_plan(20, 1, size) == []
 
 
 def test_worker_count_below_one_is_rejected():
@@ -582,7 +643,7 @@ def test_cross_validate_and_compute_scan_each_graph_once(monkeypatch, capsys):
     assert "cvd MATCH" in capsys.readouterr().out
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(free_pool):
     # W5 is settled by its first high subset, K6 starts the real pool
     for g in (wheel_graph(5), complete_graph(6)):
         runs = [ced_oracle(g, workers=w) for w in (1, 2, 5)]
