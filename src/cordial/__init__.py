@@ -30,7 +30,6 @@ from .errors import (
     StrictlyNoncordial,
 )
 from .families import (
-    CompleteSplit,
     LabeledFamilyInstance,
     ced_complete,
     complete_cordial_labeling,
@@ -41,7 +40,6 @@ from .families import (
     cvd_complete,
     cvd_complete_literal,
     cycle_cordial_labeling,
-    instance_certificate,
     is_cordial_complete,
     is_cordial_cycle,
     is_cordial_mobius,

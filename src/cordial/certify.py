@@ -4,8 +4,10 @@ plus cross-validation of the closed forms against the exhaustive oracle.
 A certificate proves an upper bound only: Accepted means the exhibited
 labeling (plus its stated augmentation) achieves the claimed value. Matching
 lower bounds come from exhaustion or the parity obstruction and are recorded
-by the validation report, never assumed. The closed forms, witnesses and
-lower-bound sources that cross_validate compares come from families.REGISTRY.
+by the validation report, never assumed. witness() builds and checks every
+certificate the package makes; parse_certificate reads the rest. The closed
+forms, witnesses and lower-bound sources that cross_validate compares come
+from families.REGISTRY.
 """
 
 from __future__ import annotations
@@ -14,9 +16,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import CordialError, MalformedCertificate
+from .errors import CordialError, MalformedCertificate, SelfCheckFailed, self_check
 from .graph_core import FAMILIES, FamilySpec, MultiGraph, new_graph
-from .labeling import VertexLabeling, balance, parity_obstruction, ParityOutcome
+from .labeling import (
+    ParityOutcome,
+    VertexLabeling,
+    balance,
+    first_pair_with_edge_label,
+    parity_obstruction,
+)
 
 KINDS = ("cordial", "ced", "cvd")
 
@@ -191,6 +199,34 @@ def check_certificate(cert: Certificate) -> Verdict:
     return Verdict(True)
 
 
+def witness(kind: str, labels, value: int = 0, repair: int | None = None,
+            **graph) -> Certificate:
+    """Build a kind witness on labels and check it; every witness comes from here.
+
+    graph is family=, param= or n=, edges=. A ced witness adds value copies
+    of the first vertex pair whose induced label is repair; a cvd witness adds
+    value isolated vertices of the minority label. A certificate the checker
+    rejects or finds malformed is a bug in its maker and raises SelfCheckFailed.
+    """
+    labels = tuple(labels)
+    added_edges: tuple[tuple[int, int], ...] = ()
+    added_labels: tuple[int, ...] = ()
+    if value and kind == "ced":
+        pair = first_pair_with_edge_label(VertexLabeling(labels), repair)
+        self_check(pair is not None, f"no vertex pair with induced label {repair}")
+        added_edges = (pair,) * value
+    elif value and kind == "cvd":
+        added_labels = (0 if 2 * sum(labels) > len(labels) else 1,) * value
+    cert = Certificate(kind, labels, value, added_edges=added_edges,
+                       added_vertex_labels=added_labels, **graph)
+    try:
+        verdict = check_certificate(cert)
+    except MalformedCertificate as exc:
+        raise SelfCheckFailed(f"{kind} witness malformed: {exc}") from None
+    self_check(verdict.accepted, f"{kind} witness rejected: {verdict.reason}")
+    return cert
+
+
 def _bits_to_string(bits: tuple[int, ...]) -> str:
     return "".join(str(b) for b in bits)
 
@@ -327,6 +363,8 @@ def cross_validate(
 
     Formulas and witnesses come from families.REGISTRY, whose constructors
     check their own certificates and raise SelfCheckFailed on a rejection.
+    A witness whose claim differs from its family's closed form (the
+    operational cvd, not the square rule) makes the row a mismatch.
     The oracle side runs only for members within the search bound; larger
     members keep their formula values and witness verdicts. Noncordial
     members of a family with parity_lower get the parity obstruction as their
@@ -372,10 +410,22 @@ def cross_validate(
         if cvd_cmp is not None and cvd_o is not None and cvd_cmp != cvd_o:
             match = False
             notes.append(f"cvd formula {cvd_cmp.render()} vs oracle {cvd_o.render()}")
-        # accepted: each constructor has already checked its certificate
-        witnesses = [
-            (kind, True) for kind, _ in fam.family_certificates(spec.family, spec.size)
-        ]
+        # accepted, since each constructor checks its own certificate; but its
+        # claim must also equal the closed form it backs
+        forms = {"cordial": cordial_f, "ced": ced_f, "cvd": cvd_val}
+        witnesses = []
+        for kind, cert in fam.family_certificates(spec.family, spec.size):
+            witnesses.append((kind, True))
+            form = forms[kind]
+            if kind == "cordial":  # claims 0, which only a noncordial form denies
+                backed = form is not False
+            else:
+                backed = form in (None, orc.DeficiencyValue.finite(cert.claimed_value))
+            if not backed:
+                match = False
+                shown = "noncordial" if kind == "cordial" else form.render()
+                notes.append(f"{kind} witness claims {cert.claimed_value},"
+                             f" closed form {shown}")
         if known.parity_lower and not cordial_f and witnesses:
             parity = parity_obstruction(g or spec.build())
             if parity.outcome is ParityOutcome.NOT_CORDIAL_BY_PARITY:

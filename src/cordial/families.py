@@ -5,67 +5,51 @@ closed forms, the witness constructors and the source of the lower bound.
 The CLI, certify.cross_validate and the scripts read it instead of knowing
 the families themselves.
 
-Every witness constructor runs its output through the certificate checker
-before returning, so a bug here surfaces as SelfCheckFailed, not as a wrong
-table entry. Formulas and constructions are independent of the exhaustive
-search; agreement between the two is established by certify.cross_validate.
+Every constructor returns a certificate from certify.witness, the one place
+witnesses are built and checked, so a bug here surfaces as SelfCheckFailed,
+not as a wrong table entry. Formulas and constructions are independent of
+the exhaustive search; agreement between the two is established by
+certify.cross_validate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Callable, Mapping
 
-from .certify import Certificate, check_certificate
-from .errors import (
-    NotApplicable,
-    SizeTooSmall,
-    StrictlyNoncordial,
-    self_check,
-)
+from .certify import Certificate, witness
+from .errors import NotApplicable, SizeTooSmall, StrictlyNoncordial
 from .graph_core import FamilySpec, MultiGraph
-from .labeling import (
-    BalanceReport,
-    VertexLabeling,
-    balance,
-    first_pair_with_edge_label,
-)
+from .labeling import BalanceReport, VertexLabeling, balance
 from .oracle import DeficiencyValue, InfinityReason
 
 # ---------------------------------------------------------------- complete
 
 
-@dataclass(frozen=True)
-class CompleteSplit:
-    """A vertex split of the complete graph: ell zeros against n - ell ones.
+def _square_j(n: int, least: int) -> int | None:
+    """Least j >= least with n - j*j in {-2, 0, 2}, or None if there is none.
 
-    j is the vertex imbalance |n - 2*ell|; the split is edge-balanced exactly
-    when delta = n - j*j lies in {-2, 0, 2}.
+    Below isqrt(n - 2) every j*j is under n - 2, so a few steps decide.
     """
-
-    n: int
-    ell: int
-
-    @property
-    def j(self) -> int:
-        return abs(self.n - 2 * self.ell)
-
-    @property
-    def delta(self) -> int:
-        return self.n - self.j * self.j
+    j = max(least, isqrt(max(n - 2, 0)))
+    while j * j <= n + 2:
+        if n - j * j in (-2, 0, 2):
+            return j
+        j += 1
+    return None
 
 
-def complete_split(n: int) -> CompleteSplit | None:
-    """Edge-balanced split of smallest vertex imbalance, or None if none exists."""
+def complete_split(n: int) -> int | None:
+    """Zeros ell of the edge-balanced split of least vertex imbalance, or None.
+
+    The split of ell zeros against n - ell ones is edge-balanced exactly when
+    n - j*j lies in {-2, 0, 2} for j = n - 2*ell; that forces j to have the
+    parity of n, so every such j >= 0 gives a split.
+    """
     FamilySpec("complete", n)
-    best: CompleteSplit | None = None
-    for ell in range(n + 1):
-        cand = CompleteSplit(n, ell)
-        if cand.delta not in (-2, 0, 2):
-            continue
-        if best is None or (cand.j, cand.ell) < (best.j, best.ell):
-            best = cand
-    return best
+    j = _square_j(n, 0)
+    return None if j is None else (n - j) // 2
 
 
 def is_cordial_complete(n: int) -> bool:
@@ -83,10 +67,10 @@ def ced_complete(n: int) -> DeficiencyValue:
 
 def cvd_complete(n: int) -> DeficiencyValue:
     """Vertex deficiency via the best edge-balanced split (operational form)."""
-    split = complete_split(n)
-    if split is None:
+    ell = complete_split(n)
+    if ell is None:
         return DeficiencyValue.infinite(InfinityReason.STRICTLY_NONCORDIAL)
-    return DeficiencyValue.finite(max(0, split.j - 1))
+    return DeficiencyValue.finite(max(0, n - 2 * ell - 1))
 
 
 def cvd_complete_literal(n: int) -> DeficiencyValue:
@@ -96,61 +80,38 @@ def cvd_complete_literal(n: int) -> DeficiencyValue:
     j = 2 while the split with j = 0 is already edge-balanced.
     """
     FamilySpec("complete", n)
-    j = 1
-    while j * j <= n + 2:
-        if n - j * j in (-2, 0, 2):
-            return DeficiencyValue.finite(j - 1)
-        j += 1
-    return DeficiencyValue.infinite(InfinityReason.STRICTLY_NONCORDIAL)
+    j = _square_j(n, 1)
+    if j is None:
+        return DeficiencyValue.infinite(InfinityReason.STRICTLY_NONCORDIAL)
+    return DeficiencyValue.finite(j - 1)
 
 
-def complete_cordial_labeling(n: int) -> "LabeledFamilyInstance":
+def complete_cordial_labeling(n: int) -> Certificate:
     FamilySpec("complete", n)
     if n > 3:
         raise NotApplicable(
             "complete graphs on more than 3 vertices have no cordial labeling"
         )
     labels = (0,) * (n // 2) + (1,) * (n - n // 2)
-    return LabeledFamilyInstance.build("complete", n, labels)
+    return witness("cordial", labels, family="complete", param=n)
 
 
 def complete_ced_witness(n: int) -> Certificate:
     """Balanced split plus repeated same-labeled edge additions."""
     value = ced_complete(n).value
     labels = (0,) * (n // 2) + (1,) * (n - n // 2)
-    cert = Certificate(
-        kind="ced",
-        family="complete",
-        param=n,
-        labels=labels,
-        claimed_value=value,
-        added_edges=((0, 1),) * value,
-    )
-    self_check(check_certificate(cert).accepted, "complete ced witness rejected")
-    return cert
+    return witness("ced", labels, value, repair=0, family="complete", param=n)
 
 
 def complete_cvd_witness(n: int) -> Certificate:
     """Edge-balanced split plus isolated vertices on the minority side."""
-    split = complete_split(n)
-    if split is None:
+    ell = complete_split(n)
+    if ell is None:
         raise StrictlyNoncordial(
             f"no edge-balanced labeling of the complete graph on {n} vertices"
         )
-    value = max(0, split.j - 1)
-    labels = (0,) * split.ell + (1,) * (n - split.ell)
-    v0, v1 = split.ell, n - split.ell
-    added = ((0 if v1 > v0 else 1),) * value
-    cert = Certificate(
-        kind="cvd",
-        family="complete",
-        param=n,
-        labels=labels,
-        claimed_value=value,
-        added_vertex_labels=added,
-    )
-    self_check(check_certificate(cert).accepted, "complete cvd witness rejected")
-    return cert
+    labels = (0,) * ell + (1,) * (n - ell)
+    return witness("cvd", labels, max(0, n - 2 * ell - 1), family="complete", param=n)
 
 
 # ---------------------------------------------------------------- instances
@@ -175,18 +136,6 @@ class LabeledFamilyInstance:
     @property
     def is_cordial(self) -> bool:
         return self.balance.vertex_diff <= 1 and self.balance.edge_diff <= 1
-
-
-def instance_certificate(inst: LabeledFamilyInstance) -> Certificate:
-    cert = Certificate(
-        kind="cordial",
-        family=inst.spec.family,
-        param=inst.spec.size,
-        labels=inst.labeling.labels,
-        claimed_value=0,
-    )
-    self_check(check_certificate(cert).accepted, "family labeling rejected")
-    return cert
 
 
 # ------------------------------------------------------------------ mobius
@@ -221,16 +170,14 @@ def _mobius_labels(seed: tuple[int, ...], k0: int, k: int) -> tuple[int, ...]:
     return seed[:k0] + (1, 1, 0, 1) * r + seed[k0:] + (1, 0, 0, 0) * r
 
 
-def construct_mobius_labeling(k: int) -> LabeledFamilyInstance:
+def construct_mobius_labeling(k: int) -> Certificate:
     """Cordial labeling for any admissible width: a base labeling plus periods."""
     FamilySpec("mobius", k)
     if k % 4 == 2:
         raise NotApplicable("no cordial labeling exists when the width is 2 modulo 4")
     k0 = {3: 3, 0: 4, 1: 5}[k % 4]
     labels = _mobius_labels(_MOBIUS_BASE_LABELS[k0], k0, k)
-    inst = LabeledFamilyInstance.build("mobius", k, labels)
-    self_check(inst.is_cordial, "mobius labeling not cordial")
-    return inst
+    return witness("cordial", labels, family="mobius", param=k)
 
 
 def mobius_ced_witness(k: int) -> Certificate:
@@ -239,18 +186,7 @@ def mobius_ced_witness(k: int) -> Certificate:
     if k % 4 != 2:
         raise NotApplicable("the deficiency witnesses apply to widths 2 modulo 4 only")
     labels = _mobius_labels(_MOBIUS6_CED_LABELS, 6, k)
-    pair = first_pair_with_edge_label(VertexLabeling(labels), 1)
-    self_check(pair is not None, "no mixed pair in mobius labeling")
-    cert = Certificate(
-        kind="ced",
-        family="mobius",
-        param=k,
-        labels=labels,
-        claimed_value=1,
-        added_edges=(pair,),
-    )
-    self_check(check_certificate(cert).accepted, "mobius ced witness rejected")
-    return cert
+    return witness("ced", labels, 1, repair=1, family="mobius", param=k)
 
 
 def mobius_cvd_witness(k: int) -> Certificate:
@@ -259,17 +195,7 @@ def mobius_cvd_witness(k: int) -> Certificate:
     if k % 4 != 2:
         raise NotApplicable("the deficiency witnesses apply to widths 2 modulo 4 only")
     labels = _mobius_labels(_MOBIUS6_CVD_LABELS, 6, k)
-    v1 = sum(labels)
-    cert = Certificate(
-        kind="cvd",
-        family="mobius",
-        param=k,
-        labels=labels,
-        claimed_value=1,
-        added_vertex_labels=((0 if v1 > len(labels) - v1 else 1),),
-    )
-    self_check(check_certificate(cert).accepted, "mobius cvd witness rejected")
-    return cert
+    return witness("cvd", labels, 1, family="mobius", param=k)
 
 
 # ------------------------------------------------------------- cycle, wheel
@@ -282,14 +208,12 @@ def is_cordial_cycle(n: int) -> bool:
     return n % 4 != 2
 
 
-def cycle_cordial_labeling(n: int) -> LabeledFamilyInstance:
+def cycle_cordial_labeling(n: int) -> Certificate:
     FamilySpec("cycle", n)
     if n % 4 == 2:
         raise NotApplicable("no cordial labeling exists when the length is 2 modulo 4")
     labels = tuple(_CYCLE_PATTERN[i % 4] for i in range(n))
-    inst = LabeledFamilyInstance.build("cycle", n, labels)
-    self_check(inst.is_cordial, "cycle labeling not cordial")
-    return inst
+    return witness("cordial", labels, family="cycle", param=n)
 
 
 def is_cordial_wheel(n: int) -> bool:
@@ -306,15 +230,12 @@ def _wheel_rim(n: int) -> tuple[int, ...]:
     return tuple(_CYCLE_PATTERN[i % 4] for i in range(n))
 
 
-def wheel_cordial_labeling(n: int) -> LabeledFamilyInstance:
+def wheel_cordial_labeling(n: int) -> Certificate:
     """Hub labeled 0; rim chosen so spokes rebalance the rim's edge counts."""
     FamilySpec("wheel", n)
     if n % 4 == 3:
         raise NotApplicable("no cordial labeling exists when the rim is 3 modulo 4")
-    labels = _wheel_rim(n) + (0,)
-    inst = LabeledFamilyInstance.build("wheel", n, labels)
-    self_check(inst.is_cordial, "wheel labeling not cordial")
-    return inst
+    return witness("cordial", _wheel_rim(n) + (0,), family="wheel", param=n)
 
 
 def wheel_ced_witness(n: int) -> Certificate:
@@ -325,19 +246,7 @@ def wheel_ced_witness(n: int) -> Certificate:
     if n < 7:
         raise NotApplicable("witness construction starts at rim length 7")
     labels = tuple(_CYCLE_PATTERN[i % 4] for i in range(n)) + (0,)
-    f = VertexLabeling(labels)
-    pair = first_pair_with_edge_label(f, 0)
-    self_check(pair is not None, "no same-labeled pair in wheel labeling")
-    cert = Certificate(
-        kind="ced",
-        family="wheel",
-        param=n,
-        labels=labels,
-        claimed_value=1,
-        added_edges=(pair,),
-    )
-    self_check(check_certificate(cert).accepted, "wheel ced witness rejected")
-    return cert
+    return witness("ced", labels, 1, repair=0, family="wheel", param=n)
 
 
 def wheel_cvd_witness(n: int) -> Certificate:
@@ -348,16 +257,7 @@ def wheel_cvd_witness(n: int) -> Certificate:
     if n < 7:
         raise NotApplicable("witness construction starts at rim length 7")
     labels = tuple(_CYCLE_PATTERN[i % 4] for i in range(n)) + (1,)
-    cert = Certificate(
-        kind="cvd",
-        family="wheel",
-        param=n,
-        labels=labels,
-        claimed_value=1,
-        added_vertex_labels=(0,),
-    )
-    self_check(check_certificate(cert).accepted, "wheel cvd witness rejected")
-    return cert
+    return witness("cvd", labels, 1, family="wheel", param=n)
 
 
 # ---------------------------------------------------------------- registry
@@ -393,10 +293,6 @@ class FamilyDef:
         return None if form is None else form(size)
 
 
-def _certified(labeling: Callable[[int], LabeledFamilyInstance]):
-    return lambda size: instance_certificate(labeling(size))
-
-
 def _one_if_noncordial(is_cordial: Callable[[int], bool]):
     # both deficiencies are 0 on cordial members and 1 on the others
     return lambda size: DeficiencyValue.finite(0 if is_cordial(size) else 1)
@@ -409,14 +305,14 @@ REGISTRY: dict[str, FamilyDef] = {
         cvd=cvd_complete,
         cvd_square_rule=cvd_complete_literal,
         constructions={
-            "cordial": _certified(complete_cordial_labeling),
+            "cordial": complete_cordial_labeling,
             "ced": complete_ced_witness,
             "cvd": complete_cvd_witness,
         },
     ),
     "cycle": FamilyDef(
         cordial=is_cordial_cycle,
-        constructions={"cordial": _certified(cycle_cordial_labeling)},
+        constructions={"cordial": cycle_cordial_labeling},
     ),
     "path": FamilyDef(),
     "ladder": FamilyDef(),
@@ -425,7 +321,7 @@ REGISTRY: dict[str, FamilyDef] = {
         ced=_one_if_noncordial(is_cordial_mobius),
         cvd=_one_if_noncordial(is_cordial_mobius),
         constructions={
-            "cordial": _certified(construct_mobius_labeling),
+            "cordial": construct_mobius_labeling,
             "ced": mobius_ced_witness,
             "cvd": mobius_cvd_witness,
         },
@@ -436,7 +332,7 @@ REGISTRY: dict[str, FamilyDef] = {
         ced=_one_if_noncordial(is_cordial_wheel),
         cvd=_one_if_noncordial(is_cordial_wheel),
         constructions={
-            "cordial": _certified(wheel_cordial_labeling),
+            "cordial": wheel_cordial_labeling,
             "ced": wheel_ced_witness,
             "cvd": wheel_cvd_witness,
         },

@@ -12,8 +12,8 @@ encoding, the smaller of a labeling and its complement, is the one with
 vertex n-1 labeled 0. labelings_examined is the size of the halved stream of
 the result's own mode. Results are bit-identical whatever the worker count or
 the modes scanned alongside, and equal to those of a search over all 2**n
-labelings. Every witness passes the certificate checker before it is
-returned.
+labelings. Every witness is built and checked by certify.witness, the one
+place any witness certificate is made.
 
 The scan kernel splits the free vertices 0..n-2 into a low part of at most
 LOW_BITS vertices and a high part holding the rest. For one high subset h a
@@ -56,10 +56,10 @@ from itertools import accumulate, chain, islice
 from math import comb
 from time import perf_counter
 
-from .certify import Certificate, check_certificate
-from .errors import CordialError, SizeLimitExceeded, self_check
+from .certify import Certificate, witness
+from .errors import CordialError, SizeLimitExceeded
 from .graph_core import MultiGraph
-from .labeling import VertexLabeling, first_pair_with_edge_label
+from .labeling import VertexLabeling
 
 DEFAULT_MAX_VERTICES = 24
 MEASURES = ("cordial", "ced", "cvd")
@@ -316,10 +316,9 @@ def _reduce(parts) -> dict[tuple[int, int], int]:
 def _result(mode: str, g: MultiGraph, first) -> OracleResult:
     """Read one mode's checked result off a scan's cells.
 
-    The witness is the least encoding among the cheapest cells. A ced
-    witness adds the first vertex pair of the minority edge label cost times,
-    a cvd witness adds the minority vertex label cost times, and a cordial
-    one, whose cost is always 0, adds nothing.
+    The witness is the least encoding among the cheapest cells, built and
+    checked by certify.witness: a ced witness repairs at a pair of the
+    minority edge label, a cvd witness adds the minority vertex label.
     """
     n, m = g.n, g.m
     rows = _ones_range((mode,), n)
@@ -339,28 +338,11 @@ def _result(mode: str, g: MultiGraph, first) -> OracleResult:
         if mode == "ced":
             reason = InfinityReason.NO_FEASIBLE_AUGMENTATION
         return OracleResult(DeficiencyValue.infinite(reason), None, count)
-    cost, canon, ones, e1 = min(costs)
-    f = VertexLabeling.from_encoding(canon, n)
-    added_edges: tuple[tuple[int, int], ...] = ()
-    added_labels: tuple[int, ...] = ()
-    if cost:
-        if mode == "ced":
-            pair = first_pair_with_edge_label(f, 0 if 2 * e1 > m else 1)
-            self_check(pair is not None, "ced witness has no vertex pair to repair at")
-            added_edges = (pair,) * cost
-        else:
-            added_labels = (0 if 2 * ones > n else 1,) * cost
-    witness = Certificate(
-        kind=mode,
-        labels=f.labels,
-        claimed_value=cost,
-        n=n,
-        edges=g.edges,
-        added_edges=added_edges,
-        added_vertex_labels=added_labels,
-    )
-    self_check(check_certificate(witness).accepted, f"{mode} witness rejected")
-    return OracleResult(DeficiencyValue.finite(cost), witness, count)
+    cost, canon, _, e1 = min(costs)
+    labels = VertexLabeling.from_encoding(canon, n).labels
+    repair = 0 if 2 * e1 > m else 1  # the minority edge label
+    cert = witness(mode, labels, cost, repair=repair, n=n, edges=g.edges)
+    return OracleResult(DeficiencyValue.finite(cost), cert, count)
 
 
 def solve(

@@ -92,11 +92,10 @@ def test_criterion_4_mobius_cordiality_and_constructions():
                     c.construct_mobius_labeling(k)
                 continue
             t0 = time.monotonic()
-            inst = c.construct_mobius_labeling(k)
+            cert = c.construct_mobius_labeling(k)
             assert time.monotonic() - t0 < 1.0
-            assert inst.spec.size == k
-            assert inst.is_cordial
-            assert c.check_certificate(c.instance_certificate(inst)).accepted
+            assert (cert.kind, cert.family, cert.param) == ("cordial", "mobius", k)
+            assert c.check_certificate(cert).accepted
 
 
 def test_criterion_5_mobius_deficiencies():
@@ -163,17 +162,17 @@ def test_criterion_7_cycle_and_wheel_cordiality():
                     c.cycle_cordial_labeling(n)
             else:
                 t0 = time.monotonic()
-                inst = c.cycle_cordial_labeling(n)
+                cert = c.cycle_cordial_labeling(n)
                 assert time.monotonic() - t0 < 1.0
-                assert inst.is_cordial
+                assert c.check_certificate(cert).accepted
             if n % 4 == 3:
                 with pytest.raises(c.NotApplicable):
                     c.wheel_cordial_labeling(n)
             else:
                 t0 = time.monotonic()
-                inst = c.wheel_cordial_labeling(n)
+                cert = c.wheel_cordial_labeling(n)
                 assert time.monotonic() - t0 < 1.0
-                assert inst.is_cordial
+                assert c.check_certificate(cert).accepted
 
 
 def _random_labeled_graph(rng):
@@ -239,10 +238,11 @@ def test_criterion_8_property_suites(free_pool):
         # one period adds exactly (4, 4, 6, 6) to (v0, v1, e0, e1) at every
         # step of every induction chain used above: the three cordial chains
         # and the two seeds, whose labels stay the seed plus whole periods
-        chains = [c.construct_mobius_labeling(k0) for k0 in (3, 4, 5)]
-        chains += [
-            c.LabeledFamilyInstance.build("mobius", 6, witness(6).labels)
-            for witness in (c.mobius_ced_witness, c.mobius_cvd_witness)
+        seeds = [(k0, c.construct_mobius_labeling(k0)) for k0 in (3, 4, 5)]
+        seeds += [(6, c.mobius_ced_witness(6)), (6, c.mobius_cvd_witness(6))]
+        chains = [
+            c.LabeledFamilyInstance.build("mobius", k0, cert.labels)
+            for k0, cert in seeds
         ]
         for cur in chains:
             k0, seed = cur.spec.size, cur.labeling.labels
@@ -265,7 +265,7 @@ def test_criterion_8_property_suites(free_pool):
             c.mobius_cvd_witness(10),
             c.wheel_ced_witness(11),
             c.wheel_cvd_witness(11),
-            c.instance_certificate(c.cycle_cordial_labeling(8)),
+            c.cycle_cordial_labeling(8),
             c.ced_oracle(c.complete_graph(8)).witness,
             c.cvd_oracle(c.wheel_graph(7)).witness,
         ]

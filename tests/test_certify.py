@@ -1,24 +1,28 @@
 """Certificate checking, serialization, and formula/search cross-validation."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-import cordial.families
+import cordial.certify
 from cordial import (
     Certificate,
     DeficiencyValue,
     FamilySpec,
     MalformedCertificate,
     Verdict,
+    ced_complete,
     check_certificate,
     complete_ced_witness,
+    complete_graph,
     cross_validate,
     cycle_graph,
     mobius_cvd_witness,
     parse_certificate,
     serialize_certificate,
 )
+from cordial.certify import witness
 from cordial.errors import SelfCheckFailed
 from cordial.families import REGISTRY
 
@@ -316,11 +320,51 @@ def test_every_family_witness_is_checked_by_its_constructor(monkeypatch, family,
     def reject(cert):
         return Verdict(cert.kind != target, "forced")
 
-    monkeypatch.setattr(cordial.families, "check_certificate", reject)
+    monkeypatch.setattr(cordial.certify, "check_certificate", reject)
     with pytest.raises(SelfCheckFailed):
         build(size)
     with pytest.raises(SelfCheckFailed):
         cross_validate([FamilySpec(family, size)], max_vertices=1)
+
+
+def test_witness_adds_the_stated_repairs_and_checks_them():
+    k4 = {"n": 4, "edges": complete_graph(4).edges}
+    # a 2:2 split of K4 has e0 = 2, e1 = 4; one same-labeled edge repairs it
+    assert witness("ced", (0, 0, 1, 1), 1, repair=0, **k4).added_edges == ((0, 1),)
+    # a 1:3 split has e0 = e1 = 3; one isolated zero restores friendliness
+    cvd = witness("cvd", (0, 1, 1, 1), 1, family="complete", param=4)
+    assert cvd.added_vertex_labels == (0,)
+    with pytest.raises(SelfCheckFailed, match=r"rejected: augmented edge labels"):
+        witness("ced", (0, 0, 1, 1), 1, repair=1, **k4)
+    with pytest.raises(SelfCheckFailed, match="no vertex pair with induced label 1"):
+        witness("ced", (0, 0), 1, repair=1, family="complete", param=2)
+    with pytest.raises(SelfCheckFailed, match="malformed: .* must claim 0"):
+        witness("cordial", (1, 1, 0, 0), 1, family="cycle", param=4)
+
+
+def test_cross_validate_flags_a_witness_claiming_other_than_its_form(monkeypatch):
+    complete = REGISTRY["complete"]
+
+    def one_more(n):
+        # accepted: the 3:4 split of K7 has e0 = 9, e1 = 12, so a third
+        # same-labeled edge still leaves the augmented labels balanced
+        labels = (0,) * (n // 2) + (1,) * (n - n // 2)
+        value = ced_complete(n).value + 1
+        return witness("ced", labels, value, repair=0, family="complete", param=n)
+
+    constructions = {**complete.constructions, "ced": one_more}
+    monkeypatch.setitem(REGISTRY, "complete",
+                        replace(complete, constructions=constructions))
+    row = cross_validate([FamilySpec("complete", 7)], max_vertices=1).row("complete", 7)
+    assert not row.match
+    assert "ced witness claims 3, closed form 2" in row.notes
+    assert row.ced == DeficiencyValue.finite(2)
+
+    monkeypatch.setitem(REGISTRY, "cycle",
+                        replace(REGISTRY["cycle"], cordial=lambda n: False))
+    row = cross_validate([FamilySpec("cycle", 8)], max_vertices=1).row("cycle", 8)
+    assert not row.match
+    assert "cordial witness claims 0, closed form noncordial" in row.notes
 
 
 def test_cross_validate_beyond_search_bound_uses_formulas():

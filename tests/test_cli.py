@@ -67,9 +67,9 @@ def test_compute_mismatch_exits_one(capsys, monkeypatch):
 
 
 def test_self_check_failure_exits_one(capsys, monkeypatch):
-    import cordial.oracle
+    import cordial.certify
 
-    monkeypatch.setattr(cordial.oracle, "check_certificate",
+    monkeypatch.setattr(cordial.certify, "check_certificate",
                         lambda cert: Verdict(False, "forced"))
     code, _, err = run(capsys, "compute", "--family", "complete", "--n", "4",
                        "--measure", "ced", "--method", "oracle")

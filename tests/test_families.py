@@ -21,7 +21,6 @@ from cordial import (
     cvd_complete,
     cvd_complete_literal,
     cycle_cordial_labeling,
-    instance_certificate,
     is_cordial_complete,
     is_cordial_cycle,
     is_cordial_mobius,
@@ -40,15 +39,26 @@ from cordial.families import _mobius_labels
 
 def test_complete_split_balances_edges_when_it_exists():
     for n in range(1, 20):
-        split = complete_split(n)
+        ell = complete_split(n)
         if n in (5, 8, 10, 12, 13, 15, 17, 19):
-            assert split is None
+            assert ell is None
             continue
-        assert split is not None
-        labels = (0,) * split.ell + (1,) * (n - split.ell)
+        assert ell is not None
+        labels = (0,) * ell + (1,) * (n - ell)
         rep = balance(complete_graph(n), VertexLabeling(labels))
         assert rep.edge_diff <= 1
-        assert rep.vertex_diff == split.j
+        assert rep.vertex_diff == n - 2 * ell
+
+
+def test_complete_split_is_the_least_imbalance_of_every_split():
+    # the reference: try every ell, keep the least (imbalance, ell) among the
+    # edge-balanced splits, j = |n - 2 ell| and n - j*j in {-2, 0, 2}
+    for n in range(1, 3001):
+        balanced = [
+            (abs(n - 2 * ell), ell) for ell in range(n + 1)
+            if n - (n - 2 * ell) ** 2 in (-2, 0, 2)
+        ]
+        assert complete_split(n) == (min(balanced)[1] if balanced else None)
 
 
 def test_ced_complete_closed_form():
@@ -85,8 +95,8 @@ def test_complete_witnesses():
     assert check_certificate(w).accepted
     with pytest.raises(StrictlyNoncordial):
         complete_cvd_witness(5)
-    inst = complete_cordial_labeling(3)
-    assert inst.is_cordial
+    w = complete_cordial_labeling(3)
+    assert w.kind == "cordial" and check_certificate(w).accepted
     with pytest.raises(NotApplicable):
         complete_cordial_labeling(4)
 
@@ -94,10 +104,15 @@ def test_complete_witnesses():
 # ------------------------------------------------------------------ mobius
 
 
+def mobius_instance(k: int) -> LabeledFamilyInstance:
+    """The constructed cordial labeling of width k, with its balance counts."""
+    return LabeledFamilyInstance.build("mobius", k, construct_mobius_labeling(k).labels)
+
+
 def test_base_labelings_are_friendly_with_pinned_counts():
     counts = {3: (4, 5), 4: (6, 6), 5: (8, 7)}
     for k, (e0, e1) in counts.items():
-        inst = construct_mobius_labeling(k)
+        inst = mobius_instance(k)
         assert (inst.balance.e0, inst.balance.e1) == (e0, e1)
         assert inst.balance.vertex_diff <= 1
         assert inst.is_cordial
@@ -119,10 +134,10 @@ def add_period(inst: LabeledFamilyInstance) -> LabeledFamilyInstance:
 
 
 def test_graft_adds_four_to_the_width():
-    merged = add_period(construct_mobius_labeling(5))
+    merged = add_period(mobius_instance(5))
     assert merged.spec.size == 9
     assert merged.is_cordial
-    assert merged.labeling == construct_mobius_labeling(9).labeling
+    assert merged.labeling.labels == construct_mobius_labeling(9).labels
 
 
 def counts(inst: LabeledFamilyInstance) -> tuple[int, int, int, int]:
@@ -131,12 +146,12 @@ def counts(inst: LabeledFamilyInstance) -> tuple[int, int, int, int]:
 
 
 def test_graft_seams_conserve_edge_labels():
-    big = construct_mobius_labeling(9)
+    big = mobius_instance(9)
     merged = add_period(big)
     # the two cut cycle edges keep their labels, so the counts are additive
     # and one period adds what the width-4 base labeling has on its own
     step = [b - a for a, b in zip(counts(big), counts(merged))]
-    assert step == list(counts(construct_mobius_labeling(4))) == [4, 4, 6, 6]
+    assert step == list(counts(mobius_instance(4))) == [4, 4, 6, 6]
 
 
 def test_graft_requires_a_unit_cross_edge():
@@ -153,9 +168,9 @@ def test_construct_mobius_all_admissible_widths():
             with pytest.raises(NotApplicable):
                 construct_mobius_labeling(k)
             continue
-        inst = construct_mobius_labeling(k)
-        assert inst.spec.size == k and inst.is_cordial
-        assert check_certificate(instance_certificate(inst)).accepted
+        w = construct_mobius_labeling(k)
+        assert (w.kind, w.family, w.param) == ("cordial", "mobius", k)
+        assert check_certificate(w).accepted
 
 
 def test_mobius_witnesses_have_pinned_balance():
@@ -193,9 +208,9 @@ def test_mobius_witness_gating():
 
 
 def test_cycle_labeling_pattern():
-    inst = cycle_cordial_labeling(7)
-    assert inst.labeling.to_string() == "1100110"
-    assert inst.is_cordial
+    w = cycle_cordial_labeling(7)
+    assert VertexLabeling(w.labels).to_string() == "1100110"
+    assert check_certificate(w).accepted
     with pytest.raises(NotApplicable):
         cycle_cordial_labeling(6)
 
@@ -206,9 +221,9 @@ def test_wheel_labeling_all_admissible_sizes():
             with pytest.raises(NotApplicable):
                 wheel_cordial_labeling(n)
             continue
-        inst = wheel_cordial_labeling(n)
-        assert inst.is_cordial
-        assert inst.labeling[n] == 0  # hub
+        w = wheel_cordial_labeling(n)
+        assert check_certificate(w).accepted
+        assert w.labels[n] == 0  # hub
 
 
 def test_wheel_ced_witness_balance():

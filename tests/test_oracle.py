@@ -537,14 +537,13 @@ def test_worker_count_below_one_is_rejected():
 
 
 def test_rejected_witness_raises_self_check_failed(monkeypatch):
+    import cordial.certify
     import cordial.families
-    import cordial.oracle
 
     def reject(cert):
         return Verdict(False, "forced")
 
-    monkeypatch.setattr(cordial.oracle, "check_certificate", reject)
-    monkeypatch.setattr(cordial.families, "check_certificate", reject)
+    monkeypatch.setattr(cordial.certify, "check_certificate", reject)
     for oracle in (ced_oracle, cvd_oracle):
         with pytest.raises(SelfCheckFailed):
             oracle(complete_graph(4))

@@ -120,7 +120,5 @@ def test_mobius_constructions_are_their_seed_plus_periods(k):
             assert witness(k).labels == _mobius_labels(witness(6).labels, 6, k)
     else:
         k0 = {3: 3, 0: 4, 1: 5}[k % 4]
-        seed = construct_mobius_labeling(k0).labeling.labels
-        assert construct_mobius_labeling(k).labeling.labels == _mobius_labels(
-            seed, k0, k
-        )
+        seed = construct_mobius_labeling(k0).labels
+        assert construct_mobius_labeling(k).labels == _mobius_labels(seed, k0, k)
