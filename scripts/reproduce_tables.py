@@ -9,7 +9,7 @@ Table B: cordiality residue rules for cycles, mobius ladders, and wheels,
 formula versus search, with witness verdicts.
 
 The complete size-2 divergence is expected and annotated; it does not fail
-the run unless --strict is given. Any other mismatch always fails the run.
+the run. Any other mismatch fails the run.
 """
 
 import argparse
@@ -31,8 +31,6 @@ def parse_args(argv) -> argparse.Namespace:
     ap.add_argument("--workers", type=worker_count, default=1)
     ap.add_argument("--csv-dir", type=Path, default=None,
                     help="also write complete_table.csv and families_table.csv here")
-    ap.add_argument("--strict", action="store_true",
-                    help="fail on the documented square-rule divergence too")
     return ap.parse_args(argv)
 
 
@@ -124,18 +122,13 @@ def main(argv=None) -> int:
         write_csv(args.csv_dir / "complete_table.csv", rows_a, cols_a)
         write_csv(args.csv_dir / "families_table.csv", rows_b, cols_b)
 
-    expected = {("complete", 2)} if not args.strict else set()
-    bad = [
-        r for r in report_a.mismatches + report_b.mismatches
-        if (r.family, r.size) not in expected
-    ]
-    known = [
-        r for r in report_a.mismatches + report_b.mismatches
-        if (r.family, r.size) in expected
-    ]
-    for r in known:
-        print(f"known divergence: {r.family} size {r.size} "
-              f"(square-rule form vs operational value)")
+    bad = []
+    for r in report_a.mismatches + report_b.mismatches:
+        if (r.family, r.size) == ("complete", 2):
+            print(f"known divergence: {r.family} size {r.size} "
+                  f"(square-rule form vs operational value)")
+        else:
+            bad.append(r)
     if bad:
         for r in bad:
             print(f"MISMATCH: {r.family} size {r.size}: {'; '.join(r.notes)}")

@@ -13,7 +13,7 @@ from families.REGISTRY.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CordialError, MalformedCertificate, SelfCheckFailed, self_check
@@ -27,18 +27,6 @@ from .labeling import (
 )
 
 KINDS = ("cordial", "ced", "cvd")
-
-_JSON_KEYS = (
-    "kind",
-    "family",
-    "param",
-    "n",
-    "edges",
-    "labels",
-    "added_edges",
-    "added_vertex_labels",
-    "claimed_value",
-)
 
 
 @dataclass(frozen=True)
@@ -227,32 +215,10 @@ def witness(kind: str, labels, value: int = 0, repair: int | None = None,
     return cert
 
 
-def _bits_to_string(bits: tuple[int, ...]) -> str:
-    return "".join(str(b) for b in bits)
-
-
-def _string_to_bits(s, what: str) -> tuple[int, ...]:
-    if not isinstance(s, str) or any(c not in "01" for c in s):
-        raise MalformedCertificate(f"{what} must be a bit string")
-    return tuple(int(c) for c in s)
-
-
-def serialize_certificate(cert: Certificate) -> str:
-    """Deterministic JSON rendering; key order is fixed."""
-    payload: dict = {"kind": cert.kind}
-    if cert.family is not None:
-        payload["family"] = cert.family
-        payload["param"] = cert.param
-    if cert.n is not None:
-        payload["n"] = cert.n
-        payload["edges"] = [[u, v] for u, v in cert.edges]
-    payload["labels"] = _bits_to_string(cert.labels)
-    if cert.kind == "ced":
-        payload["added_edges"] = [[u, v] for u, v in cert.added_edges]
-    if cert.kind == "cvd":
-        payload["added_vertex_labels"] = _bits_to_string(cert.added_vertex_labels)
-    payload["claimed_value"] = cert.claimed_value
-    return json.dumps(payload, indent=2) + "\n"
+def _expect_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise MalformedCertificate(f"{what} must be a string")
+    return value
 
 
 def _expect_int(value, what: str) -> int:
@@ -272,11 +238,45 @@ def _expect_pairs(value, what: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _expect_bits(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, str) or any(c not in "01" for c in value):
+        raise MalformedCertificate(f"{what} must be a bit string")
+    return tuple(map(int, value))
+
+
+# every JSON key in serialized order, with the reader that checks its value;
+# a certificate with several faults reports the first in this order. A null
+# family is read as no family reference.
+_JSON_KEYS = {
+    "kind": _expect_str,
+    "family": lambda value, what: value if value is None else _expect_str(value, what),
+    "param": _expect_int,
+    "n": _expect_int,
+    "edges": _expect_pairs,
+    "labels": _expect_bits,
+    "added_edges": _expect_pairs,
+    "added_vertex_labels": _expect_bits,
+    "claimed_value": _expect_int,
+}
+# each addition is written for its own kind only, and always for it
+_ADDITIONS = {"added_edges": "ced", "added_vertex_labels": "cvd"}
+
+
+def serialize_certificate(cert: Certificate) -> str:
+    """Deterministic JSON rendering; key order is fixed."""
+    payload = {}
+    for key, read in _JSON_KEYS.items():
+        value = getattr(cert, key)
+        if value is not None and _ADDITIONS.get(key, cert.kind) == cert.kind:
+            payload[key] = "".join(map(str, value)) if read is _expect_bits else value
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def parse_certificate(text: str) -> Certificate:
     """Inverse of serialize_certificate; shape problems raise MalformedCertificate."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedCertificate(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise MalformedCertificate("certificate must be a JSON object")
@@ -285,38 +285,8 @@ def parse_certificate(text: str) -> Certificate:
         raise MalformedCertificate(f"unknown keys: {', '.join(unknown)}")
     if "kind" not in raw or "labels" not in raw or "claimed_value" not in raw:
         raise MalformedCertificate("kind, labels and claimed_value are required")
-    kind = raw["kind"]
-    if not isinstance(kind, str):
-        raise MalformedCertificate("kind must be a string")
-    labels = _string_to_bits(raw["labels"], "labels")
-    claimed = _expect_int(raw["claimed_value"], "claimed_value")
-    family = raw.get("family")
-    if family is not None and not isinstance(family, str):
-        raise MalformedCertificate("family must be a string")
-    param = _expect_int(raw["param"], "param") if "param" in raw else None
-    n = _expect_int(raw["n"], "n") if "n" in raw else None
-    edges = _expect_pairs(raw["edges"], "edges") if "edges" in raw else None
-    added_edges = (
-        _expect_pairs(raw["added_edges"], "added_edges")
-        if "added_edges" in raw
-        else ()
-    )
-    added_vertex_labels = (
-        _string_to_bits(raw["added_vertex_labels"], "added_vertex_labels")
-        if "added_vertex_labels" in raw
-        else ()
-    )
-    return Certificate(
-        kind=kind,
-        labels=labels,
-        claimed_value=claimed,
-        family=family,
-        param=param,
-        n=n,
-        edges=edges,
-        added_edges=added_edges,
-        added_vertex_labels=added_vertex_labels,
-    )
+    return Certificate(**{key: read(raw[key], key)
+                          for key, read in _JSON_KEYS.items() if key in raw})
 
 
 @dataclass(frozen=True)
@@ -353,6 +323,11 @@ class ValidationReport:
         raise KeyError((family, size))
 
 
+def _shown(value) -> str:
+    """A closed-form or searched value as a mismatch note prints it."""
+    return str(value) if isinstance(value, bool) else value.render()
+
+
 def cross_validate(
     specs: Iterable[FamilySpec],
     *,
@@ -381,59 +356,48 @@ def cross_validate(
         within = spec.vertex_count <= bound
         g = spec.build() if within else None
         known = fam.REGISTRY[spec.family]
-        cordial_f = known.formula("cordial", spec.size)
-        ced_f = known.formula("ced", spec.size)
-        cvd_val = known.formula("cvd", spec.size)
+        forms = {m: known.formula(m, spec.size) for m in orc.MEASURES}
         # the square-rule form diverges from the operational minimum at exactly
         # one size; the divergence is what the match flag is meant to surface
-        cvd_cmp = known.formula("cvd_square_rule", spec.size)
+        square = known.formula("cvd_square_rule", spec.size)
         notes = []
-        if cvd_cmp is None:
-            cvd_cmp = cvd_val
-        elif cvd_cmp != cvd_val:
-            notes.append(
-                f"cvd square-rule value {cvd_cmp.render()} differs from"
-                f" operational value {cvd_val.render()}"
-            )
-        cordial_o = ced_o = cvd_o = None
+        if square is None:
+            square = forms["cvd"]
+        elif square != forms["cvd"]:
+            notes.append(f"cvd square-rule value {square.render()} differs from"
+                         f" operational value {forms['cvd'].render()}")
+        found = {}
         if within:
-            found = orc.solve(g, orc.MEASURES, max_vertices=bound, workers=workers)
-            cordial_o = found["cordial"].witness is not None
-            ced_o, cvd_o = found["ced"].value, found["cvd"].value
+            solved = orc.solve(g, orc.MEASURES, max_vertices=bound, workers=workers)
+            found = {m: result.value for m, result in solved.items()}
+            found["cordial"] = solved["cordial"].witness is not None
         match = True
-        if cordial_f is not None and cordial_o is not None and cordial_f != cordial_o:
-            match = False
-            notes.append(f"cordiality formula {cordial_f} vs oracle {cordial_o}")
-        if ced_f is not None and ced_o is not None and ced_f != ced_o:
-            match = False
-            notes.append(f"ced formula {ced_f.render()} vs oracle {ced_o.render()}")
-        if cvd_cmp is not None and cvd_o is not None and cvd_cmp != cvd_o:
-            match = False
-            notes.append(f"cvd formula {cvd_cmp.render()} vs oracle {cvd_o.render()}")
+        for m in orc.MEASURES:
+            form = square if m == "cvd" else forms[m]
+            if form is not None and found.get(m, form) != form:
+                match = False
+                name = "cordiality" if m == "cordial" else m
+                notes.append(f"{name} formula {_shown(form)} vs oracle {_shown(found[m])}")
         # accepted, since each constructor checks its own certificate; but its
-        # claim must also equal the closed form it backs
-        forms = {"cordial": cordial_f, "ced": ced_f, "cvd": cvd_val}
+        # claim must also equal the closed form it backs, and a cordial
+        # witness claims 0, which only a noncordial form denies
         witnesses = []
         for kind, cert in fam.family_certificates(spec.family, spec.size):
             witnesses.append((kind, True))
             form = forms[kind]
-            if kind == "cordial":  # claims 0, which only a noncordial form denies
-                backed = form is not False
-            else:
-                backed = form in (None, orc.DeficiencyValue.finite(cert.claimed_value))
-            if not backed:
+            if form not in (None, True, orc.DeficiencyValue.finite(cert.claimed_value)):
                 match = False
                 shown = "noncordial" if kind == "cordial" else form.render()
                 notes.append(f"{kind} witness claims {cert.claimed_value},"
                              f" closed form {shown}")
-        if known.parity_lower and not cordial_f and witnesses:
+        if known.parity_lower and not forms["cordial"] and witnesses:
             parity = parity_obstruction(g or spec.build())
             if parity.outcome is ParityOutcome.NOT_CORDIAL_BY_PARITY:
                 notes.append("bounds: witness upper, parity obstruction lower")
             else:
                 match = False
                 notes.append("parity obstruction unexpectedly inconclusive")
-        has_formula = any(x is not None for x in (cordial_f, ced_f, cvd_val))
+        has_formula = any(form is not None for form in forms.values())
         if within:
             source = "both" if has_formula else "oracle"
         else:
@@ -442,9 +406,7 @@ def cross_validate(
             ValidationRow(
                 family=spec.family,
                 size=spec.size,
-                cordial=cordial_o if cordial_o is not None else cordial_f,
-                ced=ced_o if ced_o is not None else ced_f,
-                cvd=cvd_o if cvd_o is not None else cvd_val,
+                **{m: found.get(m, forms[m]) for m in orc.MEASURES},
                 source=source,
                 match=match,
                 witnesses=tuple(witnesses),

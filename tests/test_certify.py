@@ -10,6 +10,7 @@ from cordial import (
     Certificate,
     DeficiencyValue,
     FamilySpec,
+    InfinityReason,
     MalformedCertificate,
     Verdict,
     ced_complete,
@@ -276,6 +277,23 @@ def test_cross_validate_flags_only_the_size_two_complete_row():
     assert row.cordial is True
     assert row.cvd == DeficiencyValue.finite(0)  # operational value is reported
     assert not report.all_match
+
+
+@pytest.mark.parametrize("measure,size,wrong,note", [
+    ("cordial", 6, lambda k: True, "cordiality formula True vs oracle False"),
+    ("ced", 7, lambda k: DeficiencyValue.finite(1), "ced formula 1 vs oracle 0"),
+    ("cvd", 7, lambda k: DeficiencyValue.infinite(InfinityReason.STRICTLY_NONCORDIAL),
+     "cvd formula infinity vs oracle 0"),
+], ids=["cordial", "ced", "cvd"])
+def test_cross_validate_notes_each_measure_that_disagrees_with_the_search(
+        monkeypatch, measure, size, wrong, note):
+    # no family witness at these sizes contradicts the wrong form, so the only
+    # note is the search's
+    monkeypatch.setitem(REGISTRY, "mobius", replace(REGISTRY["mobius"], **{measure: wrong}))
+    row = cross_validate([FamilySpec("mobius", size)]).row("mobius", size)
+    assert not row.match
+    assert row.notes == (note,)
+    assert getattr(row, measure) != wrong(size)  # the row reports the search
 
 
 def test_cross_validate_checks_witnesses_and_parity():

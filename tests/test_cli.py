@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 import cordial
-from cordial import Verdict, emit_edge_list, mobius_ladder, parse_certificate
+from cordial import (
+    DeficiencyValue,
+    InfinityReason,
+    Verdict,
+    emit_edge_list,
+    mobius_ladder,
+    parse_certificate,
+)
 from cordial.cli import main
 
 
@@ -58,12 +65,26 @@ def test_compute_json_output(capsys):
 def test_compute_mismatch_exits_one(capsys, monkeypatch):
     from cordial.families import REGISTRY
 
-    monkeypatch.setitem(REGISTRY, "complete",
-                        replace(REGISTRY["complete"], cordial=lambda n: False))
-    code, out, _ = run(capsys, "compute", "--family", "complete", "--n", "3",
-                       "--measure", "cordial")
-    assert code == 1
-    assert "cordial MISMATCH" in out
+    complete = REGISTRY["complete"]
+    infinite = DeficiencyValue.infinite(InfinityReason.STRICTLY_NONCORDIAL)
+    # K3 is cordial, so every search value is 0 and each wrong form disagrees
+    cases = [
+        ("cordial", False, "cordial MISMATCH (formula no, oracle yes)", False),
+        ("ced", DeficiencyValue.finite(1), "ced MISMATCH (formula 1, oracle 0)", 1),
+        ("cvd", infinite,
+         "cvd MISMATCH (formula infinity (StrictlyNoncordial), oracle 0)", "infinity"),
+    ]
+    for measure, wrong, line, as_json in cases:
+        monkeypatch.setitem(REGISTRY, "complete",
+                            replace(complete, **{measure: lambda n, v=wrong: v}))
+        argv = ["compute", "--family", "complete", "--n", "3", "--measure", measure]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert line in out.splitlines()
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        result = json.loads(out)["results"][measure]
+        assert result["formula"] == as_json and result["match"] is False
 
 
 def test_self_check_failure_exits_one(capsys, monkeypatch):
@@ -200,6 +221,22 @@ def test_verify_rejected_and_malformed_exit_codes(capsys, tmp_path):
 
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,content,message", [
+    (["verify"], b"\xff\xfe{}", "error: 'utf-8' codec can't decode byte 0xff"),
+    (["compute", "--method", "oracle", "--graph"], b"\xff\xfe2 1\n0 1\n",
+     "error: 'utf-8' codec can't decode byte 0xff"),
+    (["verify"], b"[" * 100_000, "Malformed: not valid JSON: "),
+    (["verify"], b'{"kind": "cordial", "family": "cycle", "param": ' + b"9" * 5000
+     + b', "labels": "0", "claimed_value": 0}', "Malformed: not valid JSON: "),
+], ids=["verify-utf16", "compute-utf16", "verify-deep", "verify-long-int"])
+def test_malformed_input_files_exit_two(capsys, tmp_path, argv, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(message)
 
 
 def test_table_csv_shape_and_exit(capsys):
