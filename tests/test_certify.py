@@ -135,6 +135,42 @@ def test_cvd_certificate_restores_friendliness():
     assert not verdict.accepted and "edge labels" in verdict.reason
 
 
+# C_8 under these labels is edge-balanced (4 vs 4) with six ones to two zeros
+_UNFRIENDLY_C8 = dict(family="cycle", param=8, labels=(1, 1, 1, 1, 1, 0, 1, 0))
+# C_4 alternating is friendly with all four edges at 1
+_ALTERNATING_C4 = dict(family="cycle", param=4, labels=(0, 1, 0, 1))
+
+
+@pytest.mark.parametrize("fields,reason", [
+    (dict(kind="cordial", **_UNFRIENDLY_C8), "vertex labels not friendly (2 vs 6)"),
+    (dict(kind="cordial", **_ALTERNATING_C4), "edge labels unbalanced (0 vs 4)"),
+    (dict(kind="ced", **_UNFRIENDLY_C8), "vertex labels not friendly (2 vs 6)"),
+    (dict(kind="ced", claimed_value=3, added_edges=((2, 2), (0, 2), (1, 3)),
+          **_ALTERNATING_C4), "added edge (2, 2) is a loop"),
+    (dict(kind="ced", claimed_value=3, added_edges=((0, 2), (0, 9), (1, 3)),
+          **_ALTERNATING_C4), "added edge (0, 9) outside 0..3"),
+    (dict(kind="ced", claimed_value=3, added_edges=((0, 2), (-1, 2), (1, 3)),
+          **_ALTERNATING_C4), "added edge (-1, 2) outside 0..3"),
+    (dict(kind="ced", claimed_value=1, added_edges=((0, 2),), **_ALTERNATING_C4),
+     "augmented edge labels unbalanced (1 vs 4)"),
+    (dict(kind="cvd", **_ALTERNATING_C4), "edge labels unbalanced (0 vs 4)"),
+    (dict(kind="cvd", claimed_value=3, added_vertex_labels=(1, 1, 1), **_UNFRIENDLY_C8),
+     "augmented vertex labels not friendly (2 vs 9)"),
+    # several faults: cvd names the edge count first, ced the vertex count
+    # before a bad added edge
+    (dict(kind="cvd", family="cycle", param=4, labels=(1, 1, 1, 1), claimed_value=1,
+          added_vertex_labels=(1,)), "edge labels unbalanced (4 vs 0)"),
+    (dict(kind="ced", claimed_value=1, added_edges=((3, 3),), **_UNFRIENDLY_C8),
+     "vertex labels not friendly (2 vs 6)"),
+], ids=["cordial-unfriendly", "cordial-unbalanced", "ced-unfriendly", "ced-loop",
+        "ced-outside", "ced-outside-negative", "ced-augmented-unbalanced",
+        "cvd-unbalanced", "cvd-augmented-unfriendly", "cvd-edges-first",
+        "ced-vertices-before-added-edges"])
+def test_each_rejection_names_its_fault(fields, reason):
+    assert check_certificate(Certificate(**{"claimed_value": 0, **fields})) == Verdict(
+        False, reason)
+
+
 def test_explicit_graph_certificates():
     g = cycle_graph(5)
     cert = Certificate(
