@@ -26,7 +26,10 @@ from .labeling import (
     parity_obstruction,
 )
 
-KINDS = ("cordial", "ced", "cvd")
+# the certificate kinds, which are also the oracle's measures
+MEASURES = ("cordial", "ced", "cvd")
+# the one kind that may list each addition; cordial lists none
+_ADDITIONS = {"added_edges": "ced", "added_vertex_labels": "cvd"}
 
 
 @dataclass(frozen=True)
@@ -47,19 +50,6 @@ class Certificate:
     edges: tuple[tuple[int, int], ...] | None = None
     added_edges: tuple[tuple[int, int], ...] = ()
     added_vertex_labels: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if self.edges is not None:
-            object.__setattr__(
-                self, "edges", tuple((u, v) for u, v in self.edges)
-            )
-        object.__setattr__(
-            self, "added_edges", tuple((u, v) for u, v in self.added_edges)
-        )
-        object.__setattr__(
-            self, "added_vertex_labels", tuple(self.added_vertex_labels)
-        )
 
     def _family_spec(self) -> FamilySpec | None:
         """Check the graph reference's shape; the family member, not yet built."""
@@ -102,38 +92,26 @@ class Verdict:
 
 
 def _structural_check(cert: Certificate) -> MultiGraph:
-    if cert.kind not in KINDS:
+    if cert.kind not in MEASURES:
         raise MalformedCertificate(f"unknown kind {cert.kind!r}")
-    if isinstance(cert.claimed_value, bool) or not isinstance(cert.claimed_value, int):
-        raise MalformedCertificate("claimed_value must be an integer")
-    if cert.claimed_value < 0:
+    if _expect_int(cert.claimed_value, "claimed_value") < 0:
         raise MalformedCertificate("claimed_value must be non-negative")
-    for b in cert.labels:
-        if b not in (0, 1):
-            raise MalformedCertificate("labels must be bits")
-    for b in cert.added_vertex_labels:
-        if b not in (0, 1):
-            raise MalformedCertificate("added_vertex_labels must be bits")
-    if cert.kind == "cordial":
-        if cert.added_edges or cert.added_vertex_labels:
-            raise MalformedCertificate("a cordial certificate admits no additions")
-        if cert.claimed_value != 0:
-            raise MalformedCertificate("a cordial certificate must claim 0")
-    elif cert.kind == "ced":
-        if cert.added_vertex_labels:
-            raise MalformedCertificate("ced certificates may not add vertices")
-        if len(cert.added_edges) != cert.claimed_value:
-            raise MalformedCertificate(
-                f"claimed_value {cert.claimed_value} != {len(cert.added_edges)} added edges"
-            )
-    else:
-        if cert.added_edges:
-            raise MalformedCertificate("cvd certificates may not add edges")
-        if len(cert.added_vertex_labels) != cert.claimed_value:
-            raise MalformedCertificate(
-                f"claimed_value {cert.claimed_value} != "
-                f"{len(cert.added_vertex_labels)} added vertex labels"
-            )
+    for key in ("labels", "added_vertex_labels"):
+        if any(b not in (0, 1) for b in getattr(cert, key)):
+            raise MalformedCertificate(f"{key} must be bits")
+    # a kind lists only its own additions, one for each unit it claims
+    own = None
+    for key, kind in _ADDITIONS.items():
+        if kind == cert.kind:
+            own = key
+        elif getattr(cert, key):
+            raise MalformedCertificate(f"{cert.kind} certificates may not list {key}")
+    listed = len(getattr(cert, own)) if own else 0
+    if listed != cert.claimed_value:
+        raise MalformedCertificate(
+            f"claimed_value {cert.claimed_value} != {listed} {own.replace('_', ' ')}"
+            if own else f"a {cert.kind} certificate must claim 0"
+        )
     # compared before building: the size of a family member is untrusted input
     spec = cert._family_spec()
     n = cert.n if spec is None else spec.vertex_count
@@ -145,45 +123,37 @@ def _structural_check(cert: Certificate) -> MultiGraph:
 
 
 def check_certificate(cert: Certificate) -> Verdict:
-    """Accept iff the certificate's labeling proves its claim.
+    """Accept iff the labeled graph plus its stated additions is cordial.
 
-    cordial: the labeling is friendly and edge-balanced.
-    ced: friendly, and adding the listed edges balances the induced labels.
-    cvd: edge-balanced, and the added isolated vertex labels restore friendliness.
-    Structural breakage raises MalformedCertificate instead of rejecting.
+    ced adds the listed edges and cvd the listed isolated labeled vertices, so
+    the vertex labels counted with every addition must be friendly and the
+    edge labels balanced (each pair within one). A kind tests the count its
+    additions repair last, and calls a failure there augmented: ced rejects
+    an unfriendly labeling before a loop or an out-of-range added edge, and
+    cvd rejects unbalanced edge labels before its vertex count. Structural
+    breakage raises MalformedCertificate instead of rejecting.
     """
     g = _structural_check(cert)
     f = VertexLabeling(cert.labels)
     rep = balance(g, f)
-    if cert.kind == "cordial":
-        if rep.vertex_diff > 1:
-            return Verdict(False, f"vertex labels not friendly ({rep.v0} vs {rep.v1})")
-        if rep.edge_diff > 1:
-            return Verdict(False, f"edge labels unbalanced ({rep.e0} vs {rep.e1})")
-        return Verdict(True)
-    if cert.kind == "ced":
-        if rep.vertex_diff > 1:
-            return Verdict(False, f"vertex labels not friendly ({rep.v0} vs {rep.v1})")
-        e0, e1 = rep.e0, rep.e1
-        for u, v in cert.added_edges:
-            if u == v:
-                return Verdict(False, f"added edge ({u}, {v}) is a loop")
-            if not (0 <= u < g.n) or not (0 <= v < g.n):
-                return Verdict(False, f"added edge ({u}, {v}) outside 0..{g.n - 1}")
-            if f[u] ^ f[v]:
-                e1 += 1
-            else:
-                e0 += 1
-        if abs(e0 - e1) > 1:
-            return Verdict(False, f"augmented edge labels unbalanced ({e0} vs {e1})")
-        return Verdict(True)
-    # cvd: additions are isolated labeled vertices, so edge counts are untouched
-    if rep.edge_diff > 1:
-        return Verdict(False, f"edge labels unbalanced ({rep.e0} vs {rep.e1})")
-    v1 = rep.v1 + sum(cert.added_vertex_labels)
-    v0 = rep.v0 + len(cert.added_vertex_labels) - sum(cert.added_vertex_labels)
-    if abs(v0 - v1) > 1:
-        return Verdict(False, f"augmented vertex labels not friendly ({v0} vs {v1})")
+    vertices, edges = [rep.v0, rep.v1], [rep.e0, rep.e1]
+    for b in cert.added_vertex_labels:
+        vertices[b] += 1
+    bad_edge = ""
+    for u, v in cert.added_edges:
+        if u == v or not (0 <= u < g.n and 0 <= v < g.n):
+            bad_edge = f"added edge ({u}, {v}) " + (
+                "is a loop" if u == v else f"outside 0..{g.n - 1}")
+            break
+        edges[f[u] ^ f[v]] += 1
+    tests = [("added_vertex_labels", "vertex labels not friendly", vertices),
+             ("added_edges", "edge labels unbalanced", edges)]
+    for key, fault, (c0, c1) in sorted(tests, key=lambda t: _ADDITIONS[t[0]] == cert.kind):
+        repaired = _ADDITIONS[key] == cert.kind
+        if repaired and bad_edge:
+            return Verdict(False, bad_edge)
+        if abs(c0 - c1) > 1:
+            return Verdict(False, f"{'augmented ' * repaired}{fault} ({c0} vs {c1})")
     return Verdict(True)
 
 
@@ -197,16 +167,15 @@ def witness(kind: str, labels, value: int = 0, repair: int | None = None,
     rejects or finds malformed is a bug in its maker and raises SelfCheckFailed.
     """
     labels = tuple(labels)
-    added_edges: tuple[tuple[int, int], ...] = ()
-    added_labels: tuple[int, ...] = ()
+    additions = {}
     if value and kind == "ced":
         pair = first_pair_with_edge_label(VertexLabeling(labels), repair)
         self_check(pair is not None, f"no vertex pair with induced label {repair}")
-        added_edges = (pair,) * value
+        additions["added_edges"] = (pair,) * value
     elif value and kind == "cvd":
-        added_labels = (0 if 2 * sum(labels) > len(labels) else 1,) * value
-    cert = Certificate(kind, labels, value, added_edges=added_edges,
-                       added_vertex_labels=added_labels, **graph)
+        minority = 0 if 2 * sum(labels) > len(labels) else 1
+        additions["added_vertex_labels"] = (minority,) * value
+    cert = Certificate(kind, labels, value, **additions, **graph)
     try:
         verdict = check_certificate(cert)
     except MalformedCertificate as exc:
@@ -258,8 +227,6 @@ _JSON_KEYS = {
     "added_vertex_labels": _expect_bits,
     "claimed_value": _expect_int,
 }
-# each addition is written for its own kind only, and always for it
-_ADDITIONS = {"added_edges": "ced", "added_vertex_labels": "cvd"}
 
 
 def serialize_certificate(cert: Certificate) -> str:
@@ -356,7 +323,7 @@ def cross_validate(
         within = spec.vertex_count <= bound
         g = spec.build() if within else None
         known = fam.REGISTRY[spec.family]
-        forms = {m: known.formula(m, spec.size) for m in orc.MEASURES}
+        forms = {m: known.formula(m, spec.size) for m in MEASURES}
         # the square-rule form diverges from the operational minimum at exactly
         # one size; the divergence is what the match flag is meant to surface
         square = known.formula("cvd_square_rule", spec.size)
@@ -368,11 +335,11 @@ def cross_validate(
                          f" operational value {forms['cvd'].render()}")
         found = {}
         if within:
-            solved = orc.solve(g, orc.MEASURES, max_vertices=bound, workers=workers)
+            solved = orc.solve(g, MEASURES, max_vertices=bound, workers=workers)
             found = {m: result.value for m, result in solved.items()}
             found["cordial"] = solved["cordial"].witness is not None
         match = True
-        for m in orc.MEASURES:
+        for m in MEASURES:
             form = square if m == "cvd" else forms[m]
             if form is not None and found.get(m, form) != form:
                 match = False
@@ -406,7 +373,7 @@ def cross_validate(
             ValidationRow(
                 family=spec.family,
                 size=spec.size,
-                **{m: found.get(m, forms[m]) for m in orc.MEASURES},
+                **{m: found.get(m, forms[m]) for m in MEASURES},
                 source=source,
                 match=match,
                 witnesses=tuple(witnesses),

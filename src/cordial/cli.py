@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import families as fam
 from .certify import (
+    MEASURES,
     check_certificate,
     cross_validate,
     parse_certificate,
@@ -28,7 +29,6 @@ from .graph_core import FAMILIES, MIN_SIZE, FamilySpec, parse_edge_list
 from .labeling import VertexLabeling
 from .oracle import (
     DEFAULT_MAX_VERTICES,
-    MEASURES,
     DeficiencyValue,
     check_search_size,
     solve,

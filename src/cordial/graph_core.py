@@ -6,6 +6,7 @@ can be shared freely across parallel workers.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -159,6 +160,19 @@ class FamilySpec:
         return _GENERATORS[self.family].build(self.size)
 
 
+def _read_ints(tokens: list[str], what: str, line_no: int) -> list[int]:
+    """The tokens as ints; a decimal number longer than int()'s digit limit
+    (sys.get_int_max_str_digits, 4300 by default) is named as such."""
+    try:
+        return [int(token) for token in tokens]
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        digits = [token.lstrip("+-") for token in tokens]
+        if limit and any(d.isdecimal() and len(d) > limit for d in digits):
+            raise ParseError(f"{what} must have at most {limit} digits", line_no) from None
+        raise ParseError(f"{what} must be integers", line_no) from None
+
+
 def parse_edge_list(text: str) -> MultiGraph:
     """Parse the edge-list format: a header line "n m", then m lines "u v".
 
@@ -177,10 +191,7 @@ def parse_edge_list(text: str) -> MultiGraph:
         if header is None:
             if len(tokens) != 2:
                 raise ParseError("expected header 'n m'", line_no)
-            try:
-                n, m = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ParseError("header counts must be integers", line_no) from None
+            n, m = _read_ints(tokens, "header counts", line_no)
             if n < 0 or m < 0:
                 raise ParseError("header counts must be non-negative", line_no)
             header = (n, m)
@@ -189,10 +200,7 @@ def parse_edge_list(text: str) -> MultiGraph:
             raise ParseError(f"expected exactly {m} edge lines", line_no)
         if len(tokens) != 2:
             raise ParseError("expected edge line 'u v'", line_no)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError("vertex ids must be integers", line_no) from None
+        u, v = _read_ints(tokens, "vertex ids", line_no)
         if u == v:
             raise LoopRejected(f"line {line_no}: loop at vertex {u}")
         if not (0 <= u < n) or not (0 <= v < n):

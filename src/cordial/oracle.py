@@ -56,13 +56,12 @@ from itertools import accumulate, chain, islice
 from math import comb
 from time import perf_counter
 
-from .certify import Certificate, witness
+from .certify import MEASURES, Certificate, witness
 from .errors import CordialError, SizeLimitExceeded
 from .graph_core import MultiGraph
 from .labeling import VertexLabeling
 
 DEFAULT_MAX_VERTICES = 24
-MEASURES = ("cordial", "ced", "cvd")
 LOW_BITS = 10  # at most 2**10 lanes; each layout is built once per process
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # lane bytes -> array typecode
 # seconds the last pool this process started cost the caller beyond its own

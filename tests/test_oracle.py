@@ -485,7 +485,9 @@ def test_results_do_not_depend_on_the_hand_off_point(g):
 @pytest.mark.parametrize("family,n,loaded", [("mobius", 8, False), ("complete", 6, True)])
 def test_two_worker_compute_loads_multiprocessing_only_for_a_pool(family, n, loaded):
     # M8 reaches a cordial cell in its first high subset, K6 never does; the
-    # child reports on stdout, so the check holds under python -O too
+    # child reports on stdout, so the check holds under python -O too. It runs
+    # without site-packages (-S) and names every loaded top-level module outside
+    # the standard library, so the package stays stdlib-only
     src = str(Path(oracle.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -493,15 +495,18 @@ def test_two_worker_compute_loads_multiprocessing_only_for_a_pool(family, n, loa
         "os.cpu_count = lambda: 2  # a two-part plan on any machine\n"
         "from cordial.cli import main\n"
         "status = main(sys.argv[1:])\n"
+        "top = {name.partition('.')[0] for name in sys.modules}\n"
+        "own = {'cordial', '__main__', '__mp_main__'}\n"
+        "print(sorted(top - sys.stdlib_module_names - own))\n"
         "print('multiprocessing' in sys.modules)\n"
         "sys.exit(status)\n"
     )
     args = ["compute", "--family", family, "--n", str(n), "--measure", "cvd",
             "--method", "oracle", "--workers", "2"]
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(loaded)
+    assert proc.stdout.splitlines()[-2:] == ["[]", str(loaded)]
 
 
 def test_scan_plan_clamps_parts_and_tiles_the_high_subsets(monkeypatch):

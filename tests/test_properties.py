@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from strategies import labeled_multigraphs, multigraphs
 
 from cordial import (
+    Certificate,
     DeficiencyValue,
     LabeledFamilyInstance,
+    MalformedCertificate,
     ParityOutcome,
     VertexLabeling,
     balance,
@@ -96,6 +98,41 @@ def test_oracle_certificates_survive_the_wire(g):
         again = parse_certificate(serialize_certificate(res.witness))
         assert again == res.witness
         assert check_certificate(again).accepted
+
+
+@settings(max_examples=500)
+@given(labeled_multigraphs(max_n=6, max_m=10), st.data())
+def test_a_certificate_holds_iff_its_graph_plus_its_additions_is_cordial(gf, data):
+    g, f = gf
+    kind = data.draw(st.sampled_from(("cordial", "ced", "cvd")))
+    # mostly the graph's own vertices, and mostly no additions of the other kind
+    ids = st.integers(0, g.n - 1) | st.integers(-1, g.n)
+    edges = st.lists(st.tuples(ids, ids), min_size=kind == "ced", max_size=3)
+    added_edges = tuple(data.draw(edges if kind == "ced" else st.just([]) | edges))
+    bits = st.lists(st.integers(0, 1), min_size=kind == "cvd", max_size=3)
+    added_labels = tuple(data.draw(bits if kind == "cvd" else st.just([]) | bits))
+    own = {"ced": added_edges, "cvd": added_labels}.get(kind, ())
+    claim = data.draw(st.sampled_from((len(own), len(own), len(own) + 1, len(own) - 1)))
+    cert = Certificate(kind, f.labels, claim, n=g.n, edges=g.edges,
+                       added_edges=added_edges, added_vertex_labels=added_labels)
+    # the README rule: a kind lists only its own additions, one per claimed
+    # unit; an added edge is a vertex pair of the graph; the graph plus its
+    # additions must have friendly vertex labels and balanced edge labels
+    if claim != len(own) or len(added_edges) + len(added_labels) != len(own):
+        expected = "malformed"
+    elif any(u == v or not (0 <= u < g.n and 0 <= v < g.n) for u, v in added_edges):
+        expected = "rejected"
+    else:
+        labels = f.labels + added_labels
+        edge_labels = [labels[u] ^ labels[v] for u, v in g.edges + added_edges]
+        cordial = all(abs(counted.count(0) - counted.count(1)) <= 1
+                      for counted in (labels, edge_labels))
+        expected = "accepted" if cordial else "rejected"
+    try:
+        outcome = "accepted" if check_certificate(cert).accepted else "rejected"
+    except MalformedCertificate:
+        outcome = "malformed"
+    assert outcome == expected
 
 
 @settings(max_examples=60)
