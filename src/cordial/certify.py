@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .errors import CordialError, MalformedCertificate, SelfCheckFailed, self_check
@@ -96,8 +97,21 @@ def _structural_check(cert: Certificate) -> MultiGraph:
         raise MalformedCertificate(f"unknown kind {cert.kind!r}")
     if _expect_int(cert.claimed_value, "claimed_value") < 0:
         raise MalformedCertificate("claimed_value must be non-negative")
+    # the JSON readers' integer test, so every certificate judged here
+    # serializes to JSON that parses back to it
+    for key in ("param", "n"):
+        if getattr(cert, key) is not None:
+            _expect_int(getattr(cert, key), key)
+    # plain ints, all a well-formed certificate holds, pass in one C-level
+    # pass over their types; else the first other value is named, in key order
+    held = [*(cert.edges or ()), cert.labels, *cert.added_edges, cert.added_vertex_labels]
+    if set(map(type, chain.from_iterable(held))) - {int}:
+        for key in ("edges", "labels", "added_edges", "added_vertex_labels"):
+            values = getattr(cert, key) or ()
+            for value in chain.from_iterable(values) if "edges" in key else values:
+                _expect_int(value, key)
     for key in ("labels", "added_vertex_labels"):
-        if any(b not in (0, 1) for b in getattr(cert, key)):
+        if not set(getattr(cert, key)) <= {0, 1}:
             raise MalformedCertificate(f"{key} must be bits")
     # a kind lists only its own additions, one for each unit it claims
     own = None

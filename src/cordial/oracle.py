@@ -3,17 +3,23 @@
 Labelings are encoded as n-bit integers, bit i giving the label of vertex i.
 Each measure depends on a labeling only through its cell (ones, e1), its
 counts of 1-labeled vertices and edges. So one scan serves any set of
-measures: it records the least encoding reaching each cell, _cost prices the
-cells in each mode, and a result's witness is the least encoding among its
-cheapest cells. The scan covers the friendly labelings, or all of them when
-cvd is asked for, with vertex n-1 pinned at label 0. Pinning is sound because
-complementing a labeling preserves every edge label, and the canonical
-encoding, the smaller of a labeling and its complement, is the one with
-vertex n-1 labeled 0. labelings_examined is the size of the halved stream of
-the result's own mode. Results are bit-identical whatever the worker count or
-the modes scanned alongside, and equal to those of a search over all 2**n
-labelings. Every witness is built and checked by certify.witness, the one
-place any witness certificate is made.
+measures: it records the least encoding reaching each cell, and a result's
+witness is the least encoding among its cheapest candidate cells. Every
+mode prices a cell by one rule, the certificate checker's: the additions
+that make it cordial, max(0, |n - 2 ones| - 1) + max(0, |m - 2 e1| - 1).
+Modes differ only in their candidates: cordial takes the friendly
+edge-balanced cells, ced every friendly cell (only the edge-balanced ones
+at n <= 2, whose friendly labelings have no same-labeled pair to repair
+at) and cvd every edge-balanced cell. The scan covers the friendly
+labelings, or all of them when cvd is asked for, with vertex n-1 pinned at
+label 0. Pinning is sound because complementing a labeling preserves every
+edge label, and the canonical encoding, the smaller of a labeling and its
+complement, is the one with vertex n-1 labeled 0. labelings_examined is the
+size of the halved stream of the result's own mode. Results are
+bit-identical whatever the worker count or the modes scanned alongside, and
+equal to those of a search over all 2**n labelings. Every witness is built
+and checked by certify.witness, the one place any witness certificate is
+made.
 
 The scan kernel splits the free vertices 0..n-2 into a low part of at most
 LOW_BITS vertices and a high part holding the rest. For one high subset h a
@@ -27,20 +33,21 @@ a lane may overflow while the terms are summed, yet every final lane lies in
 ascending inside a group, so each ones count is one byte slice, and
 bytes.translate or a set difference finds the e1 values not reached before.
 High subsets ascend, so the first hit of a cell is its least encoding, and
-a scan stops after the first high subset that reaches a cordial cell,
-|n - 2 ones| <= 1 and |m - 2 e1| <= 1: every measure prices exactly those
-cells at 0. A scan that may use several processes starts none until it
-has to: the calling process scans the high subsets alone, always the first,
-until its time spent reaches what the last pool it started cost it beyond
-its own scanning (0 before any pool). A scan that ends by then starts no
-process; otherwise the rest is split into contiguous parts, one process
-starts per later part and the caller scans the first. This is the
-ski-rental rule (Karlin, Manasse, Rudolph, Sleator, "Competitive snoopy
-caching", Algorithmica 3, 1988): when the last pool's cost predicts the
-next one's, a scan takes at most twice as long as the better of scanning
-alone to the end and starting the pool at once, and the rule needs no size
-threshold. Every part stops at its own cordial cell, so the cells that
-decide a result, and the results, do not depend on where the hand-off falls.
+a scan stops after the first high subset that reaches a cordial cell, the
+only cells the rule prices at 0.
+
+Every scan runs through _drive_scan. The calling process scans the high
+subsets alone, always the first, until its time spent reaches what the last
+pool it started cost it beyond its own scanning (0 before any pool). A scan
+that ends by then, or that has no later range to share, starts no process;
+otherwise the rest is split into contiguous parts, one process starts per
+later part and the caller scans the first. This is the ski-rental rule
+(Karlin, Manasse, Rudolph, Sleator, "Competitive snoopy caching",
+Algorithmica 3, 1988): when the last pool's cost predicts the next one's, a
+scan takes at most twice as long as the better of scanning alone to the end
+and starting the pool at once, and the rule needs no size threshold. Every
+part stops at its own cordial cell, so the cells that decide a result, and
+the results, do not depend on where the hand-off falls.
 """
 
 from __future__ import annotations
@@ -154,35 +161,6 @@ def _ones_range(modes, n: int) -> range:
     return range(n + 1) if "cvd" in modes else range(n // 2, (n + 1) // 2 + 1)
 
 
-def _reaches_cordial(n: int, m: int, ones: int, e1s) -> bool:
-    """Whether a cell (ones, e1) with e1 in e1s is cordial.
-
-    A cordial cell, |n - 2 ones| <= 1 and |m - 2 e1| <= 1, is one every
-    measure prices at 0, and no cell is cheaper, so a scan that reaches one
-    may stop once the high subset that reached it is recorded.
-    """
-    return abs(n - 2 * ones) <= 1 and not {m // 2, (m + 1) // 2}.isdisjoint(e1s)
-
-
-def _cost(mode: str, n: int, m: int, ones: int, e1: int) -> int | None:
-    """The cost in mode of every labeling in the cell (ones, e1).
-
-    None means the cell holds no candidate: cordial and ced take only
-    friendly labelings, cordial and cvd only edge-balanced ones.
-    """
-    vertex_gap, edge_gap = abs(n - 2 * ones), abs(m - 2 * e1)
-    if mode == "cvd":
-        return max(0, vertex_gap - 1) if edge_gap <= 1 else None
-    if vertex_gap > 1:
-        return None
-    if edge_gap <= 1:
-        return 0
-    # ced adds edges of the minority label. A friendly labeling of three or
-    # more vertices has a mixed and a same-labeled pair to add them at; one
-    # of two vertices has no same-labeled pair, and every edge is 1-labeled
-    return edge_gap - 1 if mode == "ced" and n > 2 else None
-
-
 @cache
 def _lanes(low: int, width: int):
     """The lane layout of the low subsets at width bytes per lane.
@@ -213,7 +191,8 @@ def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int
 
     Returns first, mapping each reached (ones, e1) cell to the least encoding
     reaching it. The scan ends with the first high subset at which a cordial
-    cell is reached, once all of that subset's cells are recorded.
+    cell is reached, once all of that subset's cells are recorded. It is the
+    task each pool process runs.
     """
     first: dict[tuple[int, int], int] = {}
     for _ in _scan(n, edges, min_ones, max_ones, h_lo, h_hi, first):
@@ -231,6 +210,7 @@ def _scan(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int, fir
     """
     low, high = _split(n)
     m = len(edges)
+    balanced = {m // 2, (m + 1) // 2}  # the e1 of the edge-balanced cells
     width = next(w for w in _LANE_CODES if m < 1 << 8 * w)
     order, bounds, code, ones_lanes, ind = _lanes(low, width)
     pairs = Counter(edges)  # edges are canonical, u < v
@@ -288,7 +268,7 @@ def _scan(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int, fir
                 block = block.tolist()
             for e1 in new:
                 first[ones, e1] = order[start + block.index(e1)] | h << low
-            cordial |= _reaches_cordial(n, m, ones, new)
+            cordial |= abs(n - 2 * ones) <= 1 and not balanced.isdisjoint(new)
         if cordial:
             return
         yield h
@@ -315,29 +295,30 @@ def _reduce(parts) -> dict[tuple[int, int], int]:
 def _result(mode: str, g: MultiGraph, first) -> OracleResult:
     """Read one mode's checked result off a scan's cells.
 
-    The witness is the least encoding among the cheapest cells, built and
-    checked by certify.witness: a ced witness repairs at a pair of the
-    minority edge label, a cvd witness adds the minority vertex label.
+    Each candidate cell is priced by the module's one rule, and the witness
+    is the least encoding among the cheapest, built and checked by
+    certify.witness: a ced witness repairs at a pair of the minority edge
+    label, a cvd witness adds the minority vertex label.
     """
     n, m = g.n, g.m
     rows = _ones_range((mode,), n)
     count = sum(comb(max(n - 1, 0), ones) for ones in rows)
-    if mode == "ced":  # a friendly cell of any e1 may be repaired
+    balanced = {m // 2, (m + 1) // 2}  # the e1 of the edge-balanced cells
+    if mode == "ced" and n > 2:  # a friendly cell of any e1 may be repaired
         cells = [cell for cell in first if cell[0] in rows]
     else:  # only edge-balanced cells are candidates
-        cells = [(ones, e1) for ones in rows for e1 in {m // 2, (m + 1) // 2}]
-    costs = [
-        (cost, x, ones, e1)
+        cells = [(ones, e1) for ones in rows for e1 in balanced]
+    priced = [
+        (max(0, abs(n - 2 * ones) - 1) + max(0, abs(m - 2 * e1) - 1), x, e1)
         for ones, e1 in cells
         if (x := first.get((ones, e1))) is not None
-        and (cost := _cost(mode, n, m, ones, e1)) is not None
     ]
-    if not costs:
+    if not priced:
         reason = InfinityReason.STRICTLY_NONCORDIAL
         if mode == "ced":
             reason = InfinityReason.NO_FEASIBLE_AUGMENTATION
         return OracleResult(DeficiencyValue.infinite(reason), None, count)
-    cost, canon, _, e1 = min(costs)
+    cost, canon, e1 = min(priced)
     labels = VertexLabeling.from_encoding(canon, n).labels
     repair = 0 if 2 * e1 > m else 1  # the minority edge label
     cert = witness(mode, labels, cost, repair=repair, n=n, edges=g.edges)
@@ -354,31 +335,23 @@ def solve(
     """Answer each of modes, a subset of MEASURES, from one scan of g.
 
     Each result equals that of a scan in its mode alone, with any worker
-    count. With workers > 1 the calling process scans alone for as long as
-    the last pool it started cost, and starts at most workers - 1 processes,
-    clamped by _scan_plan, only for a scan still running then.
+    count. The scan starts at most workers - 1 processes, clamped by
+    _scan_plan, and only when the hand-off rule calls for them.
     """
     check_search_size(g.n, max_vertices)
     ones = _ones_range(modes, g.n)
     task = (g.n, g.edges, ones[0], ones[-1])
-    plan = _scan_plan(g.n, workers)
-    if len(plan) == 1:
-        first = _scan_part(*task, *plan[0])
-    else:
-        first = _scan_shared(task, plan)
+    first = _drive_scan(task, _scan_plan(g.n, workers))
     return {mode: _result(mode, g, first) for mode in modes}
 
 
-def _scan_shared(task, plan) -> dict[tuple[int, int], int]:
+def _drive_scan(task, plan) -> dict[tuple[int, int], int]:
     """The cells of a scan that may use one process per range of plan.
 
-    The calling process scans the high subsets alone, in ascending order,
-    until its time spent reaches _pool_cost, what the last pool cost it, or
-    the scan ends. Only then does it split the rest and start one process
-    per later range, scanning the first range itself. Each range stops at
-    its own cordial cell, and _reduce keeps the least encoding per cell, so
-    the cells that decide a result do not depend on where the hand-off
-    falls.
+    Every scan runs here and hands off by the module's rule. A one-range
+    plan has no later range to share, so the caller scans it to the end
+    without reading os.cpu_count or loading multiprocessing. _reduce keeps
+    the least encoding per cell over the ranges.
     """
     global _pool_cost
     first: dict[tuple[int, int], int] = {}
@@ -389,7 +362,7 @@ def _scan_shared(task, plan) -> dict[tuple[int, int], int]:
             break
     else:
         return first  # a cordial stop or the whole range, and no process started
-    rest = _scan_plan(task[0], len(plan), h + 1)[1:]
+    rest = plan[1:] and _scan_plan(task[0], len(plan), h + 1)[1:]
     if not rest:  # one range or none is left, which no pool can share
         for _ in scan:
             pass

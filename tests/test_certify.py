@@ -233,6 +233,27 @@ def test_structural_breakage_is_malformed_not_rejected():
     _malformed(family="cycle", param=2)  # below family minimum
 
 
+# K2 with a cordial labeling, and one field of it a bool or a float: each
+# would be written as JSON that parse_certificate refuses
+_K2 = dict(kind="cordial", n=2, edges=((0, 1),), labels=(1, 0), claimed_value=0)
+
+
+@pytest.mark.parametrize("fields,reason", [
+    (dict(labels=(True, False)), "labels must be an integer"),
+    (dict(labels=(1.0, 0)), "labels must be an integer"),
+    (dict(family="complete", param=True, n=None, edges=None, labels=(0,)),
+     "param must be an integer"),
+    (dict(n=True, edges=(), labels=(0,)), "n must be an integer"),
+    (dict(edges=((False, True),)), "edges must be an integer"),
+    (dict(kind="ced", claimed_value=1, added_edges=((False, 2),)),
+     "added_edges must be an integer"),
+], ids=["bool-labels", "float-label", "bool-param", "bool-n", "bool-edge",
+        "bool-added-edge"])
+def test_integer_fields_refuse_bools_and_floats(fields, reason):
+    with pytest.raises(MalformedCertificate, match=f"^{reason}$"):
+        check_certificate(Certificate(**{**_K2, **fields}))
+
+
 def test_label_count_is_checked_before_the_family_member_is_built(monkeypatch):
     def build(spec):
         raise AssertionError(f"built {spec} before checking the label count")

@@ -484,10 +484,13 @@ def test_results_do_not_depend_on_the_hand_off_point(g):
 
 @pytest.mark.parametrize("family,n,loaded", [("mobius", 8, False), ("complete", 6, True)])
 def test_two_worker_compute_loads_multiprocessing_only_for_a_pool(family, n, loaded):
-    # M8 reaches a cordial cell in its first high subset, K6 never does; the
-    # child reports on stdout, so the check holds under python -O too. It runs
-    # without site-packages (-S) and names every loaded top-level module outside
-    # the standard library, so the package stays stdlib-only
+    # M8 reaches a cordial cell in its first high subset, K6 never does. One
+    # worker goes through the same hand-off as two, and a fresh process hands
+    # off after high subset 0, yet its one-range plan has nothing to share, so
+    # it starts no pool even for K6. The child reports on stdout, so the check
+    # holds under python -O too. It runs without site-packages (-S) and names
+    # every loaded top-level module outside the standard library, so the
+    # package stays stdlib-only
     src = str(Path(oracle.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -501,12 +504,13 @@ def test_two_worker_compute_loads_multiprocessing_only_for_a_pool(family, n, loa
         "print('multiprocessing' in sys.modules)\n"
         "sys.exit(status)\n"
     )
-    args = ["compute", "--family", family, "--n", str(n), "--measure", "cvd",
-            "--method", "oracle", "--workers", "2"]
-    proc = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[]", str(loaded)]
+    for workers in (1, 2):
+        args = ["compute", "--family", family, "--n", str(n), "--measure", "cvd",
+                "--method", "oracle", "--workers", str(workers)]
+        proc = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["[]", str(loaded and workers == 2)]
 
 
 def test_scan_plan_clamps_parts_and_tiles_the_high_subsets(monkeypatch):
@@ -633,13 +637,13 @@ def test_cordial_witness_is_cordial_and_scan_invariant():
 
 def test_cross_validate_and_compute_scan_each_graph_once(monkeypatch, capsys):
     calls = []
-    scan_part = oracle._scan_part
+    scan = oracle._scan
 
     def counted(*task):
         calls.append(task)
-        return scan_part(*task)
+        return scan(*task)
 
-    monkeypatch.setattr(oracle, "_scan_part", counted)
+    monkeypatch.setattr(oracle, "_scan", counted)
     assert cross_validate([FamilySpec("wheel", 6)]).all_match
     assert len(calls) == 1
     assert cli.main(["compute", "--family", "wheel", "--n", "6"]) == 0
@@ -648,8 +652,10 @@ def test_cross_validate_and_compute_scan_each_graph_once(monkeypatch, capsys):
 
 
 def test_worker_count_does_not_change_results(free_pool):
-    # W5 is settled by its first high subset, K6 starts the real pool
-    for g in (wheel_graph(5), complete_graph(6)):
+    # W5 is settled by its first high subset; K6 and the 256-edge crossing
+    # multigraph start the real pool, the latter on 2-byte lanes, whose new
+    # e1 values a set difference finds
+    for g in (wheel_graph(5), complete_graph(6), _crossing_multigraph(256)):
         runs = [ced_oracle(g, workers=w) for w in (1, 2, 5)]
         assert len({(r.value, r.witness, r.labelings_examined) for r in runs}) == 1
 

@@ -133,6 +133,9 @@ def test_a_certificate_holds_iff_its_graph_plus_its_additions_is_cordial(gf, dat
     except MalformedCertificate:
         outcome = "malformed"
     assert outcome == expected
+    # every certificate the checker judges survives the wire unchanged
+    if outcome != "malformed":
+        assert parse_certificate(serialize_certificate(cert)) == cert
 
 
 @settings(max_examples=60)
