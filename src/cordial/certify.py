@@ -13,9 +13,8 @@ from families.REGISTRY.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CordialError, MalformedCertificate, SelfCheckFailed, self_check
 from .graph_core import FAMILIES, FamilySpec, MultiGraph, new_graph
@@ -33,8 +32,7 @@ MEASURES = ("cordial", "ced", "cvd")
 _ADDITIONS = {"added_edges": "ced", "added_vertex_labels": "cvd"}
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A labeling-based upper-bound witness for one graph.
 
     The graph is given either as a (family, param) reference, expanded by the
@@ -81,13 +79,14 @@ class Certificate:
                 by_edges = new_graph(self.n, self.edges)
             except CordialError as exc:
                 raise MalformedCertificate(f"bad explicit graph: {exc}") from None
+            except (TypeError, ValueError):  # an edge new_graph cannot unpack
+                raise MalformedCertificate("edges must be (u, v) pairs") from None
         if by_family is not None and by_edges is not None and by_family != by_edges:
             raise MalformedCertificate("family expansion disagrees with explicit edges")
         return by_family if by_family is not None else by_edges
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     accepted: bool
     reason: str = ""
 
@@ -103,12 +102,19 @@ def _structural_check(cert: Certificate) -> MultiGraph:
         if getattr(cert, key) is not None:
             _expect_int(getattr(cert, key), key)
     # plain ints, all a well-formed certificate holds, pass in one C-level
-    # pass over their types; else the first other value is named, in key order
+    # pass over their types; else the first faulty item or value is named, in
+    # key order. The graph build unpacks every edge, so only the additions'
+    # lengths are tested here
     held = [*(cert.edges or ()), cert.labels, *cert.added_edges, cert.added_vertex_labels]
-    if set(map(type, chain.from_iterable(held))) - {int}:
+    try:
+        clean = (set(map(len, cert.added_edges)) <= {2}
+                 and set(map(type, chain.from_iterable(held))) <= {int})
+    except TypeError:  # an edges or added_edges item that is not a sequence
+        clean = False
+    if not clean:
         for key in ("edges", "labels", "added_edges", "added_vertex_labels"):
             values = getattr(cert, key) or ()
-            for value in chain.from_iterable(values) if "edges" in key else values:
+            for value in _endpoints(values, key) if "edges" in key else values:
                 _expect_int(value, key)
     for key in ("labels", "added_vertex_labels"):
         if not set(getattr(cert, key)) <= {0, 1}:
@@ -134,6 +140,18 @@ def _structural_check(cert: Certificate) -> MultiGraph:
             f"{len(cert.labels)} labels for a graph on {n} vertices"
         )
     return cert.resolve_graph()
+
+
+def _endpoints(pairs, key: str):
+    """Both endpoints of every item of pairs; an item that is not a pair is
+    malformed."""
+    for pair in pairs:
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise MalformedCertificate(f"{key} must be (u, v) pairs") from None
+        yield u
+        yield v
 
 
 def check_certificate(cert: Certificate) -> Verdict:
@@ -270,8 +288,7 @@ def parse_certificate(text: str) -> Certificate:
                           for key, read in _JSON_KEYS.items() if key in raw})
 
 
-@dataclass(frozen=True)
-class ValidationRow:
+class ValidationRow(NamedTuple):
     """One family member's consolidated values and formula-vs-search verdict."""
 
     family: str
@@ -285,8 +302,7 @@ class ValidationRow:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     rows: tuple[ValidationRow, ...]
 
     @property

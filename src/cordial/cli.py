@@ -227,7 +227,7 @@ def _cmd_table(args) -> int:
     exit_code = 0 if report.all_match else 1
 
     if args.format == "json":
-        rows = [{**vars(r), "witnesses": [{"kind": k, "accepted": ok}
+        rows = [{**r._asdict(), "witnesses": [{"kind": k, "accepted": ok}
                                           for k, ok in r.witnesses]}
                 for r in report.rows]
         print(json.dumps({"rows": rows, "all_match": report.all_match}, indent=2,

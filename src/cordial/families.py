@@ -14,9 +14,8 @@ certify.cross_validate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .certify import Certificate, witness
 from .errors import NotApplicable, SizeTooSmall, StrictlyNoncordial
@@ -117,8 +116,7 @@ def complete_cvd_witness(n: int) -> Certificate:
 # ---------------------------------------------------------------- instances
 
 
-@dataclass(frozen=True)
-class LabeledFamilyInstance:
+class LabeledFamilyInstance(NamedTuple):
     """A family member together with a labeling and its balance counts."""
 
     spec: FamilySpec
@@ -263,8 +261,7 @@ def wheel_cvd_witness(n: int) -> Certificate:
 # ---------------------------------------------------------------- registry
 
 
-@dataclass(frozen=True)
-class FamilyDef:
+class FamilyDef(NamedTuple):
     """What is known about one family, keyed by measure and target.
 
     cordial, ced and cvd are closed forms of the size, None where the family
@@ -282,9 +279,8 @@ class FamilyDef:
     ced: Callable[[int], DeficiencyValue | None] | None = None
     cvd: Callable[[int], DeficiencyValue] | None = None
     cvd_square_rule: Callable[[int], DeficiencyValue] | None = None
-    constructions: Mapping[str, Callable[[int], Certificate]] = field(
-        default_factory=dict
-    )
+    # one dict shared by every FamilyDef that omits it; nothing writes to it
+    constructions: Mapping[str, Callable[[int], Certificate]] = {}
     parity_lower: bool = False
 
     def formula(self, measure: str, size: int):

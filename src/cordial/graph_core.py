@@ -7,43 +7,45 @@ can be shared freely across parallel workers.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import IdOutOfRange, LoopRejected, ParseError, SizeTooSmall
 
 
-@dataclass(frozen=True)
-class MultiGraph:
+class MultiGraph(namedtuple("MultiGraph", "n edges")):
     """A loopless multigraph: a vertex count plus a multiset of unordered edges.
 
     Edges are stored (min, max)-ordered and sorted, which makes equality and
     emission deterministic. Parallel edges are kept with multiplicity.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, edges: tuple[tuple[int, int], ...]):
+        if n < 0:
             raise SizeTooSmall("vertex count must be non-negative")
         canon = []
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise LoopRejected(f"loop at vertex {u}")
-            if not (0 <= u < self.n) or not (0 <= v < self.n):
-                raise IdOutOfRange(f"edge ({u}, {v}) outside 0..{self.n - 1}")
+            if not (0 <= u < n) or not (0 <= v < n):
+                raise IdOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
             canon.append((u, v) if u < v else (v, u))
         canon.sort()
-        object.__setattr__(self, "edges", tuple(canon))
+        return super().__new__(cls, n, tuple(canon))
+
+    @classmethod
+    def _make(cls, iterable) -> MultiGraph:
+        # _replace builds through _make, which would skip the checks above
+        return cls(*iterable)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @property
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
         for u, v in self.edges:
@@ -112,8 +114,7 @@ def wheel_graph(n: int) -> MultiGraph:
     return MultiGraph(n + 1, tuple(edges))
 
 
-@dataclass(frozen=True)
-class _Generator:
+class _Generator(NamedTuple):
     build: Callable[[int], MultiGraph]
     min_size: int  # smallest size parameter build accepts
     vertices: Callable[[int], int]  # vertex count of the member, without building it
@@ -133,20 +134,22 @@ FAMILIES = tuple(_GENERATORS)
 MIN_SIZE = {name: gen.min_size for name, gen in _GENERATORS.items()}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "family size")):
     """Names one member of a parameterized family, e.g. ("mobius", 6)."""
 
-    family: str
-    size: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.size < MIN_SIZE[self.family]:
-            raise SizeTooSmall(
-                f"{self.family} requires size >= {MIN_SIZE[self.family]}"
-            )
+    def __new__(cls, family: str, size: int):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if size < MIN_SIZE[family]:
+            raise SizeTooSmall(f"{family} requires size >= {MIN_SIZE[family]}")
+        return super().__new__(cls, family, size)
+
+    @classmethod
+    def _make(cls, iterable) -> FamilySpec:
+        # _replace builds through _make, which would skip the checks above
+        return cls(*iterable)
 
     @property
     def vertex_count(self) -> int:

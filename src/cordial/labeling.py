@@ -3,21 +3,52 @@ degree-parity noncordiality test."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import IdOutOfRange, LengthMismatch
 from .graph_core import MultiGraph
 
 
-@dataclass(frozen=True)
-class VertexLabeling:
+class FrozenRecord:
+    """An immutable record over its __slots__ fields, for the records that
+    must not be tuples: equality, hashing, repr and pickling by field value.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class VertexLabeling(FrozenRecord):
     """An assignment of one bit per vertex id, index 0 first."""
 
-    labels: tuple[int, ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        clean = tuple(int(b) for b in self.labels)
+    def __init__(self, labels: tuple[int, ...]):
+        clean = tuple(int(b) for b in labels)
         if any(b not in (0, 1) for b in clean):
             raise ValueError("labels must be bits")
         object.__setattr__(self, "labels", clean)
@@ -56,8 +87,7 @@ class VertexLabeling:
         return iter(self.labels)
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     """The four counts a cordiality check compares."""
 
     v0: int
@@ -123,8 +153,7 @@ class ParityOutcome(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class ParityVerdict:
+class ParityVerdict(NamedTuple):
     outcome: ParityOutcome
     detail: str
     required_parity: int | None = None

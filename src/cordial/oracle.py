@@ -56,17 +56,17 @@ import os
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import accumulate, chain, islice
 from math import comb
 from time import perf_counter
+from typing import NamedTuple
 
 from .certify import MEASURES, Certificate, witness
 from .errors import CordialError, SizeLimitExceeded
 from .graph_core import MultiGraph
-from .labeling import VertexLabeling
+from .labeling import FrozenRecord, VertexLabeling
 
 DEFAULT_MAX_VERTICES = 24
 LOW_BITS = 10  # at most 2**10 lanes; each layout is built once per process
@@ -81,12 +81,17 @@ class InfinityReason(Enum):
     NO_FEASIBLE_AUGMENTATION = "NoFeasibleAugmentation"
 
 
-@dataclass(frozen=True)
-class DeficiencyValue:
-    """A deficiency: a non-negative integer or infinity with a stated reason."""
+class DeficiencyValue(FrozenRecord):
+    """A deficiency: a non-negative integer or infinity with a stated reason.
 
-    value: int | None
-    reason: InfinityReason | None = None
+    Not a tuple, so that json.dumps hands it to its default hook.
+    """
+
+    __slots__ = ("value", "reason")
+
+    def __init__(self, value: int | None, reason: InfinityReason | None = None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "reason", reason)
 
     @classmethod
     def finite(cls, value: int) -> "DeficiencyValue":
@@ -114,8 +119,7 @@ class DeficiencyValue:
         return self.describe()
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Outcome of one exhaustive scan.
 
     witness is an accepted certificate achieving the value, or None when the

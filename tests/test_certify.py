@@ -1,7 +1,6 @@
 """Certificate checking, serialization, and formula/search cross-validation."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -177,6 +176,9 @@ def test_explicit_graph_certificates():
         kind="cordial", n=g.n, edges=g.edges, labels=(1, 1, 0, 0, 1), claimed_value=0
     )
     assert check_certificate(cert).accepted
+    # any two-item sequence is a pair, as for new_graph
+    listed = cert._replace(edges=tuple(map(list, g.edges)))
+    assert check_certificate(listed).accepted
 
 
 def test_family_and_explicit_graph_must_agree():
@@ -251,6 +253,21 @@ _K2 = dict(kind="cordial", n=2, edges=((0, 1),), labels=(1, 0), claimed_value=0)
         "bool-added-edge"])
 def test_integer_fields_refuse_bools_and_floats(fields, reason):
     with pytest.raises(MalformedCertificate, match=f"^{reason}$"):
+        check_certificate(Certificate(**{**_K2, **fields}))
+
+
+@pytest.mark.parametrize("fields,key", [
+    (dict(edges=(1, 2)), "edges"),
+    (dict(edges=((0, 1, 1),)), "edges"),
+    (dict(edges=((0,),), labels=(True, False)), "edges"),
+    (dict(kind="ced", claimed_value=1, added_edges=((0, 1, 1),)), "added_edges"),
+    (dict(kind="ced", claimed_value=1, added_edges=(0,)), "added_edges"),
+], ids=["int-edges", "triple-edge", "before-labels", "triple-added-edge",
+        "int-added-edge"])
+def test_pair_fields_refuse_items_that_are_not_pairs(fields, key):
+    # as for new_graph, a pair is any two-item sequence; an edges item that is
+    # not one is named before the labels' bools, as key order has it
+    with pytest.raises(MalformedCertificate, match=f"^{key} must be \\(u, v\\) pairs$"):
         check_certificate(Certificate(**{**_K2, **fields}))
 
 
@@ -346,7 +363,7 @@ def test_cross_validate_notes_each_measure_that_disagrees_with_the_search(
         monkeypatch, measure, size, wrong, note):
     # no family witness at these sizes contradicts the wrong form, so the only
     # note is the search's
-    monkeypatch.setitem(REGISTRY, "mobius", replace(REGISTRY["mobius"], **{measure: wrong}))
+    monkeypatch.setitem(REGISTRY, "mobius", REGISTRY["mobius"]._replace(**{measure: wrong}))
     row = cross_validate([FamilySpec("mobius", size)]).row("mobius", size)
     assert not row.match
     assert row.notes == (note,)
@@ -429,14 +446,14 @@ def test_cross_validate_flags_a_witness_claiming_other_than_its_form(monkeypatch
 
     constructions = {**complete.constructions, "ced": one_more}
     monkeypatch.setitem(REGISTRY, "complete",
-                        replace(complete, constructions=constructions))
+                        complete._replace(constructions=constructions))
     row = cross_validate([FamilySpec("complete", 7)], max_vertices=1).row("complete", 7)
     assert not row.match
     assert "ced witness claims 3, closed form 2" in row.notes
     assert row.ced == DeficiencyValue.finite(2)
 
     monkeypatch.setitem(REGISTRY, "cycle",
-                        replace(REGISTRY["cycle"], cordial=lambda n: False))
+                        REGISTRY["cycle"]._replace(cordial=lambda n: False))
     row = cross_validate([FamilySpec("cycle", 8)], max_vertices=1).row("cycle", 8)
     assert not row.match
     assert "cordial witness claims 0, closed form noncordial" in row.notes

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -76,7 +75,7 @@ def test_compute_mismatch_exits_one(capsys, monkeypatch):
     ]
     for measure, wrong, line, as_json in cases:
         monkeypatch.setitem(REGISTRY, "complete",
-                            replace(complete, **{measure: lambda n, v=wrong: v}))
+                            complete._replace(**{measure: lambda n, v=wrong: v}))
         argv = ["compute", "--family", "complete", "--n", "3", "--measure", measure]
         code, out, _ = run(capsys, *argv)
         assert code == 1
@@ -298,5 +297,17 @@ def test_importing_the_cli_does_not_load_multiprocessing():
     src = str(Path(cordial.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, cordial.cli; sys.exit(int('multiprocessing' in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
+
+
+def test_importing_the_cli_does_not_load_dataclasses_or_inspect():
+    # the records are named tuples and slotted classes; dataclasses and the
+    # inspect, ast and dis modules it imports would add about a fifth to the
+    # start-up of every cli process. The exit code counts the loaded ones
+    src = str(Path(cordial.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, cordial.cli;"
+            " sys.exit(sum(m in sys.modules for m in ('dataclasses', 'inspect')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert proc.returncode == 0

@@ -1,5 +1,8 @@
-"""Generators, multigraph canonicalization, and the edge-list format."""
+"""Generators, multigraph canonicalization, the edge-list format, and the
+contract every record type keeps."""
 
+import copy
+import pickle
 from types import ModuleType
 
 import pytest
@@ -10,21 +13,32 @@ import cordial
 from cordial import (
     FAMILIES,
     MIN_SIZE,
+    DeficiencyValue,
     FamilySpec,
     IdOutOfRange,
+    InfinityReason,
+    LabeledFamilyInstance,
     LoopRejected,
     ParseError,
     SizeTooSmall,
+    VertexLabeling,
+    balance,
+    check_certificate,
+    complete_ced_witness,
     complete_graph,
+    cross_validate,
+    cvd_oracle,
     cycle_graph,
     emit_edge_list,
     ladder_graph,
     mobius_ladder,
     new_graph,
+    parity_obstruction,
     parse_edge_list,
     path_graph,
     wheel_graph,
 )
+from cordial.families import REGISTRY
 
 
 def test_complete_graph_shape():
@@ -173,3 +187,60 @@ def test_emit_is_deterministic():
     g1 = new_graph(4, [(3, 2), (0, 1)])
     g2 = new_graph(4, [(1, 0), (2, 3)])
     assert emit_edge_list(g1) == emit_edge_list(g2) == "4 2\n0 1\n2 3\n"
+
+
+def _records():
+    """One instance of every public record type."""
+    g = complete_graph(5)
+    report = cross_validate([FamilySpec("mobius", 6)])
+    cert = complete_ced_witness(6)
+    return [
+        g,
+        FamilySpec("mobius", 6),
+        VertexLabeling((0, 1, 1)),
+        DeficiencyValue.infinite(InfinityReason.STRICTLY_NONCORDIAL),
+        balance(g, VertexLabeling((0, 0, 1, 1, 1))),
+        parity_obstruction(mobius_ladder(6)),
+        cert,
+        check_certificate(cert),
+        cvd_oracle(g),
+        report.rows[0],
+        report,
+        REGISTRY["cycle"],
+        REGISTRY["path"],  # the default constructions
+        LabeledFamilyInstance.build("cycle", 4, (1, 1, 0, 0)),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_pickle_copy_hash_and_refuse_assignment(record):
+    cls = type(record)
+    fields = getattr(cls, "_fields", None) or cls.__slots__
+    try:
+        key = hash(record)
+    except TypeError:  # a record that holds a dict, as FamilyDef does
+        key = None
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                 copy.deepcopy(record)):
+        assert type(twin) is cls and twin == record
+        assert key is None or hash(twin) == key
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], getattr(record, fields[0]))
+    shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
+    assert repr(record) == f"{cls.__qualname__}({shown})"
+
+
+def test_deficiency_values_and_labelings_are_not_tuples():
+    # json.dumps would write a tuple as an array, never calling the cli's hook
+    assert not isinstance(DeficiencyValue.finite(1), tuple)
+    assert not isinstance(VertexLabeling((0, 1)), tuple)
+
+
+def test_replace_derives_a_checked_variant():
+    g = complete_graph(3)
+    assert g._replace(edges=((2, 1),)) == new_graph(3, [(1, 2)])
+    with pytest.raises(LoopRejected):
+        g._replace(edges=((1, 1),))
+    assert FamilySpec("cycle", 5)._replace(size=6) == FamilySpec("cycle", 6)
+    with pytest.raises(SizeTooSmall):
+        FamilySpec("cycle", 5)._replace(size=2)
