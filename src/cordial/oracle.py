@@ -16,10 +16,9 @@ label 0. Pinning is sound because complementing a labeling preserves every
 edge label, and the canonical encoding, the smaller of a labeling and its
 complement, is the one with vertex n-1 labeled 0. labelings_examined is the
 size of the halved stream of the result's own mode. Results are
-bit-identical whatever the worker count or the modes scanned alongside, and
-equal to those of a search over all 2**n labelings. Every witness is built
-and checked by certify.witness, the one place any witness certificate is
-made.
+bit-identical whatever the modes scanned alongside, and equal to those of a
+search over all 2**n labelings. Every witness is built and checked by
+certify.witness, the one place any witness certificate is made.
 
 The scan kernel splits the free vertices 0..n-2 into a low part of at most
 LOW_BITS vertices and a high part holding the rest. For one high subset h a
@@ -27,40 +26,28 @@ single big int holds the e1 of every low subset l, one fixed-width lane per
 l: e1 = alpha(l) + beta(h) - 2 w(l, h), where alpha and beta count the edges
 leaving l and h and w those between them. All three are built from the
 distinct vertex pairs and their multiplicities, beta as a small-int table.
-Lanes are 1, 2, 4 or 8 bytes, the least that holds m. Packing is linear, so
-a lane may overflow while the terms are summed, yet every final lane lies in
-0..m and the bytes of the sum are the lanes. Lanes are grouped by popcount,
-ascending inside a group, so each ones count is one byte slice, and
-bytes.translate or a set difference finds the e1 values not reached before.
-High subsets ascend, so the first hit of a cell is its least encoding, and
-a scan stops after the first high subset that reaches a cordial cell, the
-only cells the rule prices at 0.
-
-Every scan runs through _drive_scan. The calling process scans the high
-subsets alone, always the first, until its time spent reaches what the last
-pool it started cost it beyond its own scanning (0 before any pool). A scan
-that ends by then, or that has no later range to share, starts no process;
-otherwise the rest is split into contiguous parts, one process starts per
-later part and the caller scans the first. This is the ski-rental rule
-(Karlin, Manasse, Rudolph, Sleator, "Competitive snoopy caching",
-Algorithmica 3, 1988): when the last pool's cost predicts the next one's, a
-scan takes at most twice as long as the better of scanning alone to the end
-and starting the pool at once, and the rule needs no size threshold. Every
-part stops at its own cordial cell, so the cells that decide a result, and
-the results, do not depend on where the hand-off falls.
+Lanes are 1, 2, 4 or 8 bytes, the least that holds cap = min(m, mu * (n//2)
+* ((n+1)//2)), where mu is the largest multiplicity: e1 counts the edges
+across one cut, and a cut separates at most (n//2) * ((n+1)//2) pairs.
+Packing is linear, so a lane may overflow while the terms are summed, yet
+every final lane lies in 0..cap and the bytes of the sum are the lanes.
+Lanes are grouped by popcount, ascending inside a group, so each ones count
+is one byte slice, and bytes.translate or a set difference finds the e1
+values not reached before. High subsets ascend, so the first hit of a cell
+is its least encoding, and a scan stops after the first high subset that
+reaches a cordial cell, the only cells the rule prices at 0. Every scan runs
+in the calling process.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from array import array
 from collections import Counter
 from enum import Enum
 from functools import cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from math import comb
-from time import perf_counter
 from typing import NamedTuple
 
 from .certify import MEASURES, Certificate, witness
@@ -71,9 +58,6 @@ from .labeling import FrozenRecord, VertexLabeling
 DEFAULT_MAX_VERTICES = 24
 LOW_BITS = 10  # at most 2**10 lanes; each layout is built once per process
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # lane bytes -> array typecode
-# seconds the last pool this process started cost the caller beyond its own
-# scanning, and so how long a multi-part scan runs alone before it starts one
-_pool_cost = 0.0
 
 
 class InfinityReason(Enum):
@@ -136,28 +120,12 @@ def _split(n: int) -> tuple[int, int]:
     """(low, high): the widths of the low and high parts of vertices 0..n-2.
 
     Vertex n-1 is pinned. The high part keeps two vertices whenever it can,
-    so that small graphs still split into more than two worker parts.
+    so that a small graph's scan still checks its cordial stop after each
+    quarter of its labelings.
     """
     width = max(0, n - 1)
     low = max(0, min(LOW_BITS, width - 2))
     return low, width - low
-
-
-def _scan_plan(n: int, workers: int, lo: int = 0) -> list[tuple[int, int]]:
-    """High-subset ranges tiling [lo, 2**high), one per process the scan may use.
-
-    The ranges are contiguous, non-empty and ascending, at most workers of
-    them, clamped to the cpu count and to the number of high subsets in the
-    range, so a large worker count never starts idle processes. solve splits
-    the whole range with it, and again the rest of a scan the calling
-    process hands off.
-    """
-    if workers < 1:
-        raise CordialError(f"workers must be at least 1, got {workers}")
-    size = (1 << _split(n)[1]) - lo
-    # os.cpu_count reads sysfs on each call, which a one-worker scan skips
-    parts = min(workers, size, (os.cpu_count() or 1) if workers > 1 else 1)
-    return [(lo + size * i // parts, lo + size * (i + 1) // parts) for i in range(parts)]
 
 
 def _ones_range(modes, n: int) -> range:
@@ -190,36 +158,23 @@ def _pack(values, code: str) -> int:
     return int.from_bytes(array(code, values).tobytes(), sys.byteorder)
 
 
-def _scan_part(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int):
-    """Scan the labelings with min_ones..max_ones ones, high subset in [h_lo, h_hi).
+def _scan(n: int, edges, min_ones: int, max_ones: int) -> dict[tuple[int, int], int]:
+    """Scan the labelings with min_ones..max_ones ones and vertex n-1 at 0.
 
     Returns first, mapping each reached (ones, e1) cell to the least encoding
     reaching it. The scan ends with the first high subset at which a cordial
-    cell is reached, once all of that subset's cells are recorded. It is the
-    task each pool process runs.
-    """
-    first: dict[tuple[int, int], int] = {}
-    for _ in _scan(n, edges, min_ones, max_ones, h_lo, h_hi, first):
-        pass
-    return first
-
-
-def _scan(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int, first):
-    """_scan_part as a generator that records cells into first.
-
-    It yields each high subset h once all of its cells are recorded, and
-    returns instead at the end of the range or at a cordial stop. The terms
-    are built once, so a caller that pauses the scan and resumes it later
-    does not build them again.
+    cell is reached, once all of that subset's cells are recorded. The lane
+    width is the least that holds cap, the cut bound of the module docstring.
     """
     low, high = _split(n)
     m = len(edges)
     balanced = {m // 2, (m + 1) // 2}  # the e1 of the edge-balanced cells
-    width = next(w for w in _LANE_CODES if m < 1 << 8 * w)
-    order, bounds, code, ones_lanes, ind = _lanes(low, width)
     pairs = Counter(edges)  # edges are canonical, u < v
+    cap = min(m, max(pairs.values(), default=0) * (n // 2) * ((n + 1) // 2))
+    width = next(w for w in _LANE_CODES if cap < 1 << 8 * w)
+    order, bounds, code, ones_lanes, ind = _lanes(low, width)
     deg = Counter(chain.from_iterable(edges))
-    # g packs alpha(l) - 2 w(l, h) per lane, starting at h = h_lo: alpha(l)
+    # g packs alpha(l) - 2 w(l, h) per lane, starting at h = 0: alpha(l)
     # counts the edges leaving l and w(l, h) those between l and h, so adding
     # beta(h), the edges leaving h, gives e1 of labeling l | h << low
     g = sum(deg[x] * ind[x] for x in range(low))
@@ -238,18 +193,17 @@ def _scan(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int, fir
         beta += [b + deg[y] - 2 * p for b, p in zip(beta, pull)]
     # from h - 1 to h, the lowest set bit t of h joins and the bits below t leave
     steps = [(below - c) << 1 for below, c in zip(accumulate(cross, initial=0), cross)]
-    g -= 2 * sum(c for y, c in enumerate(cross) if h_lo >> y & 1)
     size = len(order) * width
     seen = [b"" if width == 1 else set() for _ in range(n + 1)]  # e1s per ones count
-    for h in range(h_lo, h_hi):
-        if h > h_lo:
+    first: dict[tuple[int, int], int] = {}
+    for h in range(1 << high):
+        if h:
             g += steps[(h & -h).bit_length() - 1]
         h_ones = h.bit_count()
         groups = range(max(0, min_ones - h_ones), min(low, max_ones - h_ones) + 1)
         if not groups:
-            yield h
             continue
-        # every lane holds an e1 in [0, m], so E's digits are the lanes
+        # every lane holds an e1 in [0, cap], so E's digits are the lanes
         E = (g + beta[h] * ones_lanes).to_bytes(size, sys.byteorder)
         if width > 1:
             E = memoryview(E).cast(code)
@@ -274,8 +228,8 @@ def _scan(n: int, edges, min_ones: int, max_ones: int, h_lo: int, h_hi: int, fir
                 first[ones, e1] = order[start + block.index(e1)] | h << low
             cordial |= abs(n - 2 * ones) <= 1 and not balanced.isdisjoint(new)
         if cordial:
-            return
-        yield h
+            break
+    return first
 
 
 def check_search_size(n: int, max_vertices: int) -> None:
@@ -285,15 +239,6 @@ def check_search_size(n: int, max_vertices: int) -> None:
             f"graph has {n} vertices; exhaustive search is capped at"
             f" {max_vertices} (raise max_vertices to override)"
         )
-
-
-def _reduce(parts) -> dict[tuple[int, int], int]:
-    """The least encoding per cell over the parts' cell maps."""
-    first: dict[tuple[int, int], int] = {}
-    for cells in parts:
-        for cell, x in cells.items():
-            first[cell] = min(x, first.get(cell, x))
-    return first
 
 
 def _result(mode: str, g: MultiGraph, first) -> OracleResult:
@@ -338,56 +283,16 @@ def solve(
 ) -> dict[str, OracleResult]:
     """Answer each of modes, a subset of MEASURES, from one scan of g.
 
-    Each result equals that of a scan in its mode alone, with any worker
-    count. The scan starts at most workers - 1 processes, clamped by
-    _scan_plan, and only when the hand-off rule calls for them.
+    Each result equals that of a scan in its mode alone. The scan runs in
+    the calling process: workers must be at least 1 and changes nothing else,
+    so no result depends on it.
     """
     check_search_size(g.n, max_vertices)
+    if workers < 1:
+        raise CordialError(f"workers must be at least 1, got {workers}")
     ones = _ones_range(modes, g.n)
-    task = (g.n, g.edges, ones[0], ones[-1])
-    first = _drive_scan(task, _scan_plan(g.n, workers))
+    first = _scan(g.n, g.edges, ones[0], ones[-1])
     return {mode: _result(mode, g, first) for mode in modes}
-
-
-def _drive_scan(task, plan) -> dict[tuple[int, int], int]:
-    """The cells of a scan that may use one process per range of plan.
-
-    Every scan runs here and hands off by the module's rule. A one-range
-    plan has no later range to share, so the caller scans it to the end
-    without reading os.cpu_count or loading multiprocessing. _reduce keeps
-    the least encoding per cell over the ranges.
-    """
-    global _pool_cost
-    first: dict[tuple[int, int], int] = {}
-    scan = _scan(*task, plan[0][0], plan[-1][1], first)
-    start = perf_counter()
-    for h in scan:  # always high subset 0, as the deadline is checked after it
-        if perf_counter() - start >= _pool_cost:
-            break
-    else:
-        return first  # a cordial stop or the whole range, and no process started
-    rest = plan[1:] and _scan_plan(task[0], len(plan), h + 1)[1:]
-    if not rest:  # one range or none is left, which no pool can share
-        for _ in scan:
-            pass
-        return first
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-    begin = perf_counter()
-    with ProcessPoolExecutor(max_workers=len(rest)) as pool:
-        # the pool's threads pass the parts on only while they hold the GIL,
-        # which a scanning caller yields every few milliseconds; waiting for a
-        # no-op queued ahead of the parts lets them do it while it waits
-        ready = pool.submit(int)
-        parts = pool.map(_scan_part, *zip(*(task + part for part in rest)))
-        ready.result()
-        mark = perf_counter()
-        for _ in islice(scan, rest[0][0] - h - 1):  # the caller's own range
-            pass
-        alone = perf_counter() - mark
-        first = _reduce([first, *parts])
-    _pool_cost = perf_counter() - begin - alone
-    return first
 
 
 def decide_cordial(

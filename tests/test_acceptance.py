@@ -190,7 +190,7 @@ def _random_labeled_graph(rng):
     return g, f
 
 
-def test_criterion_8_property_suites(free_pool):
+def test_criterion_8_property_suites():
     desc = ("properties: count partitions, complement symmetry, zero-deficiency"
             " equivalence, determinism, period additivity, round-trip")
     with criterion(8, desc, 300.0):
@@ -225,8 +225,7 @@ def test_criterion_8_property_suites(free_pool):
             assert (c.ced_oracle(g).value == zero) == ok
             assert (c.cvd_oracle(g).value == zero) == ok
 
-        # worker count never changes values, witnesses, or visit counts; the
-        # free pool makes every scan not settled by high subset 0 start one
+        # worker count never changes values, witnesses, or visit counts
         for g in (c.mobius_ladder(5), c.wheel_graph(6), c.complete_graph(9)):
             for fn in (c.ced_oracle, c.cvd_oracle):
                 runs = [fn(g, workers=w) for w in (1, 2, 8)]

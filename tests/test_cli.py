@@ -291,9 +291,9 @@ def test_help_and_missing_subcommand(capsys):
 
 
 def test_importing_the_cli_does_not_load_multiprocessing():
-    # only a scan split over several parts starts a process pool, so a fresh
-    # interpreter importing the cli must not load multiprocessing; the answer
-    # travels in the exit code, so it holds under python -O too
+    # the package starts no process, so a fresh interpreter importing the cli
+    # must not load multiprocessing; the answer travels in the exit code, so
+    # it holds under python -O too
     src = str(Path(cordial.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, cordial.cli; sys.exit(int('multiprocessing' in sys.modules))"

@@ -5,16 +5,13 @@ The reference implementations here work straight from the definitions with
 no bit tricks, so they can arbitrate the packed scans.
 """
 
-import math
 import os
 import random
 import subprocess
 import sys
-from concurrent.futures import Future
-from itertools import combinations, count, zip_longest
+from itertools import combinations, zip_longest
 from math import comb
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -43,16 +40,7 @@ from cordial import (
 )
 from cordial import cli, oracle
 from cordial.errors import CordialError, SelfCheckFailed
-from cordial.oracle import (
-    MEASURES,
-    _ones_range,
-    _reduce,
-    _result,
-    _scan_part,
-    _scan_plan,
-    _split,
-    solve,
-)
+from cordial.oracle import MEASURES, _ones_range, _result, _scan, _split, solve
 from strategies import multigraphs
 
 # ------------------------------------------------- definitional references
@@ -188,23 +176,17 @@ def test_scan_matches_reference_in_every_mode_and_plan(g):
     assert f == (VertexLabeling.from_encoding(best[1], g.n) if ok else None)
     check("ced", ced_oracle(g))
     check("cvd", cvd_oracle(g))
-
-    with mock.patch("os.cpu_count", return_value=64):
-        plans = [_scan_plan(g.n, w) for w in (2, 3)]
-    for plan in plans:
-        for mode in refs:
-            ones = _ones_range((mode,), g.n)
-            task = (g.n, g.edges, ones[0], ones[-1])
-            parts = [_scan_part(*task, *h) for h in plan]
-            check(mode, _result(mode, g, _reduce(parts)))
+    for mode in refs:
+        ones = _ones_range((mode,), g.n)
+        check(mode, _result(mode, g, _scan(g.n, g.edges, ones[0], ones[-1])))
 
 
-def _recount(g, min_ones, max_ones, h_lo, h_hi):
-    """_scan_part's cells from balance() on every labeling of each high subset
-    in [h_lo, h_hi), up to and including the first that reaches a cordial cell."""
-    low = _split(g.n)[0]
+def _recount(g, min_ones, max_ones):
+    """_scan's cells from balance() on every labeling of each high subset, up
+    to and including the first that reaches a cordial cell."""
+    low, high = _split(g.n)
     first, cordial = {}, False
-    for h in range(h_lo, h_hi):
+    for h in range(1 << high):
         for x in range(h << low, (h + 1) << low):
             rep = balance(g, VertexLabeling.from_encoding(x, g.n))
             if min_ones <= rep.v1 <= max_ones:
@@ -215,14 +197,31 @@ def _recount(g, min_ones, max_ones, h_lo, h_hi):
     return first
 
 
-def _holds_cordial_cell(g, cells):
-    return any(abs(g.n - 2 * v1) <= 1 and abs(g.m - 2 * e1) <= 1 for v1, e1 in cells)
+@pytest.fixture
+def lane_widths(monkeypatch):
+    """The lane width of every scan run in the test, in order."""
+    widths = []
+    lanes = oracle._lanes
+
+    def spy(low, width):
+        widths.append(width)
+        return lanes(low, width)
+
+    monkeypatch.setattr(oracle, "_lanes", spy)
+    return widths
 
 
-def test_scan_part_matches_a_recount_on_any_high_range():
-    # n <= 3 leaves the low part empty, n = 13 and 14 fill it; m = 255 is the
-    # last graph with 1-byte lanes. Cases alternate lane widths and run
-    # twice, so a layout cached for one width and reused for another shows
+def _scan_ranges(g):
+    """(min_ones, max_ones) of the cvd and the ced streams of g."""
+    ranges = (_ones_range((mode,), g.n) for mode in ("cvd", "ced"))
+    return [(ones[0], ones[-1]) for ones in ranges]
+
+
+def test_scan_part_matches_a_recount_on_any_high_range(lane_widths):
+    # n <= 3 leaves the low part empty, n = 13 and 14 fill it; the crossing
+    # multigraphs cut all m edges at once, so m = 255 is the last with 1-byte
+    # lanes. Cases alternate lane widths and run twice, so a layout cached
+    # for one width and reused for another shows
     rng = random.Random(8)
     narrow, wide = [], []
     for n in (0, 1, 2, 3, 13, 14):
@@ -231,27 +230,38 @@ def test_scan_part_matches_a_recount_on_any_high_range():
                 g = new_graph(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
             else:
                 g = _crossing_multigraph(m, n, n // 2)
-            size = 1 << _split(n)[1]
-            lo = rng.randrange(size)
-            hi = min(size, lo + rng.randint(1, 2))
-            for ones in (_ones_range(("cvd",), n), _ones_range(("ced",), n)):
-                (narrow if m < 256 else wide).append((g, ones[0], ones[-1], lo, hi))
+            for task in _scan_ranges(g):
+                (narrow if m < 256 else wide).append((g, task, _recount(g, *task)))
     cases = [c for pair in zip_longest(narrow, wide) for c in pair if c]
-    for g, *task in cases * 2:
-        assert _scan_part(g.n, g.edges, *task) == _recount(g, *task)
+    for g, task, want in cases * 2:
+        assert _scan(g.n, g.edges, *task) == want
+    assert lane_widths == [1 if g.m < 256 else 2 for g, _, _ in cases] * 2
 
 
 @pytest.mark.parametrize("m", [255, 256])
-def test_scan_part_is_exact_when_degree_sums_overflow_a_lane(m):
+def test_scan_part_is_exact_when_degree_sums_overflow_a_lane(m, lane_widths):
     # all m edges lie among the 10 low vertices of a 13-vertex graph, so the
     # lanes of large low subsets sum degrees past 255 before twice the pairs
-    # inside them are taken off; m = 256 is the twin with 2-byte lanes
+    # inside them are taken off; m = 256 is the twin with 2-byte lanes, as
+    # its largest multiplicity, 9, times the 6 * 7 pairs a cut separates is
+    # above 256
     rng = random.Random(m)
     g = new_graph(13, [tuple(rng.sample(range(10), 2)) for _ in range(m)])
     assert _split(13) == (10, 2)
-    for ones in (_ones_range(("cvd",), 13), _ones_range(("ced",), 13)):
-        task = (ones[0], ones[-1], 0, 4)
-        assert _scan_part(g.n, g.edges, *task) == _recount(g, *task)
+    for task in _scan_ranges(g):
+        assert _scan(g.n, g.edges, *task) == _recount(g, *task)
+    assert lane_widths == [1 if m < 256 else 2] * 2
+
+
+def test_scan_packs_one_byte_lanes_when_no_cut_reaches_256_edges(lane_widths):
+    # 52 pairs of 14 vertices, 5 edges each: m = 260 needs 2 bytes, but a cut
+    # separates at most 7 * 7 pairs, so every e1 is at most 5 * 49 = 245
+    rng = random.Random(14)
+    g = new_graph(14, 5 * rng.sample(list(combinations(range(14), 2)), 52))
+    assert g.m == 260
+    for task in _scan_ranges(g):
+        assert _scan(g.n, g.edges, *task) == _recount(g, *task)
+    assert lane_widths == [1, 1]
 
 
 def _planted_cordial_multigraph(n, seed):
@@ -289,44 +299,10 @@ def test_scan_stops_at_the_witness_high_subset(n):
         assert res.witness.labels == VertexLabeling.from_encoding(best[1], n).labels
         assert best[1] >> low == top
         ones = _ones_range((mode,), n)
-        first = _scan_part(n, g.edges, ones[0], ones[-1], 0, 1 << high)
+        first = _scan(n, g.edges, ones[0], ones[-1])
         # nothing above the witness's high subset is scanned, all of it is
         assert max(x >> low for x in first.values()) == top
-        assert first == _recount(g, ones[0], ones[-1], 0, 1 << high)
-
-
-@pytest.mark.parametrize("n", [13, 14])
-def test_each_part_stops_on_its_own_and_reduce_keeps_the_least(n):
-    # the planted graph reaches cordial cells only in the later parts of a
-    # plan; the mobius ladder or wheel reaches one in every high subset, so
-    # every part stops at its first
-    low, high = _split(n)
-    late = _planted_cordial_multigraph(n, n)
-    early = mobius_ladder(7) if n == 14 else wheel_graph(12)
-    ones = _ones_range(("cvd",), n)
-    with mock.patch("os.cpu_count", return_value=64):
-        plans = [_scan_plan(n, w) for w in (2, 3)]
-    for g in (late, early):
-        task = (n, g.edges, ones[0], ones[-1])
-        whole = _result("cvd", g, _scan_part(*task, 0, 1 << high))
-        for plan in plans:
-            parts = [_scan_part(*task, *h) for h in plan]
-            stops = [_holds_cordial_cell(g, cells) for cells in parts]
-            if g is late:
-                assert not stops[0] and stops[-1]
-            else:
-                assert all(stops)
-                assert [max(x >> low for x in cells.values()) for cells in parts] == [
-                    lo for lo, _ in plan
-                ]
-            reduced = _reduce(parts)
-            assert reduced == {
-                cell: min(cells[cell] for cells in parts if cell in cells)
-                for cell in set().union(*parts)
-            }
-            got = _result("cvd", g, reduced)
-            assert got.value == whole.value
-            assert got.witness.labels == whole.witness.labels
+        assert first == _recount(g, ones[0], ones[-1])
 
 
 def _key(res):
@@ -334,34 +310,12 @@ def _key(res):
     return res.value, witness, res.labelings_examined
 
 
-class _InlinePool:
-    """Stands in for the process pool: runs each part in this process."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    map = staticmethod(map)
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 @example(wheel_graph(12))
 @example(mobius_ladder(7))
 @given(multigraphs(max_n=9))
 def test_one_scan_answers_any_modes_like_single_mode_calls(g):
-    # a multi-part plan reduces the parts' cells, so every subset of modes on
-    # every plan must give exactly the single-mode, single-part results; the
-    # pool runs in process here, test_worker_count_does_not_change_results
-    # starts real worker processes
+    # one scan records the cells of every mode asked for, so every subset of
+    # modes at any worker count must give exactly the single-mode results
     cordial = solve(g, ("cordial",))["cordial"]
     alone = {"cordial": _key(cordial), "ced": _key(ced_oracle(g))}
     alone["cvd"] = _key(cvd_oracle(g))
@@ -369,178 +323,45 @@ def test_one_scan_answers_any_modes_like_single_mode_calls(g):
     assert ok == (cordial.witness is not None)
     assert f == (VertexLabeling(cordial.witness.labels) if ok else None)
     subsets = [s for k in (1, 2, 3) for s in combinations(MEASURES, k)]
-    with mock.patch("os.cpu_count", return_value=64), \
-            mock.patch("concurrent.futures.ProcessPoolExecutor", _InlinePool):
-        for workers in (1, 2, 3):
-            plan = _scan_plan(g.n, workers)
-            assert len(plan) == min(workers, 1 << _split(g.n)[1])
-            for modes in subsets:
-                got = solve(g, modes, workers=workers)
-                assert list(got) == list(modes)
-                assert {mode: _key(got[mode]) for mode in modes} == {
-                    mode: alone[mode] for mode in modes
-                }
+    for workers in (1, 2, 3):
+        for modes in subsets:
+            got = solve(g, modes, workers=workers)
+            assert list(got) == list(modes)
+            assert {mode: _key(got[mode]) for mode in modes} == {
+                mode: alone[mode] for mode in modes
+            }
 
 
-class _NoPool:
-    def __init__(self, max_workers):
-        raise RuntimeError("a scan that needs no pool started one")
-
-
-@pytest.mark.parametrize("g", [mobius_ladder(7), wheel_graph(12)], ids=["M7", "W12"])
-def test_scan_settled_by_the_first_high_subset_starts_no_pool(g):
-    alone = {mode: _key(solve(g, (mode,))[mode]) for mode in MEASURES}
-    assert _holds_cordial_cell(g, _scan_part(g.n, g.edges, 0, g.n, 0, 1))
-    with mock.patch("os.cpu_count", return_value=64), \
-            mock.patch("concurrent.futures.ProcessPoolExecutor", _NoPool):
-        for workers in (2, 3):
-            assert len(_scan_plan(g.n, workers)) == workers
-            got = solve(g, MEASURES, workers=workers)
-            assert {mode: _key(got[mode]) for mode in MEASURES} == alone
-
-
-def _recording_pool(log):
-    """An in-process pool that logs its size and the high ranges it maps."""
-
-    class Pool(_InlinePool):
-        def __init__(self, max_workers):
-            log.append(max_workers)
-
-        def map(self, fn, *columns):
-            log.extend(zip(*columns[-2:]))
-            return map(fn, *columns)
-
-    return Pool
-
-
-@pytest.mark.parametrize("n", [13, 14])
-def test_unsettled_scan_starts_one_process_per_later_part(n, free_pool):
-    # at no pool cost the caller hands off after high subset 0 and scans the
-    # first range of the rest itself, so a pool of len(parts) - 1 processes
-    # gets exactly the later ranges; K7 reaches no cordial cell and the
-    # planted graph reaches its first in a later range
-    for g in (complete_graph(7), _planted_cordial_multigraph(n, n)):
-        alone = {mode: _key(solve(g, (mode,))[mode]) for mode in MEASURES}
-        assert not _holds_cordial_cell(g, _scan_part(g.n, g.edges, 0, g.n, 0, 1))
-        for workers in (2, 3):
-            log = []
-            with mock.patch("os.cpu_count", return_value=64), \
-                    mock.patch("concurrent.futures.ProcessPoolExecutor",
-                               _recording_pool(log)):
-                parts = _scan_plan(g.n, workers, 1)
-                assert len(parts) == len(_scan_plan(g.n, workers))
-                for modes in [(mode,) for mode in MEASURES] + [MEASURES]:
-                    log.clear()
-                    got = solve(g, modes, workers=workers)
-                    assert log == [len(parts) - 1, *parts[1:]]
-                    assert {mode: _key(got[mode]) for mode in modes} == {
-                        mode: alone[mode] for mode in modes
-                    }
-
-
-@pytest.mark.parametrize("n", [13, 14])
-def test_scan_that_ends_before_a_pool_pays_starts_no_pool(n, monkeypatch):
-    # a pool that costs more than any scan keeps the caller scanning alone to
-    # a cordial stop or the end of the range, with no process started
-    monkeypatch.setattr(oracle, "_pool_cost", math.inf)
-    for g in (complete_graph(7), _planted_cordial_multigraph(n, n)):
-        alone = {mode: _key(solve(g, (mode,))[mode]) for mode in MEASURES}
-        with mock.patch("os.cpu_count", return_value=64), \
-                mock.patch("concurrent.futures.ProcessPoolExecutor", _NoPool):
-            for workers in (2, 3):
-                assert len(_scan_plan(g.n, workers)) == workers
-                got = solve(g, MEASURES, workers=workers)
-                assert {mode: _key(got[mode]) for mode in MEASURES} == alone
-
-
-@example(complete_graph(7))
-@example(_planted_cordial_multigraph(14, 14))
-@example(_crossing_multigraph(256, 14, 7))  # 2-byte lanes, 8 high subsets
-@given(multigraphs(max_n=9))
-def test_results_do_not_depend_on_the_hand_off_point(g):
-    # a stub clock ticks once per reading, so a pool cost of h hands off at
-    # high subset h: the caller has scanned 0..h-1 alone, and the rest is
-    # split, unless a cordial cell settled the scan first
-    subsets = [s for k in (1, 2, 3) for s in combinations(MEASURES, k)]
-    alone = {modes: solve(g, modes) for modes in subsets}
-    size = 1 << _split(g.n)[1]
-    log = []
-    with mock.patch("os.cpu_count", return_value=64), \
-            mock.patch("concurrent.futures.ProcessPoolExecutor", _recording_pool(log)):
-        for h in range(1, size + 1):
-            settled = _holds_cordial_cell(g, _scan_part(g.n, g.edges, 0, g.n, 0, h))
-            for workers in (2, 3):
-                rest = _scan_plan(g.n, workers, h)[1:]
-                for modes in subsets:
-                    log.clear()
-                    with mock.patch.object(oracle, "_pool_cost", h), \
-                            mock.patch.object(oracle, "perf_counter", count().__next__):
-                        got = solve(g, modes, workers=workers)
-                    assert log == ([] if settled or not rest else [len(rest), *rest])
-                    assert {mode: _key(r) for mode, r in got.items()} == {
-                        mode: _key(r) for mode, r in alone[modes].items()
-                    }
-
-
-@pytest.mark.parametrize("family,n,loaded", [("mobius", 8, False), ("complete", 6, True)])
-def test_two_worker_compute_loads_multiprocessing_only_for_a_pool(family, n, loaded):
-    # M8 reaches a cordial cell in its first high subset, K6 never does. One
-    # worker goes through the same hand-off as two, and a fresh process hands
-    # off after high subset 0, yet its one-range plan has nothing to share, so
-    # it starts no pool even for K6. The child reports on stdout, so the check
-    # holds under python -O too. It runs without site-packages (-S) and names
-    # every loaded top-level module outside the standard library, so the
-    # package stays stdlib-only
+def test_compute_loads_only_the_standard_library_and_starts_no_pool():
+    # K6 cvd scans every high subset, M8 cvd stops at its first; neither
+    # loads multiprocessing or concurrent.futures at any worker count. The
+    # child reports on stdout, so the check holds under python -O too. It
+    # runs without site-packages (-S) and names every loaded top-level
+    # module outside the standard library, so the package stays stdlib-only
     src = str(Path(oracle.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = (
-        "import os, sys\n"
-        "os.cpu_count = lambda: 2  # a two-part plan on any machine\n"
+        "import sys\n"
         "from cordial.cli import main\n"
         "status = main(sys.argv[1:])\n"
         "top = {name.partition('.')[0] for name in sys.modules}\n"
-        "own = {'cordial', '__main__', '__mp_main__'}\n"
+        "own = {'cordial', '__main__'}\n"
         "print(sorted(top - sys.stdlib_module_names - own))\n"
-        "print('multiprocessing' in sys.modules)\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
         "sys.exit(status)\n"
     )
-    for workers in (1, 2):
-        args = ["compute", "--family", family, "--n", str(n), "--measure", "cvd",
-                "--method", "oracle", "--workers", str(workers)]
-        proc = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-2:] == ["[]", str(loaded and workers == 2)]
-
-
-def test_scan_plan_clamps_parts_and_tiles_the_high_subsets(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    size = 1 << _split(20)[-1]
-    assert _scan_plan(20, 8) == [(0, size // 2), (size // 2, size)]
-    assert _scan_plan(20, 1) == [(0, size)]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert len(_scan_plan(20, 8)) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    plan = _scan_plan(20, 3)
-    assert [lo for lo, _ in plan[1:]] == [hi for _, hi in plan[:-1]]
-    assert plan[0][0] == 0 and plan[-1][1] == size and len(plan) == 3
-    # a tiny graph has few high subsets, so it never gets more parts than that
-    assert len(_scan_plan(3, 64)) == 1 << _split(3)[-1]
-    assert len(_scan_plan(0, 64)) == 1
-    # a range that starts above 0 is tiled the same way, and one shorter than
-    # the part count gets one part per high subset, an empty one none
-    assert _scan_plan(20, 3, 5) == [(5, 5 + (size - 5) // 3),
-                                    (5 + (size - 5) // 3, 5 + 2 * (size - 5) // 3),
-                                    (5 + 2 * (size - 5) // 3, size)]
-    assert _scan_plan(20, 3, size - 2) == [(size - 2, size - 1), (size - 1, size)]
-    assert _scan_plan(20, 1, size - 1) == [(size - 1, size)]
-    assert _scan_plan(20, 3, size) == _scan_plan(20, 1, size) == []
+    for family, n in (("complete", 6), ("mobius", 8)):
+        for workers in (1, 2):
+            args = ["compute", "--family", family, "--n", str(n), "--measure", "cvd",
+                    "--method", "oracle", "--workers", str(workers)]
+            proc = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_worker_count_below_one_is_rejected():
     for bad in (0, -1):
-        with pytest.raises(CordialError, match="workers"):
-            _scan_plan(6, bad)
         with pytest.raises(CordialError, match="workers"):
             ced_oracle(complete_graph(4), workers=bad)
 
@@ -651,10 +472,10 @@ def test_cross_validate_and_compute_scan_each_graph_once(monkeypatch, capsys):
     assert "cvd MATCH" in capsys.readouterr().out
 
 
-def test_worker_count_does_not_change_results(free_pool):
-    # W5 is settled by its first high subset; K6 and the 256-edge crossing
-    # multigraph start the real pool, the latter on 2-byte lanes, whose new
-    # e1 values a set difference finds
+def test_worker_count_does_not_change_results():
+    # W5 is settled by its first high subset, K6 scans every one, and the
+    # 256-edge crossing multigraph runs on 2-byte lanes, whose new e1 values
+    # a set difference finds
     for g in (wheel_graph(5), complete_graph(6), _crossing_multigraph(256)):
         runs = [ced_oracle(g, workers=w) for w in (1, 2, 5)]
         assert len({(r.value, r.witness, r.labelings_examined) for r in runs}) == 1
