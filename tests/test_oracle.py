@@ -332,7 +332,8 @@ def test_one_scan_answers_any_modes_like_single_mode_calls(g):
             }
 
 
-def test_compute_loads_only_the_standard_library_and_starts_no_pool():
+@pytest.mark.parametrize("family, n", [("complete", 6), ("mobius", 8)])
+def test_compute_loads_only_the_standard_library_and_starts_no_pool(family, n):
     # K6 cvd scans every high subset, M8 cvd stops at its first; neither
     # loads multiprocessing or concurrent.futures at any worker count. The
     # child reports on stdout, so the check holds under python -O too. It
@@ -350,14 +351,13 @@ def test_compute_loads_only_the_standard_library_and_starts_no_pool():
         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
         "sys.exit(status)\n"
     )
-    for family, n in (("complete", 6), ("mobius", 8)):
-        for workers in (1, 2):
-            args = ["compute", "--family", family, "--n", str(n), "--measure", "cvd",
-                    "--method", "oracle", "--workers", str(workers)]
-            proc = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env,
-                                  capture_output=True, text=True, timeout=60)
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
+    for workers in (1, 2):
+        args = ["compute", "--family", family, "--n", str(n), "--measure", "cvd",
+                "--method", "oracle", "--workers", str(workers)]
+        proc = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_worker_count_below_one_is_rejected():
