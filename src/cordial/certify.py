@@ -20,7 +20,6 @@ from .errors import CordialError, MalformedCertificate, SelfCheckFailed, self_ch
 from .graph_core import FAMILIES, FamilySpec, MultiGraph, new_graph
 from .labeling import (
     ParityOutcome,
-    VertexLabeling,
     balance,
     first_pair_with_edge_label,
     parity_obstruction,
@@ -91,7 +90,7 @@ class Verdict(NamedTuple):
     reason: str = ""
 
 
-def _structural_check(cert: Certificate) -> MultiGraph:
+def _structural_check(cert: Certificate, graph: MultiGraph | None) -> MultiGraph:
     if cert.kind not in MEASURES:
         raise MalformedCertificate(f"unknown kind {cert.kind!r}")
     if _expect_int(cert.claimed_value, "claimed_value") < 0:
@@ -139,6 +138,8 @@ def _structural_check(cert: Certificate) -> MultiGraph:
         raise MalformedCertificate(
             f"{len(cert.labels)} labels for a graph on {n} vertices"
         )
+    if spec is None and graph is not None and graph.n == n and graph.edges is cert.edges:
+        return graph  # built from these very edges, so already validated
     return cert.resolve_graph()
 
 
@@ -154,7 +155,7 @@ def _endpoints(pairs, key: str):
         yield v
 
 
-def check_certificate(cert: Certificate) -> Verdict:
+def check_certificate(cert: Certificate, graph: MultiGraph | None = None) -> Verdict:
     """Accept iff the labeled graph plus its stated additions is cordial.
 
     ced adds the listed edges and cvd the listed isolated labeled vertices, so
@@ -163,10 +164,11 @@ def check_certificate(cert: Certificate) -> Verdict:
     additions repair last, and calls a failure there augmented: ced rejects
     an unfriendly labeling before a loop or an out-of-range added edge, and
     cvd rejects unbalanced edge labels before its vertex count. Structural
-    breakage raises MalformedCertificate instead of rejecting.
+    breakage raises MalformedCertificate instead of rejecting. graph is used
+    unbuilt only if its n and its edges object are the certificate's own.
     """
-    g = _structural_check(cert)
-    f = VertexLabeling(cert.labels)
+    g = _structural_check(cert, graph)
+    f = cert.labels
     rep = balance(g, f)
     vertices, edges = [rep.v0, rep.v1], [rep.e0, rep.e1]
     for b in cert.added_vertex_labels:
@@ -190,26 +192,27 @@ def check_certificate(cert: Certificate) -> Verdict:
 
 
 def witness(kind: str, labels, value: int = 0, repair: int | None = None,
-            **graph) -> Certificate:
+            graph: MultiGraph | None = None, **ref) -> Certificate:
     """Build a kind witness on labels and check it; every witness comes from here.
 
-    graph is family=, param= or n=, edges=. A ced witness adds value copies
-    of the first vertex pair whose induced label is repair; a cvd witness adds
-    value isolated vertices of the minority label. A certificate the checker
-    rejects or finds malformed is a bug in its maker and raises SelfCheckFailed.
+    ref is family=, param= or n=, edges=; graph, beside n= and edges=, is
+    their MultiGraph, which the check uses unbuilt. A ced witness adds value
+    copies of the first vertex pair whose induced label is repair; a cvd
+    witness adds value isolated vertices of the minority label. A rejected or
+    malformed certificate is a bug in its maker and raises SelfCheckFailed.
     """
     labels = tuple(labels)
     additions = {}
     if value and kind == "ced":
-        pair = first_pair_with_edge_label(VertexLabeling(labels), repair)
+        pair = first_pair_with_edge_label(labels, repair)
         self_check(pair is not None, f"no vertex pair with induced label {repair}")
         additions["added_edges"] = (pair,) * value
     elif value and kind == "cvd":
         minority = 0 if 2 * sum(labels) > len(labels) else 1
         additions["added_vertex_labels"] = (minority,) * value
-    cert = Certificate(kind, labels, value, **additions, **graph)
-    try:
-        verdict = check_certificate(cert)
+    cert = Certificate(kind, labels, value, **additions, **ref)
+    try:  # a family witness is checked with one argument, as any caller checks it
+        verdict = check_certificate(cert, graph=graph) if graph else check_certificate(cert)
     except MalformedCertificate as exc:
         raise SelfCheckFailed(f"{kind} witness malformed: {exc}") from None
     self_check(verdict.accepted, f"{kind} witness rejected: {verdict.reason}")

@@ -26,7 +26,6 @@ from .certify import (
 )
 from .errors import CordialError, MalformedCertificate, SelfCheckFailed
 from .graph_core import FAMILIES, MIN_SIZE, FamilySpec, parse_edge_list
-from .labeling import VertexLabeling
 from .oracle import (
     DEFAULT_MAX_VERTICES,
     DeficiencyValue,
@@ -151,7 +150,7 @@ def _cmd_compute(args) -> int:
             "match": None if formula is None or oracle is None else formula == oracle,
         }
         if meas == "cordial" and found is not None and found.witness is not None:
-            entry["witness"] = VertexLabeling(found.witness.labels).to_string()
+            entry["witness"] = "".join(map(str, found.witness.labels))
         if meas == "cvd" and known is not None:
             literal = known.formula("cvd_square_rule", args.n)
             if literal not in (None, formula):

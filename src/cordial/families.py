@@ -178,21 +178,23 @@ def construct_mobius_labeling(k: int) -> Certificate:
     return witness("cordial", labels, family="mobius", param=k)
 
 
-def mobius_ced_witness(k: int) -> Certificate:
-    """Friendly labeling two edges apart plus one mixed edge addition."""
+def _mobius_deficiency_labels(k: int, seed: tuple[int, ...]) -> tuple[int, ...]:
+    """A width-6 seed extended to width k, for the widths 2 modulo 4 only."""
     FamilySpec("mobius", k)
     if k % 4 != 2:
         raise NotApplicable("the deficiency witnesses apply to widths 2 modulo 4 only")
-    labels = _mobius_labels(_MOBIUS6_CED_LABELS, 6, k)
+    return _mobius_labels(seed, 6, k)
+
+
+def mobius_ced_witness(k: int) -> Certificate:
+    """Friendly labeling two edges apart plus one mixed edge addition."""
+    labels = _mobius_deficiency_labels(k, _MOBIUS6_CED_LABELS)
     return witness("ced", labels, 1, repair=1, family="mobius", param=k)
 
 
 def mobius_cvd_witness(k: int) -> Certificate:
     """Edge-balanced labeling two vertices apart plus one isolated zero."""
-    FamilySpec("mobius", k)
-    if k % 4 != 2:
-        raise NotApplicable("the deficiency witnesses apply to widths 2 modulo 4 only")
-    labels = _mobius_labels(_MOBIUS6_CVD_LABELS, 6, k)
+    labels = _mobius_deficiency_labels(k, _MOBIUS6_CVD_LABELS)
     return witness("cvd", labels, 1, family="mobius", param=k)
 
 
@@ -236,26 +238,25 @@ def wheel_cordial_labeling(n: int) -> Certificate:
     return witness("cordial", _wheel_rim(n) + (0,), family="wheel", param=n)
 
 
-def wheel_ced_witness(n: int) -> Certificate:
-    """Hub 0 over the cycle-patterned rim, repaired by one same-labeled edge."""
+def _wheel_deficiency_labels(n: int, hub: int) -> tuple[int, ...]:
+    """The cycle-patterned rim, for rims 3 modulo 4 from 7 on, then the hub."""
     FamilySpec("wheel", n)
     if n % 4 != 3:
         raise NotApplicable("the deficiency witnesses apply to rims 3 modulo 4 only")
     if n < 7:
         raise NotApplicable("witness construction starts at rim length 7")
-    labels = tuple(_CYCLE_PATTERN[i % 4] for i in range(n)) + (0,)
+    return tuple(_CYCLE_PATTERN[i % 4] for i in range(n)) + (hub,)
+
+
+def wheel_ced_witness(n: int) -> Certificate:
+    """Hub 0 over the cycle-patterned rim, repaired by one same-labeled edge."""
+    labels = _wheel_deficiency_labels(n, 0)
     return witness("ced", labels, 1, repair=0, family="wheel", param=n)
 
 
 def wheel_cvd_witness(n: int) -> Certificate:
     """Hub 1 balances the edges exactly; one isolated zero restores friendliness."""
-    FamilySpec("wheel", n)
-    if n % 4 != 3:
-        raise NotApplicable("the deficiency witnesses apply to rims 3 modulo 4 only")
-    if n < 7:
-        raise NotApplicable("witness construction starts at rim length 7")
-    labels = tuple(_CYCLE_PATTERN[i % 4] for i in range(n)) + (1,)
-    return witness("cvd", labels, 1, family="wheel", param=n)
+    return witness("cvd", _wheel_deficiency_labels(n, 1), 1, family="wheel", param=n)
 
 
 # ---------------------------------------------------------------- registry

@@ -4,6 +4,7 @@ degree-parity noncordiality test."""
 from __future__ import annotations
 
 from enum import Enum
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import IdOutOfRange, LengthMismatch
@@ -66,10 +67,7 @@ class VertexLabeling(FrozenRecord):
 
     @property
     def encoding(self) -> int:
-        enc = 0
-        for i, b in enumerate(self.labels):
-            enc |= b << i
-        return enc
+        return sum(b << i for i, b in enumerate(self.labels))
 
     def complement(self) -> VertexLabeling:
         return VertexLabeling(tuple(1 - b for b in self.labels))
@@ -117,13 +115,13 @@ def induced_edge_label(f: VertexLabeling, u: int, v: int) -> int:
     return f[u] ^ f[v]
 
 
-def balance(g: MultiGraph, f: VertexLabeling) -> BalanceReport:
-    """Exact label counts; parallel edges contribute with multiplicity."""
+def balance(g: MultiGraph, f: VertexLabeling | tuple[int, ...]) -> BalanceReport:
+    """Exact label counts of f, a VertexLabeling or bit tuple; edges count with multiplicity."""
     if len(f) != g.n:
         raise LengthMismatch(
             f"labeling has {len(f)} bits for a graph on {g.n} vertices"
         )
-    labels = f.labels
+    labels = f.labels if isinstance(f, VertexLabeling) else f
     v1 = sum(labels)
     e1 = sum([labels[u] ^ labels[v] for u, v in g.edges])
     return BalanceReport(v0=g.n - v1, v1=v1, e0=g.m - e1, e1=e1)
@@ -138,14 +136,12 @@ def is_cordial_labeling(g: MultiGraph, f: VertexLabeling) -> bool:
     return rep.vertex_diff <= 1 and rep.edge_diff <= 1
 
 
-def first_pair_with_edge_label(f: VertexLabeling, label: int) -> tuple[int, int] | None:
-    """Lexicographically smallest vertex pair whose induced label matches."""
-    n = len(f)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if f[u] ^ f[v] == label:
-                return (u, v)
-    return None
+def first_pair_with_edge_label(f: VertexLabeling | tuple[int, ...],
+                               label: int) -> tuple[int, int] | None:
+    """Lexicographically smallest vertex pair whose induced label under f, a
+    VertexLabeling or a bit tuple, matches."""
+    pairs = combinations(range(len(f)), 2)  # in lexicographic order
+    return next(((u, v) for u, v in pairs if f[u] ^ f[v] == label), None)
 
 
 class ParityOutcome(Enum):

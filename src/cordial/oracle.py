@@ -18,14 +18,16 @@ complement, is the one with vertex n-1 labeled 0. labelings_examined is the
 size of the halved stream of the result's own mode. Results are
 bit-identical whatever the modes scanned alongside, and equal to those of a
 search over all 2**n labelings. Every witness is built and checked by
-certify.witness, the one place any witness certificate is made.
+certify.witness, the one place any witness certificate is made; a scan
+witness is checked against the scanned MultiGraph itself, not a rebuild.
 
 The scan kernel splits the free vertices 0..n-2 into a low part of at most
 LOW_BITS vertices and a high part holding the rest. For one high subset h a
 single big int holds the e1 of every low subset l, one fixed-width lane per
 l: e1 = alpha(l) + beta(h) - 2 w(l, h), where alpha and beta count the edges
 leaving l and h and w those between them. All three are built from the
-distinct vertex pairs and their multiplicities, beta as a small-int table.
+distinct vertex pairs and their multiplicities, beta(h) as h ascends, from
+beta(h & (h - 1)), so a scan that stops early builds only what it visits.
 Lanes are 1, 2, 4 or 8 bytes, the least that holds cap = min(m, mu * (n//2)
 * ((n+1)//2)), where mu is the largest multiplicity: e1 counts the edges
 across one cut, and a cut separates at most (n//2) * ((n+1)//2) pairs.
@@ -99,8 +101,7 @@ class DeficiencyValue(FrozenRecord):
             return f"infinity ({self.reason.value})"
         return str(self.value)
 
-    def __str__(self) -> str:
-        return self.describe()
+    __str__ = describe
 
 
 class OracleResult(NamedTuple):
@@ -170,7 +171,8 @@ def _scan(n: int, edges, min_ones: int, max_ones: int) -> dict[tuple[int, int], 
     m = len(edges)
     balanced = {m // 2, (m + 1) // 2}  # the e1 of the edge-balanced cells
     pairs = Counter(edges)  # edges are canonical, u < v
-    cap = min(m, max(pairs.values(), default=0) * (n // 2) * ((n + 1) // 2))
+    mu = max(pairs.values(), default=0)
+    cap = min(m, mu * (n // 2) * ((n + 1) // 2))
     width = next(w for w in _LANE_CODES if cap < 1 << 8 * w)
     order, bounds, code, ones_lanes, ind = _lanes(low, width)
     deg = Counter(chain.from_iterable(edges))
@@ -178,27 +180,30 @@ def _scan(n: int, edges, min_ones: int, max_ones: int) -> dict[tuple[int, int], 
     # counts the edges leaving l and w(l, h) those between l and h, so adding
     # beta(h), the edges leaving h, gives e1 of labeling l | h << low
     g = sum(deg[x] * ind[x] for x in range(low))
-    cross = [0] * high  # cross[y] packs the edges from each low subset to y
+    cross = [0] * high  # cross[t] packs the edges from each low subset to low + t
+    # up[t]: (mask, k + 1) per bit k, mask the high vertices above t whose count to t has bit k
+    up = [[0] * mu.bit_length() for _ in range(high)]
     for (u, v), c in pairs.items():
         if v < low:
             g -= 2 * c * (ind[u] & ind[v])
         elif u < low and v < low + high:
             cross[v - low] += c * ind[u]
-    beta = [0]
-    for y in range(low, low + high):
-        pull = [0]  # pull[s] counts the edges from y to high subset s
-        for z in range(low, y):
-            c = pairs[z, y]
-            pull += [p + c for p in pull]
-        beta += [b + deg[y] - 2 * p for b, p in zip(beta, pull)]
+        elif v < low + high:
+            up[u - low] = [mask | (c >> k & 1) << v - low for k, mask in enumerate(up[u - low])]
+    up = [[(mask, k + 1) for k, mask in enumerate(masks) if mask] for masks in up]
     # from h - 1 to h, the lowest set bit t of h joins and the bits below t leave
     steps = [(below - c) << 1 for below, c in zip(accumulate(cross, initial=0), cross)]
     size = len(order) * width
     seen = [b"" if width == 1 else set() for _ in range(n + 1)]  # e1s per ones count
     first: dict[tuple[int, int], int] = {}
+    beta = [0]  # beta[h] counts the edges leaving high subset h
     for h in range(1 << high):
-        if h:
-            g += steps[(h & -h).bit_length() - 1]
+        if h:  # t joins h & (h - 1), whose vertices all lie above it
+            t = (h & -h).bit_length() - 1
+            g += steps[t]
+            beta.append(beta[h & (h - 1)] + deg[low + t])
+            for mask, k in up[t]:  # less twice the edges from t into h
+                beta[h] -= (mask & h).bit_count() << k
         h_ones = h.bit_count()
         groups = range(max(0, min_ones - h_ones), min(low, max_ones - h_ones) + 1)
         if not groups:
@@ -268,9 +273,9 @@ def _result(mode: str, g: MultiGraph, first) -> OracleResult:
             reason = InfinityReason.NO_FEASIBLE_AUGMENTATION
         return OracleResult(DeficiencyValue.infinite(reason), None, count)
     cost, canon, e1 = min(priced)
-    labels = VertexLabeling.from_encoding(canon, n).labels
+    labels = tuple(canon >> i & 1 for i in range(n))
     repair = 0 if 2 * e1 > m else 1  # the minority edge label
-    cert = witness(mode, labels, cost, repair=repair, n=n, edges=g.edges)
+    cert = witness(mode, labels, cost, repair=repair, n=n, edges=g.edges, graph=g)
     return OracleResult(DeficiencyValue.finite(cost), cert, count)
 
 

@@ -409,7 +409,10 @@ def test_every_family_witness_is_checked_by_its_constructor(monkeypatch, family,
     build = REGISTRY[family].constructions[target]
     assert check_certificate(build(size)).accepted
 
-    def reject(cert):
+    graphs = []  # a family witness resolves its own graph: none is handed in
+
+    def reject(cert, graph=None):
+        graphs.append(graph)
         return Verdict(cert.kind != target, "forced")
 
     monkeypatch.setattr(cordial.certify, "check_certificate", reject)
@@ -417,6 +420,7 @@ def test_every_family_witness_is_checked_by_its_constructor(monkeypatch, family,
         build(size)
     with pytest.raises(SelfCheckFailed):
         cross_validate([FamilySpec(family, size)], max_vertices=1)
+    assert graphs and graphs == [None] * len(graphs)
 
 
 def test_witness_adds_the_stated_repairs_and_checks_them():

@@ -90,7 +90,7 @@ def test_self_check_failure_exits_one(capsys, monkeypatch):
     import cordial.certify
 
     monkeypatch.setattr(cordial.certify, "check_certificate",
-                        lambda cert: Verdict(False, "forced"))
+                        lambda cert, graph=None: Verdict(False, "forced"))
     code, _, err = run(capsys, "compute", "--family", "complete", "--n", "4",
                        "--measure", "ced", "--method", "oracle")
     assert code == 1 and "internal self-check failed" in err

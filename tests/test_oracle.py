@@ -17,9 +17,12 @@ import pytest
 from hypothesis import example, given
 
 from cordial import (
+    Certificate,
     DeficiencyValue,
     FamilySpec,
     InfinityReason,
+    MalformedCertificate,
+    MultiGraph,
     SizeLimitExceeded,
     Verdict,
     VertexLabeling,
@@ -188,7 +191,7 @@ def _recount(g, min_ones, max_ones):
     first, cordial = {}, False
     for h in range(1 << high):
         for x in range(h << low, (h + 1) << low):
-            rep = balance(g, VertexLabeling.from_encoding(x, g.n))
+            rep = balance(g, tuple(x >> i & 1 for i in range(g.n)))
             if min_ones <= rep.v1 <= max_ones:
                 first.setdefault((rep.v1, rep.e1), x)
                 cordial |= rep.vertex_diff <= 1 and rep.edge_diff <= 1
@@ -262,6 +265,46 @@ def test_scan_packs_one_byte_lanes_when_no_cut_reaches_256_edges(lane_widths):
     for task in _scan_ranges(g):
         assert _scan(g.n, g.edges, *task) == _recount(g, *task)
     assert lane_widths == [1, 1]
+
+
+def _even_multigraph(n, seed, m_min):
+    """A multigraph on n vertices whose degrees are all even and whose m is 2
+    modulo 4: e1 is then always even and m/2 odd, so no labeling is
+    edge-balanced, no cell is cordial and every scan runs in full.
+
+    It is a union of triangles, each with one multiplicity: pair-disjoint
+    ones among the high vertices and the pinned vertex n-1, with
+    multiplicities 2 to 5, then triangles of two low vertices and one of
+    those, until m is at least m_min.
+    """
+    rng = random.Random(seed)
+    low = _split(n)[0]
+    triangles, used = [], set()
+    for tri in rng.sample(list(combinations(range(low, n), 3)), comb(n - low, 3)):
+        if used.isdisjoint(combinations(tri, 2)):
+            used.update(combinations(tri, 2))
+            triangles.append((tri, rng.randint(2, 5)))
+    while 3 * sum(c for _, c in triangles) < m_min or sum(c for _, c in triangles) % 4 != 2:
+        tri = (*rng.sample(range(low), 2), rng.randrange(low, n))
+        triangles.append((tri, rng.randint(1, 5)))
+    return new_graph(n, [p for tri, c in triangles for p in combinations(tri, 2) for _ in range(c)])
+
+
+@pytest.mark.parametrize("n, m_min, width", [(16, 0, 1), (17, 0, 1), (16, 256, 2), (17, 256, 2)])
+def test_scan_builds_beta_exactly_on_five_and_six_high_vertices(n, m_min, width, lane_widths):
+    # beta(h) grows from beta(h & (h - 1)) as h ascends; here it is built for
+    # all 2**5 or 2**6 high subsets, from multiplicities up to 5 among the
+    # high vertices and edges to the pinned vertex
+    g = _even_multigraph(n, n, m_min)
+    low, high = _split(n)
+    assert high == n - 11 and any(v == n - 1 for _, v in g.edges)
+    full = _recount(g, 0, n)  # both streams scan every high subset
+    assert max(x >> low for x in full.values()) == (1 << high) - 1
+    for lo, hi in _scan_ranges(g):  # the cvd stream, then the ced stream
+        assert _scan(g.n, g.edges, lo, hi) == {
+            cell: x for cell, x in full.items() if lo <= cell[0] <= hi
+        }
+    assert lane_widths == [width] * 2
 
 
 def _planted_cordial_multigraph(n, seed):
@@ -370,7 +413,7 @@ def test_rejected_witness_raises_self_check_failed(monkeypatch):
     import cordial.certify
     import cordial.families
 
-    def reject(cert):
+    def reject(cert, graph=None):
         return Verdict(False, "forced")
 
     monkeypatch.setattr(cordial.certify, "check_certificate", reject)
@@ -383,6 +426,43 @@ def test_rejected_witness_raises_self_check_failed(monkeypatch):
         cordial.families.complete_ced_witness(6)
     with pytest.raises(SelfCheckFailed):
         cordial.families.family_certificates("complete", 6)
+
+
+def test_scan_witness_is_checked_on_the_scanned_graph(monkeypatch):
+    # the oracle hands the checker the graph it scanned, so no witness builds
+    # a second MultiGraph; a graph that is not the certificate's own, by its
+    # edges object or its n, is ignored: the certificate's graph is built and
+    # validated instead. The forged graphs below skip MultiGraph's checks
+    built = []
+    new = MultiGraph.__new__
+
+    def spy(cls, n, edges):
+        built.append(n)
+        return new(cls, n, edges)
+
+    graphs = (cycle_graph(4), wheel_graph(7), _crossing_multigraph(256))
+    monkeypatch.setattr(MultiGraph, "__new__", spy)
+    witnesses = {g: [r.witness for r in solve(g, MEASURES).values() if r.witness]
+                 for g in graphs}
+    assert built == []
+    for g, certs in witnesses.items():
+        assert certs and all(w.edges is g.edges for w in certs)
+        assert all(check_certificate(w, graph=g).accepted for w in certs)
+    assert built == []
+
+    def forged(n, edges):
+        return tuple.__new__(MultiGraph, (n, edges))
+
+    # rejected on its own three edges, accepted on the one edge of the stand-in
+    cert = Certificate("cordial", (0, 1), 0, n=2, edges=((0, 1),) * 3)
+    for stand_in in (new_graph(2, [(0, 1)]), forged(2, ((0, 1),)), forged(3, cert.edges)):
+        built.clear()
+        assert not check_certificate(cert, graph=stand_in).accepted
+        assert built == [2]
+    loop = Certificate("cordial", (0, 1), 0, n=2, edges=((0, 0),))
+    for stand_in in (forged(2, tuple([(0, 0)])), forged(3, loop.edges)):
+        with pytest.raises(MalformedCertificate, match="loop"):
+            check_certificate(loop, graph=stand_in)
 
 
 # --------------------------------------------------------- frozen values
