@@ -3,42 +3,51 @@
 Labelings are encoded as n-bit integers, bit i giving the label of vertex i.
 Each measure depends on a labeling only through its cell (ones, e1), its
 counts of 1-labeled vertices and edges. So one scan serves any set of
-measures: it records the least encoding reaching each cell, and a result's
-witness is the least encoding among its cheapest candidate cells. Every
-mode prices a cell by one rule, the certificate checker's: the additions
-that make it cordial, max(0, |n - 2 ones| - 1) + max(0, |m - 2 e1| - 1).
-Modes differ only in their candidates: cordial takes the friendly
-edge-balanced cells, ced every friendly cell (only the edge-balanced ones
-at n <= 2, whose friendly labelings have no same-labeled pair to repair
-at) and cvd every edge-balanced cell. The scan covers the friendly
-labelings, or all of them when cvd is asked for, with vertex n-1 pinned at
-label 0. Pinning is sound because complementing a labeling preserves every
-edge label, and the canonical encoding, the smaller of a labeling and its
-complement, is the one with vertex n-1 labeled 0. labelings_examined is the
-size of the halved stream of the result's own mode. Results are
-bit-identical whatever the modes scanned alongside, and equal to those of a
-search over all 2**n labelings. Every witness is built and checked by
-certify.witness, the one place any witness certificate is made; a scan
-witness is checked against the scanned MultiGraph itself, not a rebuild.
+measures: it records the least encoding reaching each candidate cell of the
+measures asked, and a result's witness is the least encoding among its
+cheapest candidate cells. Every mode prices a cell by one rule, the
+certificate checker's: the additions that make it cordial,
+max(0, |n - 2 ones| - 1) + max(0, |m - 2 e1| - 1). Modes differ only in
+their candidates: cordial takes the friendly edge-balanced cells, ced every
+friendly cell (only the edge-balanced ones at n <= 2, whose friendly
+labelings have no same-labeled pair to repair at) and cvd every
+edge-balanced cell. So only ced at n > 2 needs every e1 of a row, on its
+friendly rows; every other row needs only its one or two edge-balanced e1
+values. The scan covers the friendly labelings, or all of them when cvd is
+asked for, with vertex n-1 pinned at label 0. Pinning is sound because
+complementing a labeling preserves every edge label, and the canonical
+encoding, the smaller of a labeling and its complement, is the one with
+vertex n-1 labeled 0. labelings_examined is the size of the halved stream
+of the result's own mode. Results are bit-identical whatever the modes
+scanned alongside, and equal to those of a search over all 2**n labelings.
+Every witness is built and checked by certify.witness, the one place any
+witness certificate is made; a scan witness is checked against the scanned
+MultiGraph itself, not a rebuild.
 
 The scan kernel splits the free vertices 0..n-2 into a low part of at most
 LOW_BITS vertices and a high part holding the rest. For one high subset h a
 single big int holds the e1 of every low subset l, one fixed-width lane per
 l: e1 = alpha(l) + beta(h) - 2 w(l, h), where alpha and beta count the edges
-leaving l and h and w those between them. All three are built from the
-distinct vertex pairs and their multiplicities, beta(h) as h ascends, from
-beta(h & (h - 1)), so a scan that stops early builds only what it visits.
-Lanes are 1, 2, 4 or 8 bytes, the least that holds cap = min(m, mu * (n//2)
-* ((n+1)//2)), where mu is the largest multiplicity: e1 counts the edges
-across one cut, and a cut separates at most (n//2) * ((n+1)//2) pairs.
-Packing is linear, so a lane may overflow while the terms are summed, yet
-every final lane lies in 0..cap and the bytes of the sum are the lanes.
-Lanes are grouped by popcount, ascending inside a group, so each ones count
-is one byte slice, and bytes.translate or a set difference finds the e1
-values not reached before. High subsets ascend, so the first hit of a cell
-is its least encoding, and a scan stops after the first high subset that
-reaches a cordial cell, the only cells the rule prices at 0. Every scan runs
-in the calling process.
+leaving l and h and w those between them. One pass over the distinct vertex
+pairs and their multiplicities builds alpha and gathers what w and beta
+need. A low pair (u, v) of multiplicity c adds c to the lanes holding
+exactly one of u and v; the edges from a low vertex out of the low part add
+their count to the lanes holding it. w's packed steps are built once the
+scan passes h = 0, and beta(h) as h ascends, from beta(h & (h - 1)), so a
+scan that stops early builds only what it visits. Lanes are 1, 2, 4 or 8
+bytes, the least that holds cap = min(m, mu * (n//2) * ((n+1)//2)), where
+mu is the largest multiplicity: e1 counts the edges across one cut, and a
+cut separates at most (n//2) * ((n+1)//2) pairs. Packing is linear, so a
+lane may overflow while the terms are summed, yet every final lane lies in
+0..cap and the bytes of the sum are the lanes. Lanes are grouped by
+popcount, ascending inside a group, so each ones count is one byte range.
+A row that needs only its edge-balanced e1 values looks each one up inside
+that range (bytes.find, or a membership test and an index on wider lanes)
+until the row has recorded it. A row that needs every e1 takes the values
+not reached before by bytes.translate or a set difference. High subsets
+ascend, so the first hit of a cell is its least encoding, and a scan stops
+after the first high subset that reaches a cordial cell, the only cells the
+rule prices at 0. Every scan runs in the calling process.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from array import array
 from collections import Counter
 from enum import Enum
 from functools import cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
@@ -159,64 +168,92 @@ def _pack(values, code: str) -> int:
     return int.from_bytes(array(code, values).tobytes(), sys.byteorder)
 
 
-def _scan(n: int, edges, min_ones: int, max_ones: int) -> dict[tuple[int, int], int]:
-    """Scan the labelings with min_ones..max_ones ones and vertex n-1 at 0.
+def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
+    """Scan the labelings of the stream that modes scan, vertex n-1 at 0.
 
-    Returns first, mapping each reached (ones, e1) cell to the least encoding
-    reaching it. The scan ends with the first high subset at which a cordial
-    cell is reached, once all of that subset's cells are recorded. The lane
-    width is the least that holds cap, the cut bound of the module docstring.
+    Returns first, mapping each reached candidate cell of modes to the least
+    encoding reaching it: every cell of a friendly row when ced is asked at
+    n > 2, and only the edge-balanced cells of every other row. The scan
+    ends with the first high subset at which a cordial cell is reached, once
+    all of that subset's candidate cells are recorded. The lane width is the
+    least that holds cap, the cut bound of the module docstring.
     """
     low, high = _split(n)
     m = len(edges)
     balanced = {m // 2, (m + 1) // 2}  # the e1 of the edge-balanced cells
+    rows = _ones_range(modes, n)
+    friendly = range(n // 2, (n + 1) // 2 + 1)
+    whole = friendly if "ced" in modes and n > 2 else ()  # rows that record every e1
     pairs = Counter(edges)  # edges are canonical, u < v
     mu = max(pairs.values(), default=0)
     cap = min(m, mu * (n // 2) * ((n + 1) // 2))
     width = next(w for w in _LANE_CODES if cap < 1 << 8 * w)
     order, bounds, code, ones_lanes, ind = _lanes(low, width)
-    deg = Counter(chain.from_iterable(edges))
     # g packs alpha(l) - 2 w(l, h) per lane, starting at h = 0: alpha(l)
     # counts the edges leaving l and w(l, h) those between l and h, so adding
     # beta(h), the edges leaving h, gives e1 of labeling l | h << low
-    g = sum(deg[x] * ind[x] for x in range(low))
-    cross = [0] * high  # cross[t] packs the edges from each low subset to low + t
+    g = 0  # each product below skips c = 1, where it would only copy the lanes
+    out = [0] * low  # out[x] counts the edges from low vertex x out of the low part
+    deg = [0] * (high + 1)  # the degrees of the high vertices, then the pinned one
+    ends = [[] for _ in range(high)]  # ends[t]: (u, c) per low u with c edges to low + t
     # up[t]: (mask, k + 1) per bit k, mask the high vertices above t whose count to t has bit k
     up = [[0] * mu.bit_length() for _ in range(high)]
     for (u, v), c in pairs.items():
-        if v < low:
-            g -= 2 * c * (ind[u] & ind[v])
-        elif u < low and v < low + high:
-            cross[v - low] += c * ind[u]
-        elif v < low + high:
+        if v < low:  # in a lane exactly when one end is in its subset
+            g += c * (ind[u] ^ ind[v]) if c > 1 else ind[u] ^ ind[v]
+            continue
+        deg[v - low] += c
+        if u < low:
+            out[u] += c
+            if v < low + high:
+                ends[v - low].append((u, c))
+            continue
+        deg[u - low] += c
+        if v < low + high:
             up[u - low] = [mask | (c >> k & 1) << v - low for k, mask in enumerate(up[u - low])]
+    g += sum(c * lanes if c > 1 else lanes for c, lanes in zip(out, ind) if c)
     up = [[(mask, k + 1) for k, mask in enumerate(masks) if mask] for masks in up]
-    # from h - 1 to h, the lowest set bit t of h joins and the bits below t leave
-    steps = [(below - c) << 1 for below, c in zip(accumulate(cross, initial=0), cross)]
     size = len(order) * width
-    seen = [b"" if width == 1 else set() for _ in range(n + 1)]  # e1s per ones count
+    seen = [b"" if width == 1 else set() for _ in range(n + 1)]  # e1s of whole rows
     first: dict[tuple[int, int], int] = {}
     beta = [0]  # beta[h] counts the edges leaving high subset h
     for h in range(1 << high):
+        if h == 1:  # cross[t] packs the edges from each low subset to low + t
+            cross = [sum(c * ind[u] if c > 1 else ind[u] for u, c in e) for e in ends]
+            # from h - 1 to h, the lowest set bit t of h joins and the bits below t leave
+            steps = [(below - c) << 1 for below, c in zip(accumulate(cross, initial=0), cross)]
         if h:  # t joins h & (h - 1), whose vertices all lie above it
             t = (h & -h).bit_length() - 1
             g += steps[t]
-            beta.append(beta[h & (h - 1)] + deg[low + t])
+            beta.append(beta[h & (h - 1)] + deg[t])
             for mask, k in up[t]:  # less twice the edges from t into h
                 beta[h] -= (mask & h).bit_count() << k
         h_ones = h.bit_count()
-        groups = range(max(0, min_ones - h_ones), min(low, max_ones - h_ones) + 1)
+        groups = range(max(0, rows[0] - h_ones), min(low, rows[-1] - h_ones) + 1)
         if not groups:
             continue
         # every lane holds an e1 in [0, cap], so E's digits are the lanes
         E = (g + beta[h] * ones_lanes).to_bytes(size, sys.byteorder)
         if width > 1:
-            E = memoryview(E).cast(code)
+            E = array(code, E)
         cordial = False
         for k in groups:
             ones = h_ones + k
-            start = bounds[k]
-            block = E[start:bounds[k + 1]]
+            start, stop = bounds[k], bounds[k + 1]
+            if ones not in whole:  # look up only the edge-balanced e1 values
+                for e1 in balanced:
+                    if (ones, e1) in first:
+                        continue
+                    if width == 1:
+                        i = E.find(e1, start, stop)
+                    else:
+                        block = E[start:stop]
+                        i = start + block.index(e1) if e1 in block else -1
+                    if i >= 0:
+                        first[ones, e1] = order[i] | h << low
+                        cordial |= ones in friendly
+                continue
+            block = E[start:stop]
             if width == 1:
                 new = block.translate(None, seen[ones])
                 if not new:
@@ -228,10 +265,9 @@ def _scan(n: int, edges, min_ones: int, max_ones: int) -> dict[tuple[int, int], 
                 if not new:
                     continue
                 seen[ones] |= new
-                block = block.tolist()
             for e1 in new:
                 first[ones, e1] = order[start + block.index(e1)] | h << low
-            cordial |= abs(n - 2 * ones) <= 1 and not balanced.isdisjoint(new)
+            cordial |= not new.isdisjoint(balanced)
         if cordial:
             break
     return first
@@ -295,8 +331,7 @@ def solve(
     check_search_size(g.n, max_vertices)
     if workers < 1:
         raise CordialError(f"workers must be at least 1, got {workers}")
-    ones = _ones_range(modes, g.n)
-    first = _scan(g.n, g.edges, ones[0], ones[-1])
+    first = _scan(g.n, g.edges, modes)
     return {mode: _result(mode, g, first) for mode in modes}
 
 

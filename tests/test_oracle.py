@@ -43,7 +43,7 @@ from cordial import (
 )
 from cordial import cli, oracle
 from cordial.errors import CordialError, SelfCheckFailed
-from cordial.oracle import MEASURES, _ones_range, _result, _scan, _split, solve
+from cordial.oracle import MEASURES, _result, _scan, _split, solve
 from strategies import multigraphs
 
 # ------------------------------------------------- definitional references
@@ -180,24 +180,36 @@ def test_scan_matches_reference_in_every_mode_and_plan(g):
     check("ced", ced_oracle(g))
     check("cvd", cvd_oracle(g))
     for mode in refs:
-        ones = _ones_range((mode,), g.n)
-        check(mode, _result(mode, g, _scan(g.n, g.edges, ones[0], ones[-1])))
+        check(mode, _result(mode, g, _scan(g.n, g.edges, (mode,))))
 
 
-def _recount(g, min_ones, max_ones):
-    """_scan's cells from balance() on every labeling of each high subset, up
-    to and including the first that reaches a cordial cell."""
+def _recount(g):
+    """Every (ones, e1) cell with the least labeling reaching it, from
+    balance() on every labeling of each high subset, up to and including the
+    first that reaches a cordial cell."""
     low, high = _split(g.n)
     first, cordial = {}, False
     for h in range(1 << high):
         for x in range(h << low, (h + 1) << low):
             rep = balance(g, tuple(x >> i & 1 for i in range(g.n)))
-            if min_ones <= rep.v1 <= max_ones:
-                first.setdefault((rep.v1, rep.e1), x)
-                cordial |= rep.vertex_diff <= 1 and rep.edge_diff <= 1
+            first.setdefault((rep.v1, rep.e1), x)
+            cordial |= rep.vertex_diff <= 1 and rep.edge_diff <= 1
         if cordial:
             break
     return first
+
+
+def _priced(g, cells, modes):
+    """The cells of cells that one of modes prices: every mode prices the
+    friendly edge-balanced cells, cvd every edge-balanced one, and ced every
+    friendly one when a same-labeled pair exists to add edges at (n > 2)."""
+    def priced(ones, e1):
+        friendly = abs(g.n - 2 * ones) <= 1
+        balanced = abs(g.m - 2 * e1) <= 1
+        return balanced and (friendly or "cvd" in modes) or (
+            friendly and "ced" in modes and g.n > 2)
+
+    return {cell: x for cell, x in cells.items() if priced(*cell)}
 
 
 @pytest.fixture
@@ -214,10 +226,9 @@ def lane_widths(monkeypatch):
     return widths
 
 
-def _scan_ranges(g):
-    """(min_ones, max_ones) of the cvd and the ced streams of g."""
-    ranges = (_ones_range((mode,), g.n) for mode in ("cvd", "ced"))
-    return [(ones[0], ones[-1]) for ones in ranges]
+# every row of the ones counts 0..n looks up only its edge-balanced e1
+# values, friendly rows record every e1, and both mix in one scan
+_MODE_SETS = (("cvd",), ("ced",), ("ced", "cvd"))
 
 
 def test_scan_part_matches_a_recount_on_any_high_range(lane_widths):
@@ -233,27 +244,30 @@ def test_scan_part_matches_a_recount_on_any_high_range(lane_widths):
                 g = new_graph(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
             else:
                 g = _crossing_multigraph(m, n, n // 2)
-            for task in _scan_ranges(g):
-                (narrow if m < 256 else wide).append((g, task, _recount(g, *task)))
+            full = _recount(g)
+            for modes in _MODE_SETS:
+                (narrow if m < 256 else wide).append((g, modes, _priced(g, full, modes)))
     cases = [c for pair in zip_longest(narrow, wide) for c in pair if c]
-    for g, task, want in cases * 2:
-        assert _scan(g.n, g.edges, *task) == want
+    for g, modes, want in cases * 2:
+        assert _scan(g.n, g.edges, modes) == want
     assert lane_widths == [1 if g.m < 256 else 2 for g, _, _ in cases] * 2
 
 
 @pytest.mark.parametrize("m", [255, 256])
 def test_scan_part_is_exact_when_degree_sums_overflow_a_lane(m, lane_widths):
-    # all m edges lie among the 10 low vertices of a 13-vertex graph, so the
-    # lanes of large low subsets sum degrees past 255 before twice the pairs
-    # inside them are taken off; m = 256 is the twin with 2-byte lanes, as
-    # its largest multiplicity, 9, times the 6 * 7 pairs a cut separates is
-    # above 256
+    # all m edges lie among the 10 low vertices of a 13-vertex graph, so
+    # alpha alone sets every lane, and the degree sums of large low subsets
+    # pass 255 while no lane does: the packed alpha must never hold them.
+    # m = 256 is the twin with 2-byte lanes, as its largest multiplicity, 9,
+    # times the 6 * 7 pairs a cut separates is above 256. ced keeps whole
+    # friendly rows, cvd the edge-balanced cells of the rest
     rng = random.Random(m)
     g = new_graph(13, [tuple(rng.sample(range(10), 2)) for _ in range(m)])
     assert _split(13) == (10, 2)
-    for task in _scan_ranges(g):
-        assert _scan(g.n, g.edges, *task) == _recount(g, *task)
-    assert lane_widths == [1 if m < 256 else 2] * 2
+    full = _recount(g)
+    for modes in _MODE_SETS:
+        assert _scan(g.n, g.edges, modes) == _priced(g, full, modes)
+    assert lane_widths == [1 if m < 256 else 2] * len(_MODE_SETS)
 
 
 def test_scan_packs_one_byte_lanes_when_no_cut_reaches_256_edges(lane_widths):
@@ -262,9 +276,22 @@ def test_scan_packs_one_byte_lanes_when_no_cut_reaches_256_edges(lane_widths):
     rng = random.Random(14)
     g = new_graph(14, 5 * rng.sample(list(combinations(range(14), 2)), 52))
     assert g.m == 260
-    for task in _scan_ranges(g):
-        assert _scan(g.n, g.edges, *task) == _recount(g, *task)
-    assert lane_widths == [1, 1]
+    full = _recount(g)
+    for modes in _MODE_SETS:
+        assert _scan(g.n, g.edges, modes) == _priced(g, full, modes)
+    assert lane_widths == [1] * len(_MODE_SETS)
+
+
+@pytest.mark.parametrize("c, width", [(1, 1), (22, 2)])
+def test_balanced_lookup_stays_inside_its_popcount_group(c, width, lane_widths):
+    # c edges from each of vertices 0..11 to the pinned vertex 12, so e1 is c
+    # times the ones: at high subset 0 the balanced e1, 6c, lies only in
+    # group 6, after the groups of rows 0..5, which must not find it there.
+    # Row 6 is friendly, so the scan stops at high subset 0. c = 22 gives
+    # m = 264 and 2-byte lanes
+    g = new_graph(13, [(v, 12) for v in range(12) for _ in range(c)])
+    assert _scan(g.n, g.edges, ("cvd",)) == {(6, 6 * c): 0b111111}
+    assert lane_widths == [width]
 
 
 def _even_multigraph(n, seed, m_min):
@@ -294,17 +321,20 @@ def _even_multigraph(n, seed, m_min):
 def test_scan_builds_beta_exactly_on_five_and_six_high_vertices(n, m_min, width, lane_widths):
     # beta(h) grows from beta(h & (h - 1)) as h ascends; here it is built for
     # all 2**5 or 2**6 high subsets, from multiplicities up to 5 among the
-    # high vertices and edges to the pinned vertex
-    g = _even_multigraph(n, n, m_min)
+    # high vertices and edges to the pinned vertex. No cell is edge-balanced,
+    # so only ced's whole friendly rows record cells; the seeds are ones whose
+    # friendly rows first reach a cell at the top high subset
+    seed = {(16, 0): 9, (17, 0): 9, (16, 256): 91, (17, 256): 96}[n, m_min]
+    g = _even_multigraph(n, seed, m_min)
     low, high = _split(n)
     assert high == n - 11 and any(v == n - 1 for _, v in g.edges)
-    full = _recount(g, 0, n)  # both streams scan every high subset
-    assert max(x >> low for x in full.values()) == (1 << high) - 1
-    for lo, hi in _scan_ranges(g):  # the cvd stream, then the ced stream
-        assert _scan(g.n, g.edges, lo, hi) == {
-            cell: x for cell, x in full.items() if lo <= cell[0] <= hi
-        }
-    assert lane_widths == [width] * 2
+    full = _recount(g)  # every stream scans every high subset
+    assert _priced(g, full, ("cvd",)) == {}
+    whole = _priced(g, full, ("ced",))
+    assert max(x >> low for x in whole.values()) == (1 << high) - 1
+    for modes in _MODE_SETS:
+        assert _scan(g.n, g.edges, modes) == _priced(g, full, modes)
+    assert lane_widths == [width] * len(_MODE_SETS)
 
 
 def _planted_cordial_multigraph(n, seed):
@@ -341,11 +371,10 @@ def test_scan_stops_at_the_witness_high_subset(n):
         assert res.value.value == best[0] == 0
         assert res.witness.labels == VertexLabeling.from_encoding(best[1], n).labels
         assert best[1] >> low == top
-        ones = _ones_range((mode,), n)
-        first = _scan(n, g.edges, ones[0], ones[-1])
+        first = _scan(n, g.edges, (mode,))
         # nothing above the witness's high subset is scanned, all of it is
         assert max(x >> low for x in first.values()) == top
-        assert first == _recount(g, ones[0], ones[-1])
+        assert first == _priced(g, _recount(g), (mode,))
 
 
 def _key(res):
@@ -355,10 +384,13 @@ def _key(res):
 
 @example(wheel_graph(12))
 @example(mobius_ladder(7))
+@example(_crossing_multigraph(256))  # 2-byte lanes
+@example(_planted_cordial_multigraph(13, 13))  # settled at the top high subset
 @given(multigraphs(max_n=9))
 def test_one_scan_answers_any_modes_like_single_mode_calls(g):
-    # one scan records the cells of every mode asked for, so every subset of
-    # modes at any worker count must give exactly the single-mode results
+    # one scan records the candidate cells of every mode asked for, so every
+    # subset of modes at any worker count must give exactly the single-mode
+    # results
     cordial = solve(g, ("cordial",))["cordial"]
     alone = {"cordial": _key(cordial), "ced": _key(ced_oracle(g))}
     alone["cvd"] = _key(cvd_oracle(g))
