@@ -57,7 +57,6 @@ from .graph_core import (
     MultiGraph,
     complete_graph,
     cycle_graph,
-    emit_edge_list,
     ladder_graph,
     mobius_ladder,
     new_graph,
@@ -67,16 +66,10 @@ from .graph_core import (
 )
 from .labeling import (
     BalanceReport,
-    ParityOutcome,
-    ParityVerdict,
     VertexLabeling,
     balance,
     first_pair_with_edge_label,
-    induced_edge_label,
-    is_cordial_labeling,
-    is_friendly,
     parity_obstruction,
-    roughly_equal,
 )
 from .oracle import (
     DEFAULT_MAX_VERTICES,

@@ -18,12 +18,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import CordialError, MalformedCertificate, SelfCheckFailed, self_check
 from .graph_core import FAMILIES, FamilySpec, MultiGraph, new_graph
-from .labeling import (
-    ParityOutcome,
-    balance,
-    first_pair_with_edge_label,
-    parity_obstruction,
-)
+from .labeling import balance, first_pair_with_edge_label, parity_obstruction
 
 # the certificate kinds, which are also the oracle's measures
 MEASURES = ("cordial", "ced", "cvd")
@@ -316,12 +311,6 @@ class ValidationReport(NamedTuple):
     def all_match(self) -> bool:
         return not self.mismatches
 
-    def row(self, family: str, size: int) -> ValidationRow:
-        for r in self.rows:
-            if r.family == family and r.size == size:
-                return r
-        raise KeyError((family, size))
-
 
 def _shown(value) -> str:
     """A closed-form or searched value as a mismatch note prints it."""
@@ -391,8 +380,7 @@ def cross_validate(
                 notes.append(f"{kind} witness claims {cert.claimed_value},"
                              f" closed form {shown}")
         if known.parity_lower and not forms["cordial"] and witnesses:
-            parity = parity_obstruction(g or spec.build())
-            if parity.outcome is ParityOutcome.NOT_CORDIAL_BY_PARITY:
+            if parity_obstruction(g or spec.build()):
                 notes.append("bounds: witness upper, parity obstruction lower")
             else:
                 match = False

@@ -102,11 +102,13 @@ def _usage(message: str) -> int:
 def _render(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
-    return "unavailable" if value is None else str(value)
+    return "unavailable" if value is None else value.describe()
 
 
-def _json_value(value: DeficiencyValue):
-    """json.dumps default: a deficiency as its number or "infinity"."""
+def _json_value(value):
+    """A deficiency as its number or "infinity"; any other value as it is."""
+    if not isinstance(value, DeficiencyValue):
+        return value
     return "infinity" if value.is_infinite else value.value
 
 
@@ -136,7 +138,7 @@ def _cmd_compute(args) -> int:
     searched = {}
     if args.method != "formula":
         searched = solve(g, measures, max_vertices=args.max_vertices, workers=args.workers)
-    # each entry is the measure's JSON object; json.dumps renders its deficiencies
+    # each entry is the measure's JSON object once _json_value converts its deficiencies
     results: dict[str, dict] = {}
     for meas in measures:
         formula = None if known is None else known.formula(meas, args.n)
@@ -162,9 +164,11 @@ def _cmd_compute(args) -> int:
     exit_code = 1 if any(e["match"] is False for e in results.values()) else 0
 
     if args.format == "json":
+        results = {meas: {key: _json_value(value) for key, value in e.items()}
+                   for meas, e in results.items()}
         payload = {"graph": ident, "n": n, "m": m, "method": args.method,
                    "results": results}
-        print(json.dumps(payload, indent=2, default=_json_value))
+        print(json.dumps(payload, indent=2))
         return exit_code
 
     print(f"{ident}: {n} vertices, {m} edges")
@@ -226,11 +230,10 @@ def _cmd_table(args) -> int:
     exit_code = 0 if report.all_match else 1
 
     if args.format == "json":
-        rows = [{**r._asdict(), "witnesses": [{"kind": k, "accepted": ok}
-                                          for k, ok in r.witnesses]}
+        rows = [{**{key: _json_value(value) for key, value in r._asdict().items()},
+                 "witnesses": [{"kind": k, "accepted": ok} for k, ok in r.witnesses]}
                 for r in report.rows]
-        print(json.dumps({"rows": rows, "all_match": report.all_match}, indent=2,
-                         default=_json_value))
+        print(json.dumps({"rows": rows, "all_match": report.all_match}, indent=2))
         return exit_code
 
     dash = "" if args.format == "csv" else "-"

@@ -128,7 +128,7 @@ class LabeledFamilyInstance(NamedTuple):
     def build(cls, family: str, size: int, labels) -> "LabeledFamilyInstance":
         spec = FamilySpec(family, size)
         g = spec.build()
-        f = VertexLabeling(tuple(labels))
+        f = VertexLabeling(labels)
         return cls(spec, g, f, balance(g, f))
 
     @property

@@ -1,7 +1,7 @@
-"""Loopless multigraphs, the graph families under study, and edge-list file I/O.
+"""Loopless multigraphs, the graph families under study, and the edge-list parser.
 
-Vertices are dense 0-based ids. Graphs are immutable once built, so instances
-can be shared freely across parallel workers.
+Vertices are dense 0-based ids. Graphs are immutable once built, so one
+instance can be shared by any number of callers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ class MultiGraph(namedtuple("MultiGraph", "n edges")):
     """A loopless multigraph: a vertex count plus a multiset of unordered edges.
 
     Edges are stored (min, max)-ordered and sorted, which makes equality and
-    emission deterministic. Parallel edges are kept with multiplicity.
+    iteration order deterministic. Parallel edges are kept with multiplicity.
     """
 
     __slots__ = ()
@@ -214,10 +214,3 @@ def parse_edge_list(text: str) -> MultiGraph:
     if len(edges) != m:
         raise ParseError(f"expected {m} edge lines, found {len(edges)}", line_no + 1)
     return new_graph(n, edges)
-
-
-def emit_edge_list(g: MultiGraph) -> str:
-    """Deterministic inverse of parse_edge_list: sorted "u v" lines."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"

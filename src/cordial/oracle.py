@@ -61,10 +61,10 @@ from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
-from .certify import MEASURES, Certificate, witness
+from .certify import Certificate, witness
 from .errors import CordialError, SizeLimitExceeded
 from .graph_core import MultiGraph
-from .labeling import FrozenRecord, VertexLabeling
+from .labeling import VertexLabeling
 
 DEFAULT_MAX_VERTICES = 24
 LOW_BITS = 10  # at most 2**10 lanes; each layout is built once per process
@@ -76,17 +76,11 @@ class InfinityReason(Enum):
     NO_FEASIBLE_AUGMENTATION = "NoFeasibleAugmentation"
 
 
-class DeficiencyValue(FrozenRecord):
-    """A deficiency: a non-negative integer or infinity with a stated reason.
+class DeficiencyValue(NamedTuple):
+    """A deficiency: a non-negative integer, or infinity (None) with a stated reason."""
 
-    Not a tuple, so that json.dumps hands it to its default hook.
-    """
-
-    __slots__ = ("value", "reason")
-
-    def __init__(self, value: int | None, reason: InfinityReason | None = None):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "reason", reason)
+    value: int | None
+    reason: InfinityReason | None = None
 
     @classmethod
     def finite(cls, value: int) -> "DeficiencyValue":
@@ -109,8 +103,6 @@ class DeficiencyValue(FrozenRecord):
         if self.is_infinite:
             return f"infinity ({self.reason.value})"
         return str(self.value)
-
-    __str__ = describe
 
 
 class OracleResult(NamedTuple):
@@ -322,7 +314,7 @@ def solve(
     max_vertices: int = DEFAULT_MAX_VERTICES,
     workers: int = 1,
 ) -> dict[str, OracleResult]:
-    """Answer each of modes, a subset of MEASURES, from one scan of g.
+    """Answer each of modes, a subset of certify.MEASURES, from one scan of g.
 
     Each result equals that of a scan in its mode alone. The scan runs in
     the calling process: workers must be at least 1 and changes nothing else,

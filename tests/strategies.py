@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies: small loop-free multigraphs and labelings."""
+"""Shared hypothesis strategies (small loop-free multigraphs and labelings) and
+an independent cordiality recount."""
 
 from hypothesis import strategies as st
 
@@ -22,3 +23,12 @@ def labeled_multigraphs(draw, **kwargs):
     g = draw(multigraphs(**kwargs))
     bits = draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
     return g, VertexLabeling(tuple(bits))
+
+
+def is_cordial(edges, labels) -> bool:
+    """Whether the bit tuple labels is cordial on edges, recounting v0, v1, e0
+    and e1 from the edge list itself: no balance() and no certificate check."""
+    v0, v1 = labels.count(0), labels.count(1)
+    edge_labels = [labels[u] ^ labels[v] for u, v in edges]
+    e0, e1 = edge_labels.count(0), edge_labels.count(1)
+    return abs(v0 - v1) <= 1 and abs(e0 - e1) <= 1

@@ -342,11 +342,16 @@ def test_parse_rejects_shape_problems():
 # ----------------------------------------------------------- cross-validate
 
 
+def _row(report, family, size):
+    """The row of one family member."""
+    return next(r for r in report.rows if (r.family, r.size) == (family, size))
+
+
 def test_cross_validate_flags_only_the_size_two_complete_row():
     specs = [FamilySpec("complete", n) for n in range(1, 7)]
     report = cross_validate(specs)
     assert [r.size for r in report.mismatches] == [2]
-    row = report.row("complete", 2)
+    row = _row(report, "complete", 2)
     assert any("square-rule" in note for note in row.notes)
     assert row.cordial is True
     assert row.cvd == DeficiencyValue.finite(0)  # operational value is reported
@@ -364,7 +369,7 @@ def test_cross_validate_notes_each_measure_that_disagrees_with_the_search(
     # no family witness at these sizes contradicts the wrong form, so the only
     # note is the search's
     monkeypatch.setitem(REGISTRY, "mobius", REGISTRY["mobius"]._replace(**{measure: wrong}))
-    row = cross_validate([FamilySpec("mobius", size)]).row("mobius", size)
+    row = _row(cross_validate([FamilySpec("mobius", size)]), "mobius", size)
     assert not row.match
     assert row.notes == (note,)
     assert getattr(row, measure) != wrong(size)  # the row reports the search
@@ -374,11 +379,11 @@ def test_cross_validate_checks_witnesses_and_parity():
     report = cross_validate([FamilySpec("mobius", 6), FamilySpec("mobius", 7)])
     wheels = cross_validate([FamilySpec("wheel", 7), FamilySpec("wheel", 15)],
                             max_vertices=10)
-    for row in (report.row("mobius", 6), *wheels.rows):
+    for row in (_row(report, "mobius", 6), *wheels.rows):
         assert row.match
         assert ("ced", True) in row.witnesses and ("cvd", True) in row.witnesses
         assert "bounds: witness upper, parity obstruction lower" in row.notes
-    row7 = report.row("mobius", 7)
+    row7 = _row(report, "mobius", 7)
     assert row7.match and ("cordial", True) in row7.witnesses
 
 
@@ -451,21 +456,21 @@ def test_cross_validate_flags_a_witness_claiming_other_than_its_form(monkeypatch
     constructions = {**complete.constructions, "ced": one_more}
     monkeypatch.setitem(REGISTRY, "complete",
                         complete._replace(constructions=constructions))
-    row = cross_validate([FamilySpec("complete", 7)], max_vertices=1).row("complete", 7)
+    row = _row(cross_validate([FamilySpec("complete", 7)], max_vertices=1), "complete", 7)
     assert not row.match
     assert "ced witness claims 3, closed form 2" in row.notes
     assert row.ced == DeficiencyValue.finite(2)
 
     monkeypatch.setitem(REGISTRY, "cycle",
                         REGISTRY["cycle"]._replace(cordial=lambda n: False))
-    row = cross_validate([FamilySpec("cycle", 8)], max_vertices=1).row("cycle", 8)
+    row = _row(cross_validate([FamilySpec("cycle", 8)], max_vertices=1), "cycle", 8)
     assert not row.match
     assert "cordial witness claims 0, closed form noncordial" in row.notes
 
 
 def test_cross_validate_beyond_search_bound_uses_formulas():
     report = cross_validate([FamilySpec("mobius", 20)], max_vertices=10)
-    row = report.row("mobius", 20)
+    row = _row(report, "mobius", 20)
     assert row.source == "formula"
     assert row.cordial is True
     assert row.ced == DeficiencyValue.finite(0)

@@ -117,7 +117,7 @@ def test_base_labelings_are_friendly_with_pinned_counts():
         assert inst.balance.vertex_diff <= 1
         assert inst.is_cordial
         # the graft anchor: a cross edge with both ends labeled 1
-        assert inst.labeling[0] == 1 and inst.labeling[k] == 1
+        assert inst.labeling.labels[0] == 1 and inst.labeling.labels[k] == 1
 
 
 def test_base_labeling_gating():

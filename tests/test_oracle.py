@@ -34,7 +34,6 @@ from cordial import (
     cvd_oracle,
     cycle_graph,
     decide_cordial,
-    is_cordial_labeling,
     mobius_ladder,
     new_graph,
     path_graph,
@@ -42,11 +41,17 @@ from cordial import (
     wheel_graph,
 )
 from cordial import cli, oracle
+from cordial.certify import MEASURES
 from cordial.errors import CordialError, SelfCheckFailed
-from cordial.oracle import MEASURES, _result, _scan, _split, solve
-from strategies import multigraphs
+from cordial.oracle import _result, _scan, _split, solve
+from strategies import is_cordial, multigraphs
 
 # ------------------------------------------------- definitional references
+
+
+def _labels(x, n):
+    """The bit tuple of encoding x: bit i of x is the label of vertex i."""
+    return tuple(x >> i & 1 for i in range(n))
 
 
 def _reference(g, mode, halve):
@@ -60,7 +65,7 @@ def _reference(g, mode, halve):
     for x in range(1 << g.n):
         if halve and x & 1:
             continue  # halved at vertex 0, not at the scan's vertex n-1
-        f = VertexLabeling.from_encoding(x, g.n)
+        f = _labels(x, g.n)
         rep = balance(g, f)
         if mode != "cvd" and rep.vertex_diff > 1:
             continue
@@ -171,12 +176,12 @@ def test_scan_matches_reference_in_every_mode_and_plan(g):
             assert res.value.is_infinite and res.witness is None
         else:
             assert res.value.value == best[0]
-            assert res.witness.labels == VertexLabeling.from_encoding(best[1], g.n).labels
+            assert res.witness.labels == _labels(best[1], g.n)
 
     ok, f = decide_cordial(g)
     best = refs["cordial"][1]
     assert ok == (best is not None)
-    assert f == (VertexLabeling.from_encoding(best[1], g.n) if ok else None)
+    assert f == (VertexLabeling(_labels(best[1], g.n)) if ok else None)
     check("ced", ced_oracle(g))
     check("cvd", cvd_oracle(g))
     for mode in refs:
@@ -356,7 +361,7 @@ def _planted_cordial_multigraph(n, seed):
     # m = 26 and the planted labeling puts 1 + 2 * 6 = m/2 edges on label 1
     edges = [(0, n - 2), (0, n - 1)] + 2 * rng.sample(mixed, 6) + 2 * rng.sample(same, 6)
     g = new_graph(n, edges)
-    assert is_cordial_labeling(g, VertexLabeling(tuple(labels)))
+    assert is_cordial(g.edges, labels)
     return g
 
 
@@ -369,7 +374,7 @@ def test_scan_stops_at_the_witness_high_subset(n):
         res = solve(g, (mode,))[mode]
         best = _reference(g, mode, False)[1]
         assert res.value.value == best[0] == 0
-        assert res.witness.labels == VertexLabeling.from_encoding(best[1], n).labels
+        assert res.witness.labels == _labels(best[1], n)
         assert best[1] >> low == top
         first = _scan(n, g.edges, (mode,))
         # nothing above the witness's high subset is scanned, all of it is
@@ -563,9 +568,9 @@ def test_witnesses_are_accepted_and_claim_the_value():
 def test_cordial_witness_is_cordial_and_scan_invariant():
     g = cycle_graph(4)
     ok, f = decide_cordial(g)
-    assert ok and is_cordial_labeling(g, f)
+    assert ok and is_cordial(g.edges, f.labels)
     # the same canonical witness as a search over every labeling
-    assert f == VertexLabeling.from_encoding(_reference(g, "cordial", False)[1][1], g.n)
+    assert f.labels == _labels(_reference(g, "cordial", False)[1][1], g.n)
 
 
 def test_cross_validate_and_compute_scan_each_graph_once(monkeypatch, capsys):

@@ -1,15 +1,16 @@
 """Definitional invariants over randomized graphs and labelings."""
 
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import labeled_multigraphs, multigraphs
+from strategies import is_cordial, labeled_multigraphs, multigraphs
 
 from cordial import (
     Certificate,
     DeficiencyValue,
     LabeledFamilyInstance,
     MalformedCertificate,
-    ParityOutcome,
     VertexLabeling,
     balance,
     ced_oracle,
@@ -17,7 +18,6 @@ from cordial import (
     construct_mobius_labeling,
     cvd_oracle,
     decide_cordial,
-    is_cordial_labeling,
     mobius_ced_witness,
     mobius_cvd_witness,
     new_graph,
@@ -41,10 +41,11 @@ def test_label_counts_partition_vertices_and_edges(gf):
 @given(labeled_multigraphs())
 def test_complement_swaps_vertex_counts_and_fixes_edge_counts(gf):
     g, f = gf
-    rep, flipped = balance(g, f), balance(g, f.complement())
+    complement = tuple(1 - b for b in f.labels)
+    rep, flipped = balance(g, f), balance(g, VertexLabeling(complement))
     assert (flipped.v0, flipped.v1) == (rep.v1, rep.v0)
     assert (flipped.e0, flipped.e1) == (rep.e0, rep.e1)
-    assert is_cordial_labeling(g, f) == is_cordial_labeling(g, f.complement())
+    assert is_cordial(g.edges, f.labels) == is_cordial(g.edges, complement)
 
 
 @settings(max_examples=60)
@@ -61,22 +62,32 @@ def test_oracle_witnesses_repair_the_graph(g):
     res = ced_oracle(g)
     if not res.value.is_infinite:
         w = res.witness
-        repaired = new_graph(g.n, g.edges + w.added_edges)
-        assert is_cordial_labeling(repaired, VertexLabeling(w.labels))
+        repaired = new_graph(g.n, g.edges + w.added_edges)  # no loop, no stray id
+        assert is_cordial(repaired.edges, w.labels)
     res = cvd_oracle(g)
     if not res.value.is_infinite:
         w = res.witness
-        padded = new_graph(g.n + len(w.added_vertex_labels), g.edges)
-        assert is_cordial_labeling(
-            padded, VertexLabeling(w.labels + w.added_vertex_labels)
-        )
+        assert is_cordial(g.edges, w.labels + w.added_vertex_labels)
 
 
 @settings(max_examples=40)
 @given(multigraphs(max_n=8, max_m=16))
 def test_parity_obstruction_is_sound(g):
-    if parity_obstruction(g).outcome is ParityOutcome.NOT_CORDIAL_BY_PARITY:
+    if parity_obstruction(g):
         assert not decide_cordial(g)[0]
+
+
+@settings(max_examples=300)
+@given(multigraphs(max_n=10))
+def test_parity_obstruction_is_exactly_the_friendly_parity_argument(g):
+    # brute force over the friendly labelings: the argument holds when m is
+    # even and none of them has an e1 of the parity of m/2
+    parities = set()
+    for k in {g.n // 2, (g.n + 1) // 2}:
+        for ones in combinations(range(g.n), k):
+            labels = [int(v in ones) for v in range(g.n)]
+            parities.add(sum(labels[u] ^ labels[v] for u, v in g.edges) % 2)
+    assert parity_obstruction(g) == (g.m % 2 == 0 and g.m // 2 % 2 not in parities)
 
 
 @settings(max_examples=10)
