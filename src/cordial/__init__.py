@@ -59,7 +59,6 @@ from .graph_core import (
     cycle_graph,
     ladder_graph,
     mobius_ladder,
-    new_graph,
     parse_edge_list,
     path_graph,
     wheel_graph,

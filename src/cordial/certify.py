@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import CordialError, MalformedCertificate, SelfCheckFailed, self_check
-from .graph_core import FAMILIES, FamilySpec, MultiGraph, new_graph
+from .graph_core import FAMILIES, FamilySpec, MultiGraph
 from .labeling import balance, first_pair_with_edge_label, parity_obstruction
 
 # the certificate kinds, which are also the oracle's measures
@@ -70,10 +70,10 @@ class Certificate(NamedTuple):
         by_edges = None
         if self.n is not None:
             try:
-                by_edges = new_graph(self.n, self.edges)
-            except CordialError as exc:
+                by_edges = MultiGraph(self.n, self.edges)
+            except CordialError as exc:  # a non-integer id, a loop or a stray id
                 raise MalformedCertificate(f"bad explicit graph: {exc}") from None
-            except (TypeError, ValueError):  # an edge new_graph cannot unpack
+            except (TypeError, ValueError):  # an edge MultiGraph cannot unpack
                 raise MalformedCertificate("edges must be (u, v) pairs") from None
         if by_family is not None and by_edges is not None and by_family != by_edges:
             raise MalformedCertificate("family expansion disagrees with explicit edges")
@@ -95,20 +95,18 @@ def _structural_check(cert: Certificate, graph: MultiGraph | None) -> MultiGraph
     for key in ("param", "n"):
         if getattr(cert, key) is not None:
             _expect_int(getattr(cert, key), key)
-    # plain ints, all a well-formed certificate holds, pass in one C-level
-    # pass over their types; else the first faulty item or value is named, in
-    # key order. The graph build unpacks every edge, so only the additions'
-    # lengths are tested here
-    held = [*(cert.edges or ()), cert.labels, *cert.added_edges, cert.added_vertex_labels]
+    # labels and additions of plain ints pass in one C-level type pass, else
+    # the first faulty one is named in key order; the graph build checks edges
+    held = [cert.labels, *cert.added_edges, cert.added_vertex_labels]
     try:
         clean = (set(map(len, cert.added_edges)) <= {2}
                  and set(map(type, chain.from_iterable(held))) <= {int})
-    except TypeError:  # an edges or added_edges item that is not a sequence
+    except TypeError:  # an added_edges item that is not a sequence
         clean = False
     if not clean:
-        for key in ("edges", "labels", "added_edges", "added_vertex_labels"):
-            values = getattr(cert, key) or ()
-            for value in _endpoints(values, key) if "edges" in key else values:
+        for key in ("labels", "added_edges", "added_vertex_labels"):
+            values = getattr(cert, key)
+            for value in _endpoints(values) if key == "added_edges" else values:
                 _expect_int(value, key)
     for key in ("labels", "added_vertex_labels"):
         if not set(getattr(cert, key)) <= {0, 1}:
@@ -138,14 +136,13 @@ def _structural_check(cert: Certificate, graph: MultiGraph | None) -> MultiGraph
     return cert.resolve_graph()
 
 
-def _endpoints(pairs, key: str):
-    """Both endpoints of every item of pairs; an item that is not a pair is
-    malformed."""
+def _endpoints(pairs):
+    """Both endpoints of every added edge; an item that is not a pair is malformed."""
     for pair in pairs:
         try:
             u, v = pair
         except (TypeError, ValueError):
-            raise MalformedCertificate(f"{key} must be (u, v) pairs") from None
+            raise MalformedCertificate("added_edges must be (u, v) pairs") from None
         yield u
         yield v
 

@@ -10,11 +10,11 @@ class LoopRejected(CordialError):
 
 
 class IdOutOfRange(CordialError):
-    """A vertex id falls outside 0..n-1 for the graph at hand."""
+    """A vertex id is not an integer or falls outside 0..n-1 for the graph at hand."""
 
 
 class SizeTooSmall(CordialError):
-    """A family size parameter is below the family's validity range."""
+    """A vertex count or family size is not an integer or is below its valid range."""
 
 
 class ParseError(CordialError):

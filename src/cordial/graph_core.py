@@ -1,7 +1,9 @@
 """Loopless multigraphs, the graph families under study, and the edge-list parser.
 
-Vertices are dense 0-based ids. Graphs are immutable once built, so one
-instance can be shared by any number of callers.
+Vertices are dense 0-based ids. Graphs are valid by construction and immutable
+once built, so one instance can be shared by any number of callers. MultiGraph
+checks a caller's graph; only the generators and parse_edge_list, whose edges
+are integer and in range already, build through MultiGraph._unchecked.
 """
 
 from __future__ import annotations
@@ -14,6 +16,13 @@ from typing import Callable, NamedTuple
 from .errors import IdOutOfRange, LoopRejected, ParseError, SizeTooSmall
 
 
+def _integer(value, what: str) -> int:
+    """value, if it is an int and not a bool; else SizeTooSmall."""
+    if type(value) is not int:
+        raise SizeTooSmall(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class MultiGraph(namedtuple("MultiGraph", "n edges")):
     """A loopless multigraph: a vertex count plus a multiset of unordered edges.
 
@@ -23,17 +32,23 @@ class MultiGraph(namedtuple("MultiGraph", "n edges")):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, edges: tuple[tuple[int, int], ...]):
-        if n < 0:
+    def __new__(cls, n: int, edges):
+        if _integer(n, "vertex count") < 0:
             raise SizeTooSmall("vertex count must be non-negative")
-        canon = []
+        edges = tuple(edges)  # any iterable of (u, v) pairs
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise IdOutOfRange(f"edge ({u!r}, {v!r}): vertex ids must be integers")
             if u == v:
                 raise LoopRejected(f"loop at vertex {u}")
             if not (0 <= u < n) or not (0 <= v < n):
                 raise IdOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-            canon.append((u, v) if u < v else (v, u))
-        canon.sort()
+        return cls._unchecked(n, edges)
+
+    @classmethod
+    def _unchecked(cls, n: int, edges) -> MultiGraph:
+        """Order and sort pairs the package built, integer and in range; no checks."""
+        canon = sorted([(u, v) if u < v else (v, u) for u, v in edges])
         return super().__new__(cls, n, tuple(canon))
 
     @classmethod
@@ -54,42 +69,37 @@ class MultiGraph(namedtuple("MultiGraph", "n edges")):
         return tuple(deg)
 
 
-def new_graph(n: int, edges) -> MultiGraph:
-    """Build a multigraph from any iterable of endpoint pairs."""
-    return MultiGraph(n, tuple(edges))  # MultiGraph unpacks and checks each pair
-
-
 def complete_graph(n: int) -> MultiGraph:
     """K_n: every unordered pair of the n vertices is an edge."""
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise SizeTooSmall("complete graphs need n >= 1")
-    return MultiGraph(n, tuple(combinations(range(n), 2)))
+    return MultiGraph._unchecked(n, combinations(range(n), 2))
 
 
 def cycle_graph(n: int) -> MultiGraph:
     """C_n for n >= 3, vertices in cyclic order."""
-    if n < 3:
+    if _integer(n, "n") < 3:
         raise SizeTooSmall("cycles need n >= 3")
-    return MultiGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+    return MultiGraph._unchecked(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def path_graph(n: int) -> MultiGraph:
     """P_n on n >= 1 vertices, so n - 1 edges."""
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise SizeTooSmall("paths need n >= 1")
-    return MultiGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+    return MultiGraph._unchecked(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def ladder_graph(k: int) -> MultiGraph:
     """The ladder P_2 x P_k: rails 0..k-1 and k..2k-1 joined by k rungs."""
-    if k < 1:
+    if _integer(k, "k") < 1:
         raise SizeTooSmall("ladders need k >= 1")
     edges = []
     for i in range(k - 1):
         edges.append((i, i + 1))
         edges.append((k + i, k + i + 1))
     edges.extend((i, k + i) for i in range(k))
-    return MultiGraph(2 * k, tuple(edges))
+    return MultiGraph._unchecked(2 * k, edges)
 
 
 def mobius_ladder(k: int) -> MultiGraph:
@@ -98,20 +108,20 @@ def mobius_ladder(k: int) -> MultiGraph:
     3-regular with 3k edges. k = 2 is rejected: its cross-edges would
     duplicate cycle chords and the family facts below assume k >= 3.
     """
-    if k < 3:
+    if _integer(k, "k") < 3:
         raise SizeTooSmall("mobius ladders need k >= 3")
     edges = [(i, (i + 1) % (2 * k)) for i in range(2 * k)]
     edges.extend((i, i + k) for i in range(k))
-    return MultiGraph(2 * k, tuple(edges))
+    return MultiGraph._unchecked(2 * k, edges)
 
 
 def wheel_graph(n: int) -> MultiGraph:
     """W_n: an n-cycle on 0..n-1 plus a center vertex n joined to the rim."""
-    if n < 3:
+    if _integer(n, "n") < 3:
         raise SizeTooSmall("wheels need n >= 3")
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges.extend((i, n) for i in range(n))
-    return MultiGraph(n + 1, tuple(edges))
+    return MultiGraph._unchecked(n + 1, edges)
 
 
 class _Generator(NamedTuple):
@@ -142,7 +152,7 @@ class FamilySpec(namedtuple("FamilySpec", "family size")):
     def __new__(cls, family: str, size: int):
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        if size < MIN_SIZE[family]:
+        if _integer(size, f"{family} size") < MIN_SIZE[family]:
             raise SizeTooSmall(f"{family} requires size >= {MIN_SIZE[family]}")
         return super().__new__(cls, family, size)
 
@@ -213,4 +223,4 @@ def parse_edge_list(text: str) -> MultiGraph:
         raise ParseError("missing header 'n m'", line_no + 1)
     if len(edges) != m:
         raise ParseError(f"expected {m} edge lines, found {len(edges)}", line_no + 1)
-    return new_graph(n, edges)
+    return MultiGraph._unchecked(n, edges)

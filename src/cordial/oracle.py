@@ -61,7 +61,7 @@ from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
-from .certify import Certificate, witness
+from .certify import MEASURES, Certificate, witness
 from .errors import CordialError, SizeLimitExceeded
 from .graph_core import MultiGraph
 from .labeling import VertexLabeling
@@ -323,6 +323,8 @@ def solve(
     check_search_size(g.n, max_vertices)
     if workers < 1:
         raise CordialError(f"workers must be at least 1, got {workers}")
+    if not set(modes) <= set(MEASURES):
+        raise CordialError(f"measures must be among {', '.join(MEASURES)}, got {modes!r}")
     first = _scan(g.n, g.edges, modes)
     return {mode: _result(mode, g, first) for mode in modes}
 

@@ -3,19 +3,19 @@ an independent cordiality recount."""
 
 from hypothesis import strategies as st
 
-from cordial import MultiGraph, VertexLabeling, new_graph
+from cordial import MultiGraph, VertexLabeling
 
 
 @st.composite
 def multigraphs(draw, min_n: int = 1, max_n: int = 10, max_m: int = 24) -> MultiGraph:
     n = draw(st.integers(min_n, max_n))
     if n < 2:
-        return new_graph(n, ())
+        return MultiGraph(n, ())
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda p: p[0] != p[1]
     )
     edges = draw(st.lists(pairs, max_size=max_m))
-    return new_graph(n, edges)
+    return MultiGraph(n, edges)
 
 
 @st.composite

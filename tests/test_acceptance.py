@@ -185,7 +185,7 @@ def _random_labeled_graph(rng):
             while v == u:
                 v = rng.randrange(n)
             edges.append((u, v))
-    g = c.new_graph(n, edges)
+    g = c.MultiGraph(n, edges)
     return g, tuple(rng.randint(0, 1) for _ in range(n))
 
 

@@ -4,12 +4,15 @@ contract every record type keeps."""
 import ast
 import copy
 import pickle
+import random
+import re
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from strategies import multigraphs
 
 import cordial
 from cordial import (
@@ -21,6 +24,7 @@ from cordial import (
     InfinityReason,
     LabeledFamilyInstance,
     LoopRejected,
+    MultiGraph,
     ParseError,
     SizeTooSmall,
     VertexLabeling,
@@ -33,7 +37,6 @@ from cordial import (
     cycle_graph,
     ladder_graph,
     mobius_ladder,
-    new_graph,
     parse_edge_list,
     path_graph,
     wheel_graph,
@@ -81,35 +84,61 @@ def test_wheel_graph_shape():
 
 
 def test_edges_are_canonicalized():
-    a = new_graph(4, [(2, 1), (3, 0), (1, 2)])
-    b = new_graph(4, [(1, 2), (1, 2), (0, 3)])
+    a = MultiGraph(4, [(2, 1), (3, 0), (1, 2)])
+    b = MultiGraph(4, [(1, 2), (1, 2), (0, 3)])
     assert a == b
     assert a.edges == ((0, 3), (1, 2), (1, 2))
 
 
 def test_parallel_edges_kept_with_multiplicity():
-    g = new_graph(2, [(0, 1), (1, 0), (0, 1)])
+    g = MultiGraph(2, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 3
     assert g.degrees == (3, 3)
 
 
 def test_loop_rejected():
     with pytest.raises(LoopRejected):
-        new_graph(3, [(1, 1)])
+        MultiGraph(3, [(1, 1)])
 
 
 def test_out_of_range_rejected():
     with pytest.raises(IdOutOfRange):
-        new_graph(3, [(0, 3)])
+        MultiGraph(3, [(0, 3)])
 
 
 def test_malformed_pairs_rejected_and_any_pairs_accepted():
     with pytest.raises(ValueError):
-        new_graph(3, [(0, 1, 2)])
+        MultiGraph(3, [(0, 1, 2)])
     with pytest.raises(TypeError):
-        new_graph(3, [5])
-    g = new_graph(3, ([2, 0] for _ in range(2)))
+        MultiGraph(3, [5])
+    g = MultiGraph(3, ([2, 0] for _ in range(2)))
     assert g.edges == ((0, 2), (0, 2)) and all(type(e) is tuple for e in g.edges)
+
+
+@pytest.mark.parametrize("n,edges,error,message", [
+    (3, [(0.5, 2)], IdOutOfRange, "edge (0.5, 2): vertex ids must be integers"),
+    (3, [(True, 2)], IdOutOfRange, "edge (True, 2): vertex ids must be integers"),
+    # the type test comes before the loop test, though True == 1
+    (3, [(True, 1)], IdOutOfRange, "edge (True, 1): vertex ids must be integers"),
+    (3, [(0, 2), (2, 1.0)], IdOutOfRange, "edge (2, 1.0): vertex ids must be integers"),
+    (2.5, [], SizeTooSmall, "vertex count must be an integer, got 2.5"),
+    (True, [], SizeTooSmall, "vertex count must be an integer, got True"),
+], ids=["float-id", "bool-id", "bool-loop", "later-float-id", "float-n", "bool-n"])
+def test_non_integer_ids_and_counts_are_refused(n, edges, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        MultiGraph(n, edges)
+
+
+def test_every_generator_builds_what_the_checked_constructor_builds():
+    # the generators skip MultiGraph's checks, so their edges must be exactly
+    # the valid ones, in any order and either orientation
+    rng = random.Random(21)
+    for family in FAMILIES:
+        for size in range(MIN_SIZE[family], 61):
+            g = FamilySpec(family, size).build()
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+            rng.shuffle(edges)
+            assert MultiGraph(g.n, edges) == g, (family, size)
 
 
 @pytest.mark.parametrize("family", sorted(MIN_SIZE))
@@ -173,10 +202,29 @@ def test_unknown_family_rejected():
         FamilySpec("hypercube", 3)
 
 
+def test_non_integer_sizes_are_refused():
+    for size in (2.5, True, "3"):
+        with pytest.raises(SizeTooSmall, match=f"^complete size must be an integer, got {size!r}$"):
+            FamilySpec("complete", size)
+        with pytest.raises(SizeTooSmall, match=f"^n must be an integer, got {size!r}$"):
+            complete_graph(size)
+    # the CLI prints this message for a size below the minimum
+    with pytest.raises(SizeTooSmall, match="^cycle requires size >= 3$"):
+        FamilySpec("cycle", 1)
+
+
 def test_edge_list_round_trip():
     g = mobius_ladder(4)
     text = f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
     assert parse_edge_list(text) == g
+
+
+@given(multigraphs(min_n=0, max_n=12, max_m=40))
+def test_parsed_graph_equals_the_checked_build(g):
+    # the parser builds without MultiGraph's checks, so it must order and sort
+    # the pairs as MultiGraph does; the text lists each edge flipped, in reverse
+    text = f"{g.n} {g.m}\n" + "".join(f"{v} {u}\n" for u, v in reversed(g.edges))
+    assert parse_edge_list(text) == MultiGraph(g.n, g.edges)
 
 
 def test_parse_accepts_comments_anywhere():
@@ -258,7 +306,7 @@ def test_records_pickle_copy_hash_and_refuse_assignment(record):
 
 def test_replace_derives_a_checked_variant():
     g = complete_graph(3)
-    assert g._replace(edges=((2, 1),)) == new_graph(3, [(1, 2)])
+    assert g._replace(edges=((2, 1),)) == MultiGraph(3, [(1, 2)])
     with pytest.raises(LoopRejected):
         g._replace(edges=((1, 1),))
     assert FamilySpec("cycle", 5)._replace(size=6) == FamilySpec("cycle", 6)

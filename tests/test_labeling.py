@@ -5,13 +5,13 @@ import pytest
 from cordial import (
     BalanceReport,
     LengthMismatch,
+    MultiGraph,
     VertexLabeling,
     balance,
     complete_graph,
     cycle_graph,
     first_pair_with_edge_label,
     mobius_ladder,
-    new_graph,
     parity_obstruction,
     path_graph,
     wheel_graph,
@@ -30,7 +30,7 @@ def test_balance_counts_on_k4():
 
 
 def test_balance_counts_parallel_edges_with_multiplicity():
-    g = new_graph(2, [(0, 1), (0, 1)])
+    g = MultiGraph(2, [(0, 1), (0, 1)])
     rep = balance(g, VertexLabeling((0, 1)))
     assert (rep.e0, rep.e1) == (0, 2)
 

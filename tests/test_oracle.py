@@ -35,7 +35,6 @@ from cordial import (
     cycle_graph,
     decide_cordial,
     mobius_ladder,
-    new_graph,
     path_graph,
     serialize_certificate,
     wheel_graph,
@@ -118,14 +117,14 @@ def _random_graph(rng, max_n=7, max_m=12):
             while v == u:
                 v = rng.randrange(n)
             edges.append((u, v))
-    return new_graph(n, edges)
+    return MultiGraph(n, edges)
 
 
 def _crossing_multigraph(m, n=7, side=3):
     """m parallel-heavy edges between vertices 0..side-1 and the rest, so the
     labeling with exactly 0..side-1 labeled 1 puts all m edges on label 1."""
     rng = random.Random(m)
-    return new_graph(n, [(rng.randrange(side), rng.randrange(side, n)) for _ in range(m)])
+    return MultiGraph(n, [(rng.randrange(side), rng.randrange(side, n)) for _ in range(m)])
 
 
 # ------------------------------------------------------ scan vs definition
@@ -146,7 +145,7 @@ def test_oracles_match_definitional_brute_force(seed):
 def test_scan_visits_every_friendly_labeling_exactly_once():
     # vertex n-1 is pinned at label 0, so one labeling of each complement pair
     assert ced_oracle(complete_graph(6)).labelings_examined == comb(5, 3)
-    empty = new_graph(0, [])
+    empty = MultiGraph(0, [])
     assert cvd_oracle(empty).labelings_examined == 1
     assert decide_cordial(empty) == (True, VertexLabeling(()))
 
@@ -156,7 +155,7 @@ def test_scan_visits_every_friendly_labeling_exactly_once():
 @example(complete_graph(7))
 @example(wheel_graph(5))
 @example(mobius_ladder(4))
-@example(new_graph(0, []))
+@example(MultiGraph(0, []))
 @example(_crossing_multigraph(255))  # e1 reaches 255, the top of a 1-byte lane
 @example(_crossing_multigraph(256))  # the first graph with 2-byte lanes
 @given(multigraphs(min_n=0, max_n=9, max_m=20))
@@ -246,7 +245,7 @@ def test_scan_part_matches_a_recount_on_any_high_range(lane_widths):
     for n in (0, 1, 2, 3, 13, 14):
         for m in ((0,) if n < 2 else (12 + n, 255, 256 + n)):
             if m < 255:
-                g = new_graph(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
+                g = MultiGraph(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
             else:
                 g = _crossing_multigraph(m, n, n // 2)
             full = _recount(g)
@@ -267,7 +266,7 @@ def test_scan_part_is_exact_when_degree_sums_overflow_a_lane(m, lane_widths):
     # times the 6 * 7 pairs a cut separates is above 256. ced keeps whole
     # friendly rows, cvd the edge-balanced cells of the rest
     rng = random.Random(m)
-    g = new_graph(13, [tuple(rng.sample(range(10), 2)) for _ in range(m)])
+    g = MultiGraph(13, [tuple(rng.sample(range(10), 2)) for _ in range(m)])
     assert _split(13) == (10, 2)
     full = _recount(g)
     for modes in _MODE_SETS:
@@ -279,7 +278,7 @@ def test_scan_packs_one_byte_lanes_when_no_cut_reaches_256_edges(lane_widths):
     # 52 pairs of 14 vertices, 5 edges each: m = 260 needs 2 bytes, but a cut
     # separates at most 7 * 7 pairs, so every e1 is at most 5 * 49 = 245
     rng = random.Random(14)
-    g = new_graph(14, 5 * rng.sample(list(combinations(range(14), 2)), 52))
+    g = MultiGraph(14, 5 * rng.sample(list(combinations(range(14), 2)), 52))
     assert g.m == 260
     full = _recount(g)
     for modes in _MODE_SETS:
@@ -294,7 +293,7 @@ def test_balanced_lookup_stays_inside_its_popcount_group(c, width, lane_widths):
     # group 6, after the groups of rows 0..5, which must not find it there.
     # Row 6 is friendly, so the scan stops at high subset 0. c = 22 gives
     # m = 264 and 2-byte lanes
-    g = new_graph(13, [(v, 12) for v in range(12) for _ in range(c)])
+    g = MultiGraph(13, [(v, 12) for v in range(12) for _ in range(c)])
     assert _scan(g.n, g.edges, ("cvd",)) == {(6, 6 * c): 0b111111}
     assert lane_widths == [width]
 
@@ -319,7 +318,7 @@ def _even_multigraph(n, seed, m_min):
     while 3 * sum(c for _, c in triangles) < m_min or sum(c for _, c in triangles) % 4 != 2:
         tri = (*rng.sample(range(low), 2), rng.randrange(low, n))
         triangles.append((tri, rng.randint(1, 5)))
-    return new_graph(n, [p for tri, c in triangles for p in combinations(tri, 2) for _ in range(c)])
+    return MultiGraph(n, [p for tri, c in triangles for p in combinations(tri, 2) for _ in range(c)])
 
 
 @pytest.mark.parametrize("n, m_min, width", [(16, 0, 1), (17, 0, 1), (16, 256, 2), (17, 256, 2)])
@@ -360,7 +359,7 @@ def _planted_cordial_multigraph(n, seed):
     same = [(u, v) for u, v in pairs if labels[u] == labels[v]]
     # m = 26 and the planted labeling puts 1 + 2 * 6 = m/2 edges on label 1
     edges = [(0, n - 2), (0, n - 1)] + 2 * rng.sample(mixed, 6) + 2 * rng.sample(same, 6)
-    g = new_graph(n, edges)
+    g = MultiGraph(n, edges)
     assert is_cordial(g.edges, labels)
     return g
 
@@ -446,6 +445,16 @@ def test_worker_count_below_one_is_rejected():
             ced_oracle(complete_graph(4), workers=bad)
 
 
+def test_unknown_measure_is_rejected_before_the_scan(monkeypatch):
+    def scan(*task):
+        raise AssertionError("scanned before checking the measures")
+
+    monkeypatch.setattr(oracle, "_scan", scan)
+    for modes in (("cordail",), ("cvd", "ced", "size"), "cvd"):
+        with pytest.raises(CordialError, match="^measures must be among cordial, ced, cvd"):
+            solve(complete_graph(18), modes)
+
+
 def test_rejected_witness_raises_self_check_failed(monkeypatch):
     import cordial.certify
     import cordial.families
@@ -492,7 +501,7 @@ def test_scan_witness_is_checked_on_the_scanned_graph(monkeypatch):
 
     # rejected on its own three edges, accepted on the one edge of the stand-in
     cert = Certificate("cordial", (0, 1), 0, n=2, edges=((0, 1),) * 3)
-    for stand_in in (new_graph(2, [(0, 1)]), forged(2, ((0, 1),)), forged(3, cert.edges)):
+    for stand_in in (MultiGraph(2, [(0, 1)]), forged(2, ((0, 1),)), forged(3, cert.edges)):
         built.clear()
         assert not check_certificate(cert, graph=stand_in).accepted
         assert built == [2]
@@ -545,7 +554,7 @@ def test_every_path_is_cordial():
 def test_edge_deficiency_can_be_infinite():
     # a triple edge: only mixed labelings are friendly, all edges land on 1,
     # and no same-labeled pair exists to absorb additions
-    g = new_graph(2, [(0, 1)] * 3)
+    g = MultiGraph(2, [(0, 1)] * 3)
     value = ced_oracle(g).value
     assert value.is_infinite
     assert value.reason is InfinityReason.NO_FEASIBLE_AUGMENTATION

@@ -11,6 +11,7 @@ from cordial import (
     DeficiencyValue,
     LabeledFamilyInstance,
     MalformedCertificate,
+    MultiGraph,
     VertexLabeling,
     balance,
     ced_oracle,
@@ -20,7 +21,6 @@ from cordial import (
     decide_cordial,
     mobius_ced_witness,
     mobius_cvd_witness,
-    new_graph,
     parity_obstruction,
     parse_certificate,
     serialize_certificate,
@@ -62,7 +62,7 @@ def test_oracle_witnesses_repair_the_graph(g):
     res = ced_oracle(g)
     if not res.value.is_infinite:
         w = res.witness
-        repaired = new_graph(g.n, g.edges + w.added_edges)  # no loop, no stray id
+        repaired = MultiGraph(g.n, g.edges + w.added_edges)  # no loop, no stray id
         assert is_cordial(repaired.edges, w.labels)
     res = cvd_oracle(g)
     if not res.value.is_infinite:
