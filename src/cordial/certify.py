@@ -97,15 +97,18 @@ def _structural_check(cert: Certificate, graph: MultiGraph | None) -> MultiGraph
             _expect_int(getattr(cert, key), key)
     # labels and additions of plain ints pass in one C-level type pass, else
     # the first faulty one is named in key order; the graph build checks edges
-    held = [cert.labels, *cert.added_edges, cert.added_vertex_labels]
     try:
+        held = [cert.labels, *cert.added_edges, cert.added_vertex_labels]
         clean = (set(map(len, cert.added_edges)) <= {2}
                  and set(map(type, chain.from_iterable(held))) <= {int})
-    except TypeError:  # an added_edges item that is not a sequence
+    except TypeError:  # a field, or an added_edges item, that is not a sequence
         clean = False
     if not clean:
         for key in ("labels", "added_edges", "added_vertex_labels"):
-            values = getattr(cert, key)
+            try:
+                values = iter(getattr(cert, key))
+            except TypeError:
+                raise MalformedCertificate(f"{key} must be a sequence") from None
             for value in _endpoints(values) if key == "added_edges" else values:
                 _expect_int(value, key)
     for key in ("labels", "added_vertex_labels"):

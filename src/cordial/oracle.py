@@ -41,13 +41,18 @@ cut separates at most (n//2) * ((n+1)//2) pairs. Packing is linear, so a
 lane may overflow while the terms are summed, yet every final lane lies in
 0..cap and the bytes of the sum are the lanes. Lanes are grouped by
 popcount, ascending inside a group, so each ones count is one byte range.
-A row that needs only its edge-balanced e1 values looks each one up inside
-that range (bytes.find, or a membership test and an index on wider lanes)
-until the row has recorded it. A row that needs every e1 takes the values
-not reached before by bytes.translate or a set difference. High subsets
-ascend, so the first hit of a cell is its least encoding, and a scan stops
-after the first high subset that reaches a cordial cell, the only cells the
-rule prices at 0. Every scan runs in the calling process.
+The groups whose rows need only their edge-balanced e1 values form at most
+two runs of bytes, below and above the rows that need every e1. These
+spans depend only on the high subset's popcount, and are computed once per
+process for each n, row set and lane width. Each high subset makes one
+search per balanced e1 over each span, for the e1's bytes in the lane
+width: a match that straddles two lanes is skipped, and an aligned one
+records its group's cell if it is new and resumes the search at the next
+group. A row that needs every e1 takes the values not reached before by
+bytes.translate or a set difference. High subsets ascend, so the first hit
+of a cell is its least encoding, and a scan stops after the first high
+subset that reaches a cordial cell, the only cells the rule prices at 0.
+Every scan runs in the calling process.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from array import array
 from collections import Counter
 from enum import Enum
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import comb
 from typing import NamedTuple
 
@@ -140,19 +145,45 @@ def _lanes(low: int, width: int):
     """The lane layout of the low subsets at width bytes per lane.
 
     Lane i holds low subset order[i]; the lanes are grouped by popcount,
-    group k spanning lanes bounds[k]..bounds[k+1]-1, ascending inside each
-    group. ones packs a 1 in every lane and ind[x] a 1 in the lanes of the
-    subsets holding vertex x.
+    ascending inside each group. ones packs a 1 in every lane and ind[x] a 1
+    in the lanes of the subsets holding vertex x.
     """
     order = tuple(sorted(range(1 << low), key=int.bit_count))  # a stable sort
-    bounds = (0, *accumulate(comb(low, k) for k in range(low + 1)))
     code = _LANE_CODES[width]
     ones = _pack([1] * len(order), code)
     # octets[i] packs bits 8i..8i+7 of each lane's subset, so one shift and
     # a mask with ones leave the bit of vertex x in every lane
     octets = [_pack([l >> s & 255 for l in order], code) for s in range(0, low, 8)]
     ind = tuple(octets[x >> 3] >> (x & 7) & ones for x in range(low))
-    return order, bounds, code, ones, ind
+    return order, code, ones, ind
+
+
+@cache
+def _plans(n: int, low: int, rows: range, whole, width: int):
+    """Where a scan reads the lanes of a high subset, by its ones count.
+
+    Returns (group_end, plans). Popcount group k of the lanes, the low
+    subsets of k vertices, ends at byte group_end[k]. plans[h_ones] is
+    (spans, wholes) for a high subset of h_ones vertices, whose group k holds
+    row h_ones + k. spans are the byte ranges of the runs of groups whose
+    rows are in rows but not in whole, so need only their edge-balanced e1
+    values: at most two runs, below and above whole. wholes holds (ones,
+    start, stop) for each group whose row is in whole, start and stop being
+    its lanes.
+    """
+    bounds = (0, *accumulate(comb(low, k) for k in range(low + 1)))
+    plans = []
+    for h_ones in range(n + 1):
+        groups = range(max(0, rows[0] - h_ones), min(low, rows[-1] - h_ones) + 1)
+        spans, wholes = [], []
+        for in_whole, run in groupby(groups, lambda k: h_ones + k in whole):
+            run = list(run)
+            if in_whole:
+                wholes += [(h_ones + k, bounds[k], bounds[k + 1]) for k in run]
+            else:
+                spans.append((bounds[run[0]] * width, bounds[run[-1] + 1] * width))
+        plans.append((tuple(spans), tuple(wholes)))
+    return tuple(b * width for b in bounds[1:]), tuple(plans)
 
 
 def _pack(values, code: str) -> int:
@@ -168,7 +199,9 @@ def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
     n > 2, and only the edge-balanced cells of every other row. The scan
     ends with the first high subset at which a cordial cell is reached, once
     all of that subset's candidate cells are recorded. The lane width is the
-    least that holds cap, the cut bound of the module docstring.
+    least that holds cap, the cut bound of the module docstring. Each high
+    subset makes one aligned search per balanced e1 over each of the cached
+    spans of _plans, and reads the rows of whole from their groups' lanes.
     """
     low, high = _split(n)
     m = len(edges)
@@ -180,7 +213,8 @@ def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
     mu = max(pairs.values(), default=0)
     cap = min(m, mu * (n // 2) * ((n + 1) // 2))
     width = next(w for w in _LANE_CODES if cap < 1 << 8 * w)
-    order, bounds, code, ones_lanes, ind = _lanes(low, width)
+    order, code, ones_lanes, ind = _lanes(low, width)
+    group_end, plans = _plans(n, low, rows, whole, width)
     # g packs alpha(l) - 2 w(l, h) per lane, starting at h = 0: alpha(l)
     # counts the edges leaving l and w(l, h) those between l and h, so adding
     # beta(h), the edges leaving h, gives e1 of labeling l | h << low
@@ -206,6 +240,8 @@ def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
     g += sum(c * lanes if c > 1 else lanes for c, lanes in zip(out, ind) if c)
     up = [[(mask, k + 1) for k, mask in enumerate(masks) if mask] for masks in up]
     size = len(order) * width
+    # a cut of at least m/2 edges exists, so cap >= (m+1)//2 and both fit a lane
+    pats = [(e1, e1.to_bytes(width, sys.byteorder)) for e1 in balanced]
     seen = [b"" if width == 1 else set() for _ in range(n + 1)]  # e1s of whole rows
     first: dict[tuple[int, int], int] = {}
     beta = [0]  # beta[h] counts the edges leaving high subset h
@@ -221,30 +257,28 @@ def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
             for mask, k in up[t]:  # less twice the edges from t into h
                 beta[h] -= (mask & h).bit_count() << k
         h_ones = h.bit_count()
-        groups = range(max(0, rows[0] - h_ones), min(low, rows[-1] - h_ones) + 1)
-        if not groups:
+        spans, wholes = plans[h_ones]
+        if not (spans or wholes):
             continue
         # every lane holds an e1 in [0, cap], so E's digits are the lanes
         E = (g + beta[h] * ones_lanes).to_bytes(size, sys.byteorder)
-        if width > 1:
-            E = array(code, E)
         cordial = False
-        for k in groups:
-            ones = h_ones + k
-            start, stop = bounds[k], bounds[k + 1]
-            if ones not in whole:  # look up only the edge-balanced e1 values
-                for e1 in balanced:
-                    if (ones, e1) in first:
+        for lo, hi in spans:  # one search per balanced e1 over each run of groups
+            for e1, pat in pats:
+                i = E.find(pat, lo, hi)
+                while i >= 0:
+                    if i % width:  # straddles two lanes: go on from the next lane
+                        i = E.find(pat, i - i % width + width, hi)
                         continue
-                    if width == 1:
-                        i = E.find(e1, start, stop)
-                    else:
-                        block = E[start:stop]
-                        i = start + block.index(e1) if e1 in block else -1
-                    if i >= 0:
-                        first[ones, e1] = order[i] | h << low
-                        cordial |= ones in friendly
-                continue
+                    x = order[i // width]  # the least lane of its group holding e1
+                    k = x.bit_count()
+                    if (h_ones + k, e1) not in first:
+                        first[h_ones + k, e1] = x | h << low
+                        cordial |= h_ones + k in friendly
+                    i = E.find(pat, group_end[k], hi)  # go on from the next group
+        if wholes and width > 1:
+            E = array(code, E)
+        for ones, start, stop in wholes:
             block = E[start:stop]
             if width == 1:
                 new = block.translate(None, seen[ones])

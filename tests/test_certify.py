@@ -276,6 +276,15 @@ def test_pair_fields_refuse_items_that_are_not_pairs(fields, reason):
         check_certificate(Certificate(**{**_K2, **fields}))
 
 
+@pytest.mark.parametrize("value", [None, 5])
+@pytest.mark.parametrize("key", ["labels", "added_edges", "added_vertex_labels"])
+def test_fields_that_are_not_sequences_are_malformed(key, value):
+    # a certificate built in code may hold anything; JSON input never reaches
+    # here with such a field, as its readers make tuples
+    with pytest.raises(MalformedCertificate, match=f"^{key} must be a sequence$"):
+        check_certificate(Certificate(**{**_K2, key: value}))
+
+
 def test_label_count_is_checked_before_the_family_member_is_built(monkeypatch):
     def build(spec):
         raise AssertionError(f"built {spec} before checking the label count")

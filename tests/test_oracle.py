@@ -298,6 +298,71 @@ def test_balanced_lookup_stays_inside_its_popcount_group(c, width, lane_widths):
     assert lane_widths == [width]
 
 
+def _lane_e1(g, h):
+    """The e1 of labeling l | h << low for every low subset l, in lane order:
+    grouped by popcount, ascending inside each group."""
+    low = _split(g.n)[0]
+    order = sorted(range(1 << low), key=int.bit_count)
+    return [balance(g, _labels(l | h << low, g.n)).e1 for l in order]
+
+
+def test_scan_matches_a_recount_on_four_byte_lanes(lane_widths):
+    # a star at the pinned vertex 4: 33,001 edges from vertex 0 and 11,000
+    # from each of 1, 2 and 3, so m = 66,001 and the cut bound needs 4-byte
+    # lanes. Row 1 is balanced at high subset 0, and the only friendly
+    # balanced cell, {1, 2, 3}, lies in the top high subset, so every high
+    # subset is scanned. 8-byte lanes need 2**32 edges and stay untested
+    g = MultiGraph(5, [(0, 4)] * 33001 + [(v, 4) for v in (1, 2, 3) for _ in range(11000)])
+    full = _recount(g)
+    assert full[1, 33001] == 0b1 and full[3, 33000] == 0b1110
+    for modes in _MODE_SETS:
+        assert _scan(g.n, g.edges, modes) == _priced(g, full, modes)
+    assert lane_widths == [4] * len(_MODE_SETS)
+
+
+def test_span_search_skips_a_match_straddling_two_lanes(lane_widths):
+    # m = 512, so the balanced e1 is 256, two bytes 0 and 1. At high subset 0
+    # the lanes hold 0, 257, 199, 256: in either byte order the bytes of 256
+    # first appear across the first two lanes or the middle two, before the
+    # lane that holds it. Read as a lane, that match would record a cell of
+    # row 0 or 1, which no labeling reaches
+    g = MultiGraph(5, [(0, 1)] * 100 + [(0, 4)] * 157 + [(1, 4)] * 99 + [(2, 3)] * 156)
+    assert _lane_e1(g, 0) == [0, 257, 199, 256]
+    for modes in _MODE_SETS:
+        assert _scan(g.n, g.edges, modes) == _priced(g, _recount(g), modes) == {(2, 256): 0b11}
+    assert lane_widths == [2] * len(_MODE_SETS)
+
+
+def test_span_search_goes_on_past_a_cell_recorded_before():
+    # m = 5. Cell (1, 3) is first reached at high subset 1, by {2}; at high
+    # subset 2, {3} reaches it again in group 0, and {0, 3} first reaches
+    # (2, 3) in group 1, which the search must still record
+    g = MultiGraph(5, [(0, 1), (0, 3), (2, 3), (2, 3), (2, 4)])
+    low = _split(g.n)[0]
+    full = _recount(g)
+    assert full[1, 3] >> low == 1 and full[2, 3] >> low == 2
+    assert _lane_e1(g, 2)[0] == 3
+    for modes in _MODE_SETS:
+        assert _scan(g.n, g.edges, modes) == _priced(g, full, modes)
+
+
+def test_span_search_covers_runs_below_and_above_whole_rows():
+    # a star at the pinned vertex 12: 9 edges from vertex 0 and one from each
+    # of 1..9, so m = 18 and an e1 of 9 takes {0} or {1, ..., 9}, with either
+    # high vertex added. ced and cvd together look the balanced e1 up below
+    # and above ced's whole friendly rows 6 and 7; both runs record a cell at
+    # high subsets 0, 1 and 3, and no friendly cell is balanced, so every high
+    # subset is scanned
+    g = MultiGraph(13, [(0, 12)] * 9 + [(v, 12) for v in range(1, 10)])
+    low = _split(g.n)[0]
+    full = _recount(g)
+    cells = _priced(g, full, ("cvd",))
+    assert {(ones, x >> low) for (ones, _), x in cells.items()} == {
+        (1, 0), (9, 0), (2, 1), (10, 1), (3, 3), (11, 3)}
+    for modes in _MODE_SETS:
+        assert _scan(g.n, g.edges, modes) == _priced(g, full, modes)
+
+
 def _even_multigraph(n, seed, m_min):
     """A multigraph on n vertices whose degrees are all even and whose m is 2
     modulo 4: e1 is then always even and m/2 odd, so no labeling is
