@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import CordialError, MalformedCertificate, SelfCheckFailed, self_check
-from .graph_core import FAMILIES, FamilySpec, MultiGraph
+from .graph_core import FAMILIES, FamilySpec, MultiGraph, _member
 from .labeling import balance, first_pair_with_edge_label, parity_obstruction
 
 # the certificate kinds, which are also the oracle's measures
@@ -333,14 +333,23 @@ def cross_validate(
     members keep their formula values and witness verdicts. Noncordial
     members of a family with parity_lower get the parity obstruction as their
     lower bound. Rows are sorted by (family, size) so reports are
-    reproducible.
+    reproducible. A row builds its member once: the search, every witness's
+    check and the parity bound share FamilySpec.build's graph, which is
+    released when this returns.
     """
+    try:
+        return ValidationReport(tuple(_rows(specs, max_vertices, workers)))
+    finally:
+        _member.cache_clear()  # no member outlives the call
+
+
+def _rows(specs: Iterable[FamilySpec], max_vertices: int | None, workers: int):
+    """cross_validate's rows, one per distinct spec, in (family, size) order."""
     # imported here: oracle and families sit above this module in the import graph
     from . import families as fam
     from . import oracle as orc
 
     bound = orc.DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
-    rows = []
     for spec in sorted(set(specs), key=lambda s: (s.family, s.size)):
         within = spec.vertex_count <= bound
         g = spec.build() if within else None
@@ -380,7 +389,7 @@ def cross_validate(
                 notes.append(f"{kind} witness claims {cert.claimed_value},"
                              f" closed form {shown}")
         if known.parity_lower and not forms["cordial"] and witnesses:
-            if parity_obstruction(g or spec.build()):
+            if parity_obstruction(spec.build()):
                 notes.append("bounds: witness upper, parity obstruction lower")
             else:
                 match = False
@@ -390,15 +399,12 @@ def cross_validate(
             source = "both" if has_formula else "oracle"
         else:
             source = "formula" if has_formula else "none"
-        rows.append(
-            ValidationRow(
-                family=spec.family,
-                size=spec.size,
-                **{m: found.get(m, forms[m]) for m in MEASURES},
-                source=source,
-                match=match,
-                witnesses=tuple(witnesses),
-                notes=tuple(notes),
-            )
+        yield ValidationRow(
+            family=spec.family,
+            size=spec.size,
+            **{m: found.get(m, forms[m]) for m in MEASURES},
+            source=source,
+            match=match,
+            witnesses=tuple(witnesses),
+            notes=tuple(notes),
         )
-    return ValidationReport(tuple(rows))

@@ -117,7 +117,11 @@ def complete_cvd_witness(n: int) -> Certificate:
 
 
 class LabeledFamilyInstance(NamedTuple):
-    """A family member together with a labeling and its balance counts."""
+    """A family member together with a labeling and its balance counts.
+
+    No package code builds one. It stays only because perfbench/probes.py
+    names it, in a test that is always false, until ROADMAP item 3 deletes it.
+    """
 
     spec: FamilySpec
     graph: MultiGraph

@@ -3,13 +3,16 @@
 Vertices are dense 0-based ids. Graphs are valid by construction and immutable
 once built, so one instance can be shared by any number of callers. MultiGraph
 checks a caller's graph; only the generators and parse_edge_list, whose edges
-are integer and in range already, build through MultiGraph._unchecked.
+are integer and in range already, build through MultiGraph._unchecked, and
+they hand it canonical (u < v) pairs in sorted order. FamilySpec.build shares
+the last member it built until _member's cache is cleared.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -43,13 +46,16 @@ class MultiGraph(namedtuple("MultiGraph", "n edges")):
                 raise LoopRejected(f"loop at vertex {u}")
             if not (0 <= u < n) or not (0 <= v < n):
                 raise IdOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-        return cls._unchecked(n, edges)
+        return cls._unchecked(n, sorted([(u, v) if u < v else (v, u) for u, v in edges]))
 
     @classmethod
     def _unchecked(cls, n: int, edges) -> MultiGraph:
-        """Order and sort pairs the package built, integer and in range; no checks."""
-        canon = sorted([(u, v) if u < v else (v, u) for u, v in edges])
-        return super().__new__(cls, n, tuple(canon))
+        """Wrap pairs the package built as they come; no checks, no reorder.
+
+        The caller's pairs are integer, in range, canonical (u < v) and
+        sorted, as the generators and parse_edge_list make them.
+        """
+        return tuple.__new__(cls, (n, tuple(edges)))
 
     @classmethod
     def _make(cls, iterable) -> MultiGraph:
@@ -80,7 +86,8 @@ def cycle_graph(n: int) -> MultiGraph:
     """C_n for n >= 3, vertices in cyclic order."""
     if _integer(n, "n") < 3:
         raise SizeTooSmall("cycles need n >= 3")
-    return MultiGraph._unchecked(n, ((i, (i + 1) % n) for i in range(n)))
+    edges = [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)]
+    return MultiGraph._unchecked(n, edges)
 
 
 def path_graph(n: int) -> MultiGraph:
@@ -96,9 +103,9 @@ def ladder_graph(k: int) -> MultiGraph:
         raise SizeTooSmall("ladders need k >= 1")
     edges = []
     for i in range(k - 1):
-        edges.append((i, i + 1))
-        edges.append((k + i, k + i + 1))
-    edges.extend((i, k + i) for i in range(k))
+        edges += [(i, i + 1), (i, k + i)]
+    edges.append((k - 1, 2 * k - 1))
+    edges += [(k + i, k + i + 1) for i in range(k - 1)]
     return MultiGraph._unchecked(2 * k, edges)
 
 
@@ -110,8 +117,10 @@ def mobius_ladder(k: int) -> MultiGraph:
     """
     if _integer(k, "k") < 3:
         raise SizeTooSmall("mobius ladders need k >= 3")
-    edges = [(i, (i + 1) % (2 * k)) for i in range(2 * k)]
-    edges.extend((i, i + k) for i in range(k))
+    edges = [(0, 1), (0, k), (0, 2 * k - 1)]
+    for i in range(1, k):
+        edges += [(i, i + 1), (i, i + k)]
+    edges += [(i, i + 1) for i in range(k, 2 * k - 1)]
     return MultiGraph._unchecked(2 * k, edges)
 
 
@@ -119,8 +128,10 @@ def wheel_graph(n: int) -> MultiGraph:
     """W_n: an n-cycle on 0..n-1 plus a center vertex n joined to the rim."""
     if _integer(n, "n") < 3:
         raise SizeTooSmall("wheels need n >= 3")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges.extend((i, n) for i in range(n))
+    edges = [(0, 1), (0, n - 1), (0, n)]
+    for i in range(1, n - 1):
+        edges += [(i, i + 1), (i, n)]
+    edges.append((n - 1, n))
     return MultiGraph._unchecked(n + 1, edges)
 
 
@@ -142,6 +153,13 @@ _GENERATORS = {
 
 FAMILIES = tuple(_GENERATORS)
 MIN_SIZE = {name: gen.min_size for name, gen in _GENERATORS.items()}
+
+
+@lru_cache(maxsize=1)
+def _member(family: str, size: int) -> MultiGraph:
+    """The generator's member, shared with every build of the same (family,
+    size) until another is built or the cache is cleared."""
+    return _GENERATORS[family].build(size)
 
 
 class FamilySpec(namedtuple("FamilySpec", "family size")):
@@ -170,7 +188,7 @@ class FamilySpec(namedtuple("FamilySpec", "family size")):
         return _GENERATORS[self.family].edges(self.size)
 
     def build(self) -> MultiGraph:
-        return _GENERATORS[self.family].build(self.size)
+        return _member(self.family, self.size)
 
 
 def _read_ints(tokens: list[str], what: str, line_no: int) -> list[int]:
@@ -192,6 +210,8 @@ def parse_edge_list(text: str) -> MultiGraph:
     Lines starting with '#' are comments and may appear anywhere; tokens are
     separated by single spaces. Loops and out-of-range ids raise their own
     error types, everything else malformed raises ParseError with the line.
+    The pairs are ordered (u < v) and sorted here, as MultiGraph._unchecked
+    expects them.
     """
     header = None
     n = m = 0
@@ -218,9 +238,10 @@ def parse_edge_list(text: str) -> MultiGraph:
             raise LoopRejected(f"line {line_no}: loop at vertex {u}")
         if not (0 <= u < n) or not (0 <= v < n):
             raise IdOutOfRange(f"line {line_no}: edge ({u}, {v}) outside 0..{n - 1}")
-        edges.append((u, v))
+        edges.append((u, v) if u < v else (v, u))
     if header is None:
         raise ParseError("missing header 'n m'", line_no + 1)
     if len(edges) != m:
         raise ParseError(f"expected {m} edge lines, found {len(edges)}", line_no + 1)
+    edges.sort()
     return MultiGraph._unchecked(n, edges)

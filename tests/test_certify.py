@@ -6,6 +6,7 @@ import re
 import pytest
 
 import cordial.certify
+from cordial import graph_core
 from cordial import (
     Certificate,
     DeficiencyValue,
@@ -399,6 +400,38 @@ def test_cross_validate_checks_witnesses_and_parity():
         assert "bounds: witness upper, parity obstruction lower" in row.notes
     row7 = _row(report, "mobius", 7)
     assert row7.match and ("cordial", True) in row7.witnesses
+
+
+def _count_builds(monkeypatch) -> list:
+    """Every member build from now on, as (family, size), counted at the generators."""
+    built = []
+    for family, gen in graph_core._GENERATORS.items():
+        def build(size, family=family, make=gen.build):
+            built.append((family, size))
+            return make(size)
+        monkeypatch.setitem(graph_core._GENERATORS, family, gen._replace(build=build))
+    graph_core._member.cache_clear()  # a member shared from before would hide a build
+    return built
+
+
+@pytest.mark.parametrize("family,size,source,witnesses,parity", [
+    ("complete", 30, "formula", 1, False),  # the ced witness; cvd is infinite
+    ("complete", 34, "formula", 2, False),  # the ced and cvd witnesses
+    ("mobius", 10, "formula", 2, True),  # both witnesses and the parity bound
+    ("wheel", 7, "both", 2, True),  # the search, both witnesses and the parity bound
+])
+def test_cross_validate_builds_each_member_once_per_row(monkeypatch, family, size,
+                                                         source, witnesses, parity):
+    built = _count_builds(monkeypatch)
+    row = cross_validate([FamilySpec(family, size)], max_vertices=14).rows[0]
+    assert (row.source, row.match) == (source, True)
+    assert len(row.witnesses) == witnesses
+    assert ("bounds: witness upper, parity obstruction lower" in row.notes) is parity
+    assert built == [(family, size)]
+    # released on return: no member is held, and the next build runs the generator
+    assert graph_core._member.cache_info().currsize == 0
+    FamilySpec(family, size).build()
+    assert built == [(family, size)] * 2
 
 
 # one size per (family, target) in REGISTRY at which the constructor applies

@@ -141,6 +141,30 @@ def test_every_generator_builds_what_the_checked_constructor_builds():
             assert MultiGraph(g.n, edges) == g, (family, size)
 
 
+# every family to at least the largest size the perfbench validate workload
+# builds: complete graphs to 200, Mobius ladders to 400, wheels and cycles to 300
+@pytest.mark.parametrize("family,top", [
+    ("complete", 200), ("mobius", 400), ("wheel", 300), ("cycle", 300),
+    ("path", 300), ("ladder", 300),
+])
+def test_generators_emit_canonical_sorted_edges(family, top):
+    # MultiGraph._unchecked wraps the generator's pairs as they come
+    for size in range(MIN_SIZE[family], top + 1):
+        edges = FamilySpec(family, size).build().edges
+        assert all(u < v for u, v in edges), (family, size)
+        assert edges == tuple(sorted(edges)), (family, size)
+
+
+def test_alternating_family_builds_are_never_stale():
+    # FamilySpec.build shares its last member; cycle 9 and path 9 differ only
+    # in the family, wheel 8 in both family and size
+    fresh = {("cycle", 9): cycle_graph(9), ("path", 9): path_graph(9),
+             ("wheel", 8): wheel_graph(8)}
+    for _ in range(3):
+        for member, g in fresh.items():
+            assert FamilySpec(*member).build() == g, member
+
+
 @pytest.mark.parametrize("family", sorted(MIN_SIZE))
 def test_family_minimum_sizes(family):
     FamilySpec(family, MIN_SIZE[family]).build()
