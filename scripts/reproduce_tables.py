@@ -42,7 +42,7 @@ def _cell(value) -> str:
 
 def complete_table(args):
     specs = [FamilySpec("complete", n) for n in range(1, args.max_complete + 1)]
-    report = cross_validate(specs, workers=args.workers)
+    report = cross_validate(specs)
     formula = REGISTRY["complete"].formula
     rows = []
     for r in report.rows:
@@ -65,7 +65,7 @@ def families_table(args):
     for family in ("cycle", "mobius", "wheel"):
         sizes = range(MIN_SIZE[family], args.max_small + 1)
         specs += [FamilySpec(family, s) for s in sizes]
-    report = cross_validate(specs, workers=args.workers)
+    report = cross_validate(specs)
     rows = []
     for r in report.rows:
         rows.append({

@@ -17,13 +17,16 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import CordialError, MalformedCertificate, SelfCheckFailed, self_check
-from .graph_core import FAMILIES, FamilySpec, MultiGraph, _member
+from .graph_core import FAMILIES, FamilySpec, MultiGraph
 from .labeling import balance, first_pair_with_edge_label, parity_obstruction
 
 # the certificate kinds, which are also the oracle's measures
 MEASURES = ("cordial", "ced", "cvd")
 # the one kind that may list each addition; cordial lists none
 _ADDITIONS = {"added_edges": "ced", "added_vertex_labels": "cvd"}
+# the running cross_validate row's spec and its member, which the row's
+# witness checks read in place of a build; empty outside a row
+_shared: dict[FamilySpec, MultiGraph] = {}
 
 
 class Certificate(NamedTuple):
@@ -43,41 +46,6 @@ class Certificate(NamedTuple):
     edges: tuple[tuple[int, int], ...] | None = None
     added_edges: tuple[tuple[int, int], ...] = ()
     added_vertex_labels: tuple[int, ...] = ()
-
-    def _family_spec(self) -> FamilySpec | None:
-        """Check the graph reference's shape; the family member, not yet built."""
-        has_family = self.family is not None or self.param is not None
-        has_explicit = self.n is not None or self.edges is not None
-        if has_family and (self.family is None or self.param is None):
-            raise MalformedCertificate("family and param must appear together")
-        if has_explicit and (self.n is None or self.edges is None):
-            raise MalformedCertificate("n and edges must appear together")
-        if not has_family and not has_explicit:
-            raise MalformedCertificate("no graph: need (family, param) or (n, edges)")
-        if not has_family:
-            return None
-        if self.family not in FAMILIES:
-            raise MalformedCertificate(f"unknown family {self.family!r}")
-        try:
-            return FamilySpec(self.family, self.param)
-        except CordialError as exc:
-            raise MalformedCertificate(f"bad family reference: {exc}") from None
-
-    def resolve_graph(self) -> MultiGraph:
-        """Expand the graph reference; structural problems raise MalformedCertificate."""
-        spec = self._family_spec()
-        by_family = None if spec is None else spec.build()
-        by_edges = None
-        if self.n is not None:
-            try:
-                by_edges = MultiGraph(self.n, self.edges)
-            except CordialError as exc:  # a non-integer id, a loop or a stray id
-                raise MalformedCertificate(f"bad explicit graph: {exc}") from None
-            except (TypeError, ValueError):  # an edge MultiGraph cannot unpack
-                raise MalformedCertificate("edges must be (u, v) pairs") from None
-        if by_family is not None and by_edges is not None and by_family != by_edges:
-            raise MalformedCertificate("family expansion disagrees with explicit edges")
-        return by_family if by_family is not None else by_edges
 
 
 class Verdict(NamedTuple):
@@ -127,8 +95,21 @@ def _structural_check(cert: Certificate, graph: MultiGraph | None) -> MultiGraph
             f"claimed_value {cert.claimed_value} != {listed} {own.replace('_', ' ')}"
             if own else f"a {cert.kind} certificate must claim 0"
         )
-    # compared before building: the size of a family member is untrusted input
-    spec = cert._family_spec()
+    # the graph reference's shape, then the label count, compared before any
+    # build: the size of a family member is untrusted input
+    for first, second in (("family", "param"), ("n", "edges")):
+        if (getattr(cert, first) is None) != (getattr(cert, second) is None):
+            raise MalformedCertificate(f"{first} and {second} must appear together")
+    if cert.param is None and cert.n is None:
+        raise MalformedCertificate("no graph: need (family, param) or (n, edges)")
+    spec = None
+    if cert.family is not None:
+        if cert.family not in FAMILIES:
+            raise MalformedCertificate(f"unknown family {cert.family!r}")
+        try:
+            spec = FamilySpec(cert.family, cert.param)
+        except CordialError as exc:
+            raise MalformedCertificate(f"bad family reference: {exc}") from None
     n = cert.n if spec is None else spec.vertex_count
     if len(cert.labels) != n:
         raise MalformedCertificate(
@@ -136,7 +117,18 @@ def _structural_check(cert: Certificate, graph: MultiGraph | None) -> MultiGraph
         )
     if spec is None and graph is not None and graph.n == n and graph.edges is cert.edges:
         return graph  # built from these very edges, so already validated
-    return cert.resolve_graph()
+    by_family = None if spec is None else _shared.get(spec) or spec.build()
+    if cert.n is None:
+        return by_family
+    try:
+        by_edges = MultiGraph(cert.n, cert.edges)
+    except CordialError as exc:  # a non-integer id, a loop or a stray id
+        raise MalformedCertificate(f"bad explicit graph: {exc}") from None
+    except (TypeError, ValueError):  # an edge MultiGraph cannot unpack
+        raise MalformedCertificate("edges must be (u, v) pairs") from None
+    if by_family is not None and by_family != by_edges:
+        raise MalformedCertificate("family expansion disagrees with explicit edges")
+    return by_edges
 
 
 def _endpoints(pairs):
@@ -160,7 +152,9 @@ def check_certificate(cert: Certificate, graph: MultiGraph | None = None) -> Ver
     an unfriendly labeling before a loop or an out-of-range added edge, and
     cvd rejects unbalanced edge labels before its vertex count. Structural
     breakage raises MalformedCertificate instead of rejecting. graph is used
-    unbuilt only if its n and its edges object are the certificate's own.
+    unbuilt only if its n and its edges object are the certificate's own. A
+    family reference is built by FamilySpec.build, except the member of the
+    cross_validate row that is running, which the row built once already.
     """
     g = _structural_check(cert, graph)
     f = cert.labels
@@ -206,8 +200,8 @@ def witness(kind: str, labels, value: int = 0, repair: int | None = None,
         minority = 0 if 2 * sum(labels) > len(labels) else 1
         additions["added_vertex_labels"] = (minority,) * value
     cert = Certificate(kind, labels, value, **additions, **ref)
-    try:  # a family witness is checked with one argument, as any caller checks it
-        verdict = check_certificate(cert, graph=graph) if graph else check_certificate(cert)
+    try:
+        verdict = check_certificate(cert, graph=graph)
     except MalformedCertificate as exc:
         raise SelfCheckFailed(f"{kind} witness malformed: {exc}") from None
     self_check(verdict.accepted, f"{kind} witness rejected: {verdict.reason}")
@@ -321,7 +315,6 @@ def cross_validate(
     specs: Iterable[FamilySpec],
     *,
     max_vertices: int | None = None,
-    workers: int = 1,
 ) -> ValidationReport:
     """Compare closed forms, witnesses, and the oracle over family members.
 
@@ -333,17 +326,18 @@ def cross_validate(
     members keep their formula values and witness verdicts. Noncordial
     members of a family with parity_lower get the parity obstruction as their
     lower bound. Rows are sorted by (family, size) so reports are
-    reproducible. A row builds its member once: the search, every witness's
-    check and the parity bound share FamilySpec.build's graph, which is
-    released when this returns.
+    reproducible. A row builds its member at most once, when it searches it
+    or its family has witness constructors: the search and the parity bound
+    use it, and every witness's check reads it from _shared, which holds
+    only the running row's member and is emptied when this returns or raises.
     """
     try:
-        return ValidationReport(tuple(_rows(specs, max_vertices, workers)))
+        return ValidationReport(tuple(_rows(specs, max_vertices)))
     finally:
-        _member.cache_clear()  # no member outlives the call
+        _shared.clear()  # no member outlives the call
 
 
-def _rows(specs: Iterable[FamilySpec], max_vertices: int | None, workers: int):
+def _rows(specs: Iterable[FamilySpec], max_vertices: int | None):
     """cross_validate's rows, one per distinct spec, in (family, size) order."""
     # imported here: oracle and families sit above this module in the import graph
     from . import families as fam
@@ -352,8 +346,14 @@ def _rows(specs: Iterable[FamilySpec], max_vertices: int | None, workers: int):
     bound = orc.DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
     for spec in sorted(set(specs), key=lambda s: (s.family, s.size)):
         within = spec.vertex_count <= bound
-        g = spec.build() if within else None
         known = fam.REGISTRY[spec.family]
+        # the row's own reads use g; _shared only spares its witness checks a
+        # build, so a call on another thread that clears it costs a rebuild,
+        # never a missing graph
+        _shared.clear()
+        g = None
+        if within or known.constructions:
+            g = _shared[spec] = spec.build()
         forms = {m: known.formula(m, spec.size) for m in MEASURES}
         # the square-rule form diverges from the operational minimum at exactly
         # one size; the divergence is what the match flag is meant to surface
@@ -366,7 +366,7 @@ def _rows(specs: Iterable[FamilySpec], max_vertices: int | None, workers: int):
                          f" operational value {forms['cvd'].render()}")
         found = {}
         if within:
-            solved = orc.solve(g, MEASURES, max_vertices=bound, workers=workers)
+            solved = orc.solve(g, MEASURES, max_vertices=bound)
             found = {m: result.value for m, result in solved.items()}
             found["cordial"] = solved["cordial"].witness is not None
         match = True
@@ -389,7 +389,7 @@ def _rows(specs: Iterable[FamilySpec], max_vertices: int | None, workers: int):
                 notes.append(f"{kind} witness claims {cert.claimed_value},"
                              f" closed form {shown}")
         if known.parity_lower and not forms["cordial"] and witnesses:
-            if parity_obstruction(spec.build()):
+            if parity_obstruction(g):
                 notes.append("bounds: witness upper, parity obstruction lower")
             else:
                 match = False

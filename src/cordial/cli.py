@@ -219,6 +219,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     names = tuple(s.strip() for s in args.families.split(",") if s.strip())
+    if not names:
+        return _usage("error: --families names no family")
     for name in names:
         if name not in FAMILIES:
             return _usage(f"error: unknown family {name!r}")
@@ -226,7 +228,7 @@ def _cmd_table(args) -> int:
              for size in range(MIN_SIZE[name], args.max_n + 1)]
     if not specs:
         return _usage("error: empty size range")
-    report = cross_validate(specs, max_vertices=args.max_vertices, workers=args.workers)
+    report = cross_validate(specs, max_vertices=args.max_vertices)
     exit_code = 0 if report.all_match else 1
 
     if args.format == "json":

@@ -4,15 +4,14 @@ Vertices are dense 0-based ids. Graphs are valid by construction and immutable
 once built, so one instance can be shared by any number of callers. MultiGraph
 checks a caller's graph; only the generators and parse_edge_list, whose edges
 are integer and in range already, build through MultiGraph._unchecked, and
-they hand it canonical (u < v) pairs in sorted order. FamilySpec.build shares
-the last member it built until _member's cache is cleared.
+they hand it canonical (u < v) pairs in sorted order. FamilySpec.build runs
+its generator on every call; no member is kept here.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -155,13 +154,6 @@ FAMILIES = tuple(_GENERATORS)
 MIN_SIZE = {name: gen.min_size for name, gen in _GENERATORS.items()}
 
 
-@lru_cache(maxsize=1)
-def _member(family: str, size: int) -> MultiGraph:
-    """The generator's member, shared with every build of the same (family,
-    size) until another is built or the cache is cleared."""
-    return _GENERATORS[family].build(size)
-
-
 class FamilySpec(namedtuple("FamilySpec", "family size")):
     """Names one member of a parameterized family, e.g. ("mobius", 6)."""
 
@@ -188,7 +180,7 @@ class FamilySpec(namedtuple("FamilySpec", "family size")):
         return _GENERATORS[self.family].edges(self.size)
 
     def build(self) -> MultiGraph:
-        return _member(self.family, self.size)
+        return _GENERATORS[self.family].build(self.size)
 
 
 def _read_ints(tokens: list[str], what: str, line_no: int) -> list[int]:

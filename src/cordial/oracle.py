@@ -34,7 +34,7 @@ need. A low pair (u, v) of multiplicity c adds c to the lanes holding
 exactly one of u and v; the edges from a low vertex out of the low part add
 their count to the lanes holding it. w's packed steps are built once the
 scan passes h = 0, and beta(h) as h ascends, from beta(h & (h - 1)), so a
-scan that stops early builds only what it visits. Lanes are 1, 2, 4 or 8
+scan that stops early builds only what it visits. Lanes are 1, 2 or 4
 bytes, the least that holds cap = min(m, mu * (n//2) * ((n+1)//2)), where
 mu is the largest multiplicity: e1 counts the edges across one cut, and a
 cut separates at most (n//2) * ((n+1)//2) pairs. Packing is linear, so a
@@ -73,7 +73,7 @@ from .labeling import VertexLabeling
 
 DEFAULT_MAX_VERTICES = 24
 LOW_BITS = 10  # at most 2**10 lanes; each layout is built once per process
-_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # lane bytes -> array typecode
+_LANE_CODES = {1: "B", 2: "H", 4: "I"}  # lane bytes -> array typecode
 
 
 class InfinityReason(Enum):

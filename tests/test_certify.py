@@ -2,6 +2,8 @@
 
 import json
 import re
+import sys
+import threading
 
 import pytest
 
@@ -237,6 +239,11 @@ def test_structural_breakage_is_malformed_not_rejected():
     _malformed(family="cycle", param=2)  # below family minimum
 
 
+def test_an_explicit_graph_needs_both_n_and_edges():
+    with pytest.raises(MalformedCertificate, match="^n and edges must appear together$"):
+        check_certificate(Certificate("cordial", (0, 1), 0, n=2))
+
+
 # K2 with a cordial labeling, and one field of it a bool or a float: each
 # would be written as JSON that parse_certificate refuses
 _K2 = dict(kind="cordial", n=2, edges=((0, 1),), labels=(1, 0), claimed_value=0)
@@ -354,6 +361,13 @@ def test_parse_rejects_shape_problems():
         parse_certificate(json.dumps({**base, "added_edges": [[0, 1, 2]]}))
 
 
+def test_parse_refuses_an_edges_item_that_is_not_a_pair_array():
+    text = '{"kind": "cordial", "n": 2, "edges": [5], "labels": "01", "claimed_value": 0}'
+    with pytest.raises(MalformedCertificate,
+                       match=r"^edges must be an array of \[u, v\] pairs$"):
+        parse_certificate(text)
+
+
 # ----------------------------------------------------------- cross-validate
 
 
@@ -410,7 +424,6 @@ def _count_builds(monkeypatch) -> list:
             built.append((family, size))
             return make(size)
         monkeypatch.setitem(graph_core._GENERATORS, family, gen._replace(build=build))
-    graph_core._member.cache_clear()  # a member shared from before would hide a build
     return built
 
 
@@ -429,9 +442,64 @@ def test_cross_validate_builds_each_member_once_per_row(monkeypatch, family, siz
     assert ("bounds: witness upper, parity obstruction lower" in row.notes) is parity
     assert built == [(family, size)]
     # released on return: no member is held, and the next build runs the generator
-    assert graph_core._member.cache_info().currsize == 0
+    assert cordial.certify._shared == {}
     FamilySpec(family, size).build()
     assert built == [(family, size)] * 2
+
+
+def test_a_row_with_no_search_and_no_witness_builds_nothing(monkeypatch):
+    built = _count_builds(monkeypatch)
+    row = cross_validate([FamilySpec("path", 30)], max_vertices=14).rows[0]
+    assert (row.source, row.match, built) == ("none", True, [])
+
+
+def test_no_member_outlives_a_row_that_raises(monkeypatch):
+    mobius = REGISTRY["mobius"]
+    held = []
+
+    def broken(k):
+        held.append(dict(cordial.certify._shared))
+        raise SelfCheckFailed("broken constructor")
+
+    monkeypatch.setitem(REGISTRY, "mobius", mobius._replace(
+        constructions={**mobius.constructions, "cvd": broken}))
+    with pytest.raises(SelfCheckFailed, match="broken constructor"):
+        # the complete row, first in order, shares its member with its witnesses
+        cross_validate([FamilySpec("mobius", 6), FamilySpec("complete", 30)])
+    assert held == [{FamilySpec("mobius", 6): FamilySpec("mobius", 6).build()}]
+    assert cordial.certify._shared == {}
+
+
+def test_concurrent_cross_validate_calls_report_their_own_rows():
+    # the row's share is a cache: a call whose share another thread cleared
+    # or replaced builds its member again and reports the same rows
+    specs = [[FamilySpec("wheel", 7), FamilySpec("mobius", 6)],
+             [FamilySpec("complete", 12), FamilySpec("cycle", 10)],
+             [FamilySpec("mobius", 10), FamilySpec("wheel", 11)]]
+    expected = [cross_validate(s, max_vertices=12) for s in specs]
+    results, errors = [], []
+
+    def run(i):
+        try:
+            for _ in range(40):
+                results.append((i, cross_validate(specs[i], max_vertices=12)))
+        except Exception as exc:  # reported below, in the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i % 3,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 240 and all(r == expected[i] for i, r in results)
+    assert cordial.certify._shared == {}
 
 
 # one size per (family, target) in REGISTRY at which the constructor applies

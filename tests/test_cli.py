@@ -151,6 +151,16 @@ def test_compute_usage_errors(capsys):
     assert code == 2 and "no closed form" in err
 
 
+def test_compute_graph_excludes_a_family(capsys, tmp_path):
+    path = tmp_path / "k2.txt"
+    path.write_text("2 1\n0 1\n")
+    for extra in (["--family", "complete"], ["--n", "2"]):
+        code, out, err = run(capsys, "compute", "--graph", str(path), *extra,
+                             "--method", "oracle")
+        assert (code, out) == (2, "")
+        assert err == "error: --graph excludes --family/--n\n"
+
+
 def test_compute_respects_size_cap(capsys):
     code, _, err = run(capsys, "compute", "--family", "complete", "--n", "6",
                        "--max-vertices", "5")
@@ -281,6 +291,13 @@ def test_table_usage_errors(capsys):
     assert code == 2 and "unknown family" in err
     code, _, err = run(capsys, "table", "--families", "cycle", "--max-n", "2")
     assert code == 2 and "empty size range" in err
+
+
+@pytest.mark.parametrize("families", ["", ",", " , "])
+def test_table_without_a_family_names_the_fault(capsys, families):
+    code, out, err = run(capsys, "table", "--families", families, "--max-n", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: --families names no family\n"
 
 
 def test_help_and_missing_subcommand(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from cordial import (
     DeficiencyValue,
+    FamilySpec,
     LabeledFamilyInstance,
     NotApplicable,
     SizeTooSmall,
@@ -175,13 +176,13 @@ def test_construct_mobius_all_admissible_widths():
 
 def test_mobius_witnesses_have_pinned_balance():
     w = mobius_ced_witness(6)
-    rep = balance(w.resolve_graph(), VertexLabeling(w.labels))
+    rep = balance(FamilySpec(w.family, w.param).build(), VertexLabeling(w.labels))
     assert (rep.e0, rep.e1) == (10, 8)
     assert rep.vertex_diff == 0
     assert check_certificate(w).accepted
 
     w = mobius_cvd_witness(6)
-    rep = balance(w.resolve_graph(), VertexLabeling(w.labels))
+    rep = balance(FamilySpec(w.family, w.param).build(), VertexLabeling(w.labels))
     assert rep.e0 == rep.e1 == 9
     assert (rep.v0, rep.v1) == (5, 7)
     assert w.added_vertex_labels == (0,)

@@ -156,13 +156,45 @@ def test_generators_emit_canonical_sorted_edges(family, top):
 
 
 def test_alternating_family_builds_are_never_stale():
-    # FamilySpec.build shares its last member; cycle 9 and path 9 differ only
-    # in the family, wheel 8 in both family and size
+    # every FamilySpec.build runs its generator afresh; cycle 9 and path 9
+    # differ only in the family, wheel 8 in both family and size
     fresh = {("cycle", 9): cycle_graph(9), ("path", 9): path_graph(9),
              ("wheel", 8): wheel_graph(8)}
     for _ in range(3):
         for member, g in fresh.items():
             assert FamilySpec(*member).build() == g, member
+
+
+def test_each_build_is_a_new_graph():
+    # nothing keeps a member between builds, so a member lives only as long
+    # as its callers hold it
+    for family, generator in _GENERATOR_OF.items():
+        size = MIN_SIZE[family] + 4
+        first, second = FamilySpec(family, size).build(), FamilySpec(family, size).build()
+        assert first is not second and first.edges is not second.edges
+        assert first == second == generator(size), family
+
+
+_GENERATOR_OF = {"complete": complete_graph, "cycle": cycle_graph, "path": path_graph,
+                 "ladder": ladder_graph, "mobius": mobius_ladder, "wheel": wheel_graph}
+
+
+@pytest.mark.parametrize("family,refusal", [
+    ("complete", "complete graphs need n"), ("cycle", "cycles need n"),
+    ("path", "paths need n"), ("ladder", "ladders need k"),
+    ("mobius", "mobius ladders need k"), ("wheel", "wheels need n"),
+])
+def test_each_generator_refuses_the_size_below_its_family_minimum(family, refusal):
+    # the generators check their own minimum, which must be MIN_SIZE's
+    generator, low = _GENERATOR_OF[family], MIN_SIZE[family]
+    assert generator(low) == FamilySpec(family, low).build()
+    with pytest.raises(SizeTooSmall, match=f"^{refusal} >= {low}$"):
+        generator(low - 1)
+
+
+def test_negative_vertex_count_is_refused():
+    with pytest.raises(SizeTooSmall, match="^vertex count must be non-negative$"):
+        MultiGraph(-1, ())
 
 
 @pytest.mark.parametrize("family", sorted(MIN_SIZE))
@@ -272,6 +304,13 @@ def test_parse_rejects_bad_header():
         parse_edge_list("3\n0 1\n")
     with pytest.raises(ParseError):
         parse_edge_list("")
+
+
+def test_parse_rejects_negative_header_counts_and_bad_edge_lines():
+    with pytest.raises(ParseError, match="^line 1: header counts must be non-negative$"):
+        parse_edge_list("-1 0\n")
+    with pytest.raises(ParseError, match="^line 2: expected edge line 'u v'$"):
+        parse_edge_list("2 1\n0 1 1\n")
 
 
 def test_parse_error_carries_line_number():

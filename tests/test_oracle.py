@@ -311,7 +311,7 @@ def test_scan_matches_a_recount_on_four_byte_lanes(lane_widths):
     # from each of 1, 2 and 3, so m = 66,001 and the cut bound needs 4-byte
     # lanes. Row 1 is balanced at high subset 0, and the only friendly
     # balanced cell, {1, 2, 3}, lies in the top high subset, so every high
-    # subset is scanned. 8-byte lanes need 2**32 edges and stay untested
+    # subset is scanned. 4 bytes is the widest lane
     g = MultiGraph(5, [(0, 4)] * 33001 + [(v, 4) for v in (1, 2, 3) for _ in range(11000)])
     full = _recount(g)
     assert full[1, 33001] == 0b1 and full[3, 33000] == 0b1110
