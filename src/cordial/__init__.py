@@ -3,88 +3,52 @@
 Exhaustive deficiency search with deterministic witnesses, closed forms for
 complete graphs, cycles, wheels and mobius ladders, constructive labelings
 checked by a certificate verifier, and a parity obstruction for lower bounds.
+
+The namespace is lazy: `import cordial` loads no submodule, and each name in
+__all__ imports the one submodule that defines it on first access (PEP 562).
+A process pays to compile and run only the modules it uses, which is most of
+a CLI command's start-up when no bytecode cache exists.
 """
 
-from types import ModuleType as _ModuleType
+from importlib import import_module as _import_module
 
-from .certify import (
-    Certificate,
-    ValidationReport,
-    ValidationRow,
-    Verdict,
-    check_certificate,
-    cross_validate,
-    parse_certificate,
-    serialize_certificate,
-)
-from .errors import (
-    CordialError,
-    IdOutOfRange,
-    LengthMismatch,
-    LoopRejected,
-    MalformedCertificate,
-    NotApplicable,
-    ParseError,
-    SizeLimitExceeded,
-    SizeTooSmall,
-    StrictlyNoncordial,
-)
-from .families import (
-    LabeledFamilyInstance,
-    ced_complete,
-    complete_cordial_labeling,
-    complete_ced_witness,
-    complete_cvd_witness,
-    complete_split,
-    construct_mobius_labeling,
-    cvd_complete,
-    cvd_complete_literal,
-    cycle_cordial_labeling,
-    is_cordial_complete,
-    is_cordial_cycle,
-    is_cordial_mobius,
-    is_cordial_wheel,
-    mobius_ced_witness,
-    mobius_cvd_witness,
-    wheel_cordial_labeling,
-    wheel_ced_witness,
-    wheel_cvd_witness,
-)
-from .graph_core import (
-    FAMILIES,
-    MIN_SIZE,
-    FamilySpec,
-    MultiGraph,
-    complete_graph,
-    cycle_graph,
-    ladder_graph,
-    mobius_ladder,
-    parse_edge_list,
-    path_graph,
-    wheel_graph,
-)
-from .labeling import (
-    BalanceReport,
-    VertexLabeling,
-    balance,
-    first_pair_with_edge_label,
-    parity_obstruction,
-)
-from .oracle import (
-    DEFAULT_MAX_VERTICES,
-    DeficiencyValue,
-    InfinityReason,
-    OracleResult,
-    ced_oracle,
-    cvd_oracle,
-    decide_cordial,
-)
+# every exported name, by the submodule that defines it
+_HOMES = {
+    name: module
+    for module, names in (
+        ("certify", "Certificate ValidationReport ValidationRow Verdict check_certificate"
+                    " cross_validate parse_certificate serialize_certificate"
+                    " DEFAULT_MAX_VERTICES DeficiencyValue InfinityReason"),
+        ("errors", "CordialError IdOutOfRange LengthMismatch LoopRejected MalformedCertificate"
+                   " NotApplicable ParseError SizeLimitExceeded SizeTooSmall StrictlyNoncordial"),
+        ("families", "LabeledFamilyInstance ced_complete complete_cordial_labeling"
+                     " complete_ced_witness complete_cvd_witness complete_split"
+                     " construct_mobius_labeling cvd_complete cvd_complete_literal"
+                     " cycle_cordial_labeling is_cordial_complete is_cordial_cycle"
+                     " is_cordial_mobius is_cordial_wheel mobius_ced_witness"
+                     " mobius_cvd_witness wheel_cordial_labeling wheel_ced_witness"
+                     " wheel_cvd_witness"),
+        ("graph_core", "FAMILIES MIN_SIZE FamilySpec MultiGraph complete_graph cycle_graph"
+                       " ladder_graph mobius_ladder parse_edge_list path_graph wheel_graph"),
+        ("labeling", "BalanceReport VertexLabeling balance first_pair_with_edge_label"
+                     " parity_obstruction"),
+        ("oracle", "OracleResult ced_oracle cvd_oracle decide_cordial"),
+    )
+    for name in names.split()
+}
 
 __version__ = "0.1.0"
 
-# every public name imported above; the submodules are attributes, not exports
-__all__ = [
-    name
-    for name, value in list(globals().items())
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-] + ["__version__"]
+# the submodules are attributes once imported, not exports
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _HOMES.get(name)
+    if module is None:  # so `from cordial import <submodule>` imports it
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

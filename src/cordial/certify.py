@@ -8,11 +8,16 @@ by the validation report, never assumed. witness() builds and checks every
 certificate the package makes; parse_certificate reads the rest. The closed
 forms, witnesses and lower-bound sources that cross_validate compares come
 from families.REGISTRY.
+
+The value types DeficiencyValue and InfinityReason, and the search cap
+DEFAULT_MAX_VERTICES, live here: this is the lowest module that both oracle
+and families import, so families reads them without loading the scan. json
+loads only when a certificate is read or written.
 """
 
 from __future__ import annotations
 
-import json
+from enum import Enum
 from itertools import chain
 from typing import Iterable, NamedTuple
 
@@ -22,11 +27,47 @@ from .labeling import balance, first_pair_with_edge_label, parity_obstruction
 
 # the certificate kinds, which are also the oracle's measures
 MEASURES = ("cordial", "ced", "cvd")
+# the largest graph the exhaustive search takes unless a caller raises it
+DEFAULT_MAX_VERTICES = 24
 # the one kind that may list each addition; cordial lists none
 _ADDITIONS = {"added_edges": "ced", "added_vertex_labels": "cvd"}
 # the running cross_validate row's spec and its member, which the row's
 # witness checks read in place of a build; empty outside a row
 _shared: dict[FamilySpec, MultiGraph] = {}
+
+
+class InfinityReason(Enum):
+    STRICTLY_NONCORDIAL = "StrictlyNoncordial"
+    NO_FEASIBLE_AUGMENTATION = "NoFeasibleAugmentation"
+
+
+class DeficiencyValue(NamedTuple):
+    """A deficiency: a non-negative integer, or infinity (None) with a stated reason."""
+
+    value: int | None
+    reason: InfinityReason | None = None
+
+    @classmethod
+    def finite(cls, value: int) -> "DeficiencyValue":
+        if value < 0:
+            raise ValueError("deficiencies are non-negative")
+        return cls(value, None)
+
+    @classmethod
+    def infinite(cls, reason: InfinityReason) -> "DeficiencyValue":
+        return cls(None, reason)
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.value is None
+
+    def render(self) -> str:
+        return "infinity" if self.is_infinite else str(self.value)
+
+    def describe(self) -> str:
+        if self.is_infinite:
+            return f"infinity ({self.reason.value})"
+        return str(self.value)
 
 
 class Certificate(NamedTuple):
@@ -255,6 +296,8 @@ _JSON_KEYS = {
 
 def serialize_certificate(cert: Certificate) -> str:
     """Deterministic JSON rendering; key order is fixed."""
+    import json
+
     payload = {}
     for key, read in _JSON_KEYS.items():
         value = getattr(cert, key)
@@ -265,6 +308,8 @@ def serialize_certificate(cert: Certificate) -> str:
 
 def parse_certificate(text: str) -> Certificate:
     """Inverse of serialize_certificate; shape problems raise MalformedCertificate."""
+    import json
+
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -286,8 +331,8 @@ class ValidationRow(NamedTuple):
     family: str
     size: int
     cordial: bool | None
-    ced: object  # DeficiencyValue | None
-    cvd: object  # DeficiencyValue | None
+    ced: DeficiencyValue | None
+    cvd: DeficiencyValue | None
     source: str
     match: bool
     witnesses: tuple[tuple[str, bool], ...] = ()
@@ -343,7 +388,7 @@ def _rows(specs: Iterable[FamilySpec], max_vertices: int | None):
     from . import families as fam
     from . import oracle as orc
 
-    bound = orc.DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
+    bound = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
     for spec in sorted(set(specs), key=lambda s: (s.family, s.size)):
         within = spec.vertex_count <= bound
         known = fam.REGISTRY[spec.family]
@@ -383,7 +428,7 @@ def _rows(specs: Iterable[FamilySpec], max_vertices: int | None):
         for kind, cert in fam.family_certificates(spec.family, spec.size):
             witnesses.append((kind, True))
             form = forms[kind]
-            if form not in (None, True, orc.DeficiencyValue.finite(cert.claimed_value)):
+            if form not in (None, True, DeficiencyValue.finite(cert.claimed_value)):
                 match = False
                 shown = "noncordial" if kind == "cordial" else form.render()
                 notes.append(f"{kind} witness claims {cert.claimed_value},"

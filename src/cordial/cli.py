@@ -6,32 +6,24 @@ verify (check a certificate file), table (cross-validate families over a
 size range). Closed forms and constructions come from families.REGISTRY.
 Exit codes: 0 success, 1 semantic failure such as a rejected certificate or
 a formula/search mismatch, 2 usage or structural errors.
+
+Every process compiles and runs the modules it imports, so the module level
+imports only what the parser and main need: argparse, the errors main
+catches, and graph_core and certify for the family names, sizes and
+constants. Each handler imports what it runs: verify only the certify chain,
+construct families, compute oracle only when it searches and families only
+when it reads a closed form, table cross_validate; json and csv load only
+for their --format.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
-from pathlib import Path
 
-from . import families as fam
-from .certify import (
-    MEASURES,
-    check_certificate,
-    cross_validate,
-    parse_certificate,
-    serialize_certificate,
-)
+from .certify import DEFAULT_MAX_VERTICES, MEASURES, DeficiencyValue
 from .errors import CordialError, MalformedCertificate, SelfCheckFailed
 from .graph_core import FAMILIES, MIN_SIZE, FamilySpec, parse_edge_list
-from .oracle import (
-    DEFAULT_MAX_VERTICES,
-    DeficiencyValue,
-    check_search_size,
-    solve,
-)
 
 
 def worker_count(text: str) -> int:
@@ -99,6 +91,11 @@ def _usage(message: str) -> int:
     return 2
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
 def _render(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
@@ -120,7 +117,7 @@ def _cmd_compute(args) -> int:
             return _usage("error: --graph excludes --family/--n")
         if args.method != "oracle":
             return _usage("error: closed forms need a named family; use --method oracle")
-        g = parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
+        g = parse_edge_list(_read(args.graph))
         n, m = g.n, g.m
         ident = f"graph from {args.graph}"
     else:
@@ -128,15 +125,19 @@ def _cmd_compute(args) -> int:
             return _usage("error: need --family with --n, or --graph")
         spec = FamilySpec(args.family, args.n)
         n, m = spec.vertex_count, spec.edge_count
-        if args.method != "formula":
-            check_search_size(n, args.max_vertices)
-            g = spec.build()
         if args.method != "oracle":
-            known = fam.REGISTRY[args.family]
+            from .families import REGISTRY
+
+            known = REGISTRY[args.family]
         ident = f"{args.family} n={args.n}"
 
     searched = {}
     if args.method != "formula":
+        from .oracle import check_search_size, solve
+
+        if args.graph is None:  # a member beyond the cap is refused before its build
+            check_search_size(n, args.max_vertices)
+            g = spec.build()
         searched = solve(g, measures, max_vertices=args.max_vertices, workers=args.workers)
     # each entry is the measure's JSON object once _json_value converts its deficiencies
     results: dict[str, dict] = {}
@@ -164,6 +165,8 @@ def _cmd_compute(args) -> int:
     exit_code = 1 if any(e["match"] is False for e in results.values()) else 0
 
     if args.format == "json":
+        import json
+
         results = {meas: {key: _json_value(value) for key, value in e.items()}
                    for meas, e in results.items()}
         payload = {"graph": ident, "n": n, "m": m, "method": args.method,
@@ -189,13 +192,17 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    build = fam.REGISTRY[args.family].constructions.get(args.target)
+    from .certify import serialize_certificate
+    from .families import REGISTRY
+
+    build = REGISTRY[args.family].constructions.get(args.target)
     if build is None:
         raise CordialError(f"no {args.target} construction for family {args.family!r}")
     cert = build(args.n)
     text = serialize_certificate(cert)
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as f:
+            f.write(text)
         print(f"wrote {args.out}: kind={cert.kind} claimed_value={cert.claimed_value}")
     else:
         sys.stdout.write(text)
@@ -203,7 +210,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cert = parse_certificate(Path(args.certificate).read_text(encoding="utf-8"))
+    from .certify import check_certificate, parse_certificate
+
+    cert = parse_certificate(_read(args.certificate))
     verdict = check_certificate(cert)
     if not verdict.accepted:
         print(f"Rejected: {verdict.reason}")
@@ -228,10 +237,14 @@ def _cmd_table(args) -> int:
              for size in range(MIN_SIZE[name], args.max_n + 1)]
     if not specs:
         return _usage("error: empty size range")
+    from .certify import cross_validate
+
     report = cross_validate(specs, max_vertices=args.max_vertices)
     exit_code = 0 if report.all_match else 1
 
     if args.format == "json":
+        import json
+
         rows = [{**{key: _json_value(value) for key, value in r._asdict().items()},
                  "witnesses": [{"kind": k, "accepted": ok} for k, ok in r.witnesses]}
                 for r in report.rows]
@@ -250,6 +263,8 @@ def _cmd_table(args) -> int:
     header = ["family", "size", "cordial", "ced", "cvd", "source", "match"]
     rows = [[cell(getattr(r, column)) for column in header] for r in report.rows]
     if args.format == "csv":
+        import csv
+
         csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
         return exit_code
     widths = ("<9", ">4", "<7", "<9", "<9", "<8", "<5")

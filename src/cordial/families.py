@@ -17,11 +17,10 @@ from __future__ import annotations
 from math import isqrt
 from typing import Callable, Mapping, NamedTuple
 
-from .certify import Certificate, witness
+from .certify import Certificate, DeficiencyValue, InfinityReason, witness
 from .errors import NotApplicable, SizeTooSmall, StrictlyNoncordial
 from .graph_core import FamilySpec, MultiGraph
 from .labeling import BalanceReport, VertexLabeling, balance
-from .oracle import DeficiencyValue, InfinityReason
 
 # ---------------------------------------------------------------- complete
 

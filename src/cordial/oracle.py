@@ -22,7 +22,8 @@ of the result's own mode. Results are bit-identical whatever the modes
 scanned alongside, and equal to those of a search over all 2**n labelings.
 Every witness is built and checked by certify.witness, the one place any
 witness certificate is made; a scan witness is checked against the scanned
-MultiGraph itself, not a rebuild.
+MultiGraph itself, not a rebuild. The result's value types and the search
+cap DEFAULT_MAX_VERTICES come from certify, below this module and families.
 
 The scan kernel splits the free vertices 0..n-2 into a low part of at most
 LOW_BITS vertices and a high part holding the rest. For one high subset h a
@@ -60,54 +61,25 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from enum import Enum
 from functools import cache
 from itertools import accumulate, groupby
 from math import comb
 from typing import NamedTuple
 
-from .certify import MEASURES, Certificate, witness
+from .certify import (
+    DEFAULT_MAX_VERTICES,
+    MEASURES,
+    Certificate,
+    DeficiencyValue,
+    InfinityReason,
+    witness,
+)
 from .errors import CordialError, SizeLimitExceeded
 from .graph_core import MultiGraph
 from .labeling import VertexLabeling
 
-DEFAULT_MAX_VERTICES = 24
 LOW_BITS = 10  # at most 2**10 lanes; each layout is built once per process
 _LANE_CODES = {1: "B", 2: "H", 4: "I"}  # lane bytes -> array typecode
-
-
-class InfinityReason(Enum):
-    STRICTLY_NONCORDIAL = "StrictlyNoncordial"
-    NO_FEASIBLE_AUGMENTATION = "NoFeasibleAugmentation"
-
-
-class DeficiencyValue(NamedTuple):
-    """A deficiency: a non-negative integer, or infinity (None) with a stated reason."""
-
-    value: int | None
-    reason: InfinityReason | None = None
-
-    @classmethod
-    def finite(cls, value: int) -> "DeficiencyValue":
-        if value < 0:
-            raise ValueError("deficiencies are non-negative")
-        return cls(value, None)
-
-    @classmethod
-    def infinite(cls, reason: InfinityReason) -> "DeficiencyValue":
-        return cls(None, reason)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def render(self) -> str:
-        return "infinity" if self.is_infinite else str(self.value)
-
-    def describe(self) -> str:
-        if self.is_infinite:
-            return f"infinity ({self.reason.value})"
-        return str(self.value)
 
 
 class OracleResult(NamedTuple):

@@ -15,6 +15,8 @@ from cordial import (
     Verdict,
     mobius_ladder,
     parse_certificate,
+    serialize_certificate,
+    wheel_ced_witness,
 )
 from cordial.cli import main
 
@@ -328,3 +330,39 @@ def test_importing_the_cli_does_not_load_dataclasses_or_inspect():
             " sys.exit(sum(m in sys.modules for m in ('dataclasses', 'inspect')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ([], [f"cordial.{name}" for name in ("certify", "cli", "errors", "families",
+                                          "graph_core", "labeling", "oracle")]),
+    (["--help"], ["cordial.oracle", "cordial.families"]),
+    (["verify", "{cert}"], ["cordial.oracle", "cordial.families"]),
+    (["construct", "--family", "wheel", "--n", "7", "--target", "ced"], ["cordial.oracle"]),
+    (["compute", "--family", "complete", "--n", "9", "--method", "formula"], ["cordial.oracle"]),
+    (["compute", "--graph", "{graph}", "--method", "oracle"],
+     ["cordial.families", "json", "csv"]),
+    (["table", "--families", "cycle", "--max-n", "6", "--format", "csv"], ["json"]),
+], ids=["import", "help", "verify", "construct", "formula", "graph", "table-csv"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
+    # a CLI process compiles every module it imports when no bytecode cache
+    # exists, so each command must leave out what it does not run. A fresh
+    # interpreter without site-packages (-S) runs main(argv), or only imports
+    # the package when argv is empty, and prints which of absent it loaded
+    cert = tmp_path / "w7.json"
+    cert.write_text(serialize_certificate(wheel_ced_witness(7)))
+    graph = tmp_path / "c5.txt"
+    graph.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+    argv = [arg.format(cert=cert, graph=graph) for arg in argv]
+    src = str(Path(cordial.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, cordial\n"
+            "status = 0\n"
+            "if sys.argv[2:]:\n"
+            "    from cordial.cli import main\n"
+            "    status = main(sys.argv[2:])\n"
+            "print(sorted(set(sys.argv[1].split()) & set(sys.modules)))\n"
+            "sys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, " ".join(absent), *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

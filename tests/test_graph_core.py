@@ -3,9 +3,12 @@ contract every record type keeps."""
 
 import ast
 import copy
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -41,6 +44,7 @@ from cordial import (
     path_graph,
     wheel_graph,
 )
+from cordial import certify, errors, families, graph_core, labeling, oracle
 from cordial.families import REGISTRY
 
 
@@ -219,6 +223,32 @@ def test_package_exports_resolve_and_are_not_modules():
     assert len(set(cordial.__all__)) == len(cordial.__all__)
     for name in cordial.__all__:
         assert not isinstance(getattr(cordial, name), ModuleType), name
+
+
+def test_the_lazy_namespace_binds_what_the_submodules_define():
+    # the package imports a submodule on first access to one of its names;
+    # any submodule that holds an exported name holds the same object
+    namespace = {}
+    exec("from cordial import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(cordial.__all__)
+    assert set(cordial.__all__) <= set(dir(cordial))
+    submodules = [certify, errors, families, graph_core, labeling, oracle]
+    for name in set(cordial.__all__) - {"__version__"}:
+        held = [getattr(module, name) for module in submodules if hasattr(module, name)]
+        assert held and all(value is getattr(cordial, name) for value in held), name
+    for name in ("DeficiencyValue", "InfinityReason", "DEFAULT_MAX_VERTICES"):
+        assert getattr(oracle, name) is getattr(certify, name)
+
+
+def test_an_unknown_name_is_no_attribute_so_submodules_still_import():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        cordial.nope
+    # a fresh interpreter, where graph_core is not loaded before the import
+    src = str(Path(cordial.__file__).resolve().parent.parent)
+    code = "from cordial import graph_core; print(graph_core.__name__)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.stdout == "cordial.graph_core\n", proc.stderr
 
 
 def _program_references() -> set[str]:
