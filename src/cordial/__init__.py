@@ -21,18 +21,16 @@ _HOMES = {
                     " DEFAULT_MAX_VERTICES DeficiencyValue InfinityReason"),
         ("errors", "CordialError IdOutOfRange LengthMismatch LoopRejected MalformedCertificate"
                    " NotApplicable ParseError SizeLimitExceeded SizeTooSmall StrictlyNoncordial"),
-        ("families", "LabeledFamilyInstance ced_complete complete_cordial_labeling"
-                     " complete_ced_witness complete_cvd_witness complete_split"
-                     " construct_mobius_labeling cvd_complete cvd_complete_literal"
-                     " cycle_cordial_labeling is_cordial_complete is_cordial_cycle"
-                     " is_cordial_mobius is_cordial_wheel mobius_ced_witness"
-                     " mobius_cvd_witness wheel_cordial_labeling wheel_ced_witness"
-                     " wheel_cvd_witness"),
+        ("families", "ced_complete complete_cordial_labeling complete_ced_witness"
+                     " complete_cvd_witness complete_split construct_mobius_labeling"
+                     " cvd_complete cvd_complete_literal cycle_cordial_labeling"
+                     " is_cordial_complete is_cordial_cycle is_cordial_mobius"
+                     " is_cordial_wheel mobius_ced_witness mobius_cvd_witness"
+                     " wheel_cordial_labeling wheel_ced_witness wheel_cvd_witness"),
         ("graph_core", "FAMILIES MIN_SIZE FamilySpec MultiGraph complete_graph cycle_graph"
                        " ladder_graph mobius_ladder parse_edge_list path_graph wheel_graph"),
-        ("labeling", "BalanceReport VertexLabeling balance first_pair_with_edge_label"
-                     " parity_obstruction"),
-        ("oracle", "OracleResult ced_oracle cvd_oracle decide_cordial"),
+        ("labeling", "BalanceReport balance first_pair_with_edge_label parity_obstruction"),
+        ("oracle", "OracleResult solve"),
     )
     for name in names.split()
 }

@@ -225,13 +225,16 @@ def witness(kind: str, labels, value: int = 0, repair: int | None = None,
             graph: MultiGraph | None = None, **ref) -> Certificate:
     """Build a kind witness on labels and check it; every witness comes from here.
 
-    ref is family=, param= or n=, edges=; graph, beside n= and edges=, is
-    their MultiGraph, which the check uses unbuilt. A ced witness adds value
-    copies of the first vertex pair whose induced label is repair; a cvd
-    witness adds value isolated vertices of the minority label. A rejected or
-    malformed certificate is a bug in its maker and raises SelfCheckFailed.
+    ref is family=, param= or n=, edges=. graph, in place of ref, is a
+    MultiGraph: its n and edges are the reference, and the check uses it
+    unbuilt. A ced witness adds value copies of the first vertex pair whose
+    induced label is repair; a cvd witness adds value isolated vertices of
+    the minority label. A rejected or malformed certificate is a bug in its
+    maker and raises SelfCheckFailed.
     """
     labels = tuple(labels)
+    if graph is not None:
+        ref = {"n": graph.n, "edges": graph.edges}
     additions = {}
     if value and kind == "ced":
         pair = first_pair_with_edge_label(labels, repair)
@@ -359,7 +362,7 @@ def _shown(value) -> str:
 def cross_validate(
     specs: Iterable[FamilySpec],
     *,
-    max_vertices: int | None = None,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> ValidationReport:
     """Compare closed forms, witnesses, and the oracle over family members.
 
@@ -367,7 +370,7 @@ def cross_validate(
     check their own certificates and raise SelfCheckFailed on a rejection.
     A witness whose claim differs from its family's closed form (the
     operational cvd, not the square rule) makes the row a mismatch.
-    The oracle side runs only for members within the search bound; larger
+    The oracle side runs only for members of at most max_vertices; larger
     members keep their formula values and witness verdicts. Noncordial
     members of a family with parity_lower get the parity obstruction as their
     lower bound. Rows are sorted by (family, size) so reports are
@@ -382,15 +385,14 @@ def cross_validate(
         _shared.clear()  # no member outlives the call
 
 
-def _rows(specs: Iterable[FamilySpec], max_vertices: int | None):
+def _rows(specs: Iterable[FamilySpec], max_vertices: int):
     """cross_validate's rows, one per distinct spec, in (family, size) order."""
     # imported here: oracle and families sit above this module in the import graph
     from . import families as fam
     from . import oracle as orc
 
-    bound = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
     for spec in sorted(set(specs), key=lambda s: (s.family, s.size)):
-        within = spec.vertex_count <= bound
+        within = spec.vertex_count <= max_vertices
         known = fam.REGISTRY[spec.family]
         # the row's own reads use g; _shared only spares its witness checks a
         # build, so a call on another thread that clears it costs a rebuild,
@@ -411,7 +413,7 @@ def _rows(specs: Iterable[FamilySpec], max_vertices: int | None):
                          f" operational value {forms['cvd'].render()}")
         found = {}
         if within:
-            solved = orc.solve(g, MEASURES, max_vertices=bound)
+            solved = orc.solve(g, MEASURES, max_vertices=max_vertices)
             found = {m: result.value for m, result in solved.items()}
             found["cordial"] = solved["cordial"].witness is not None
         match = True

@@ -138,7 +138,7 @@ def _cmd_compute(args) -> int:
         if args.graph is None:  # a member beyond the cap is refused before its build
             check_search_size(n, args.max_vertices)
             g = spec.build()
-        searched = solve(g, measures, max_vertices=args.max_vertices, workers=args.workers)
+        searched = solve(g, measures, max_vertices=args.max_vertices)
     # each entry is the measure's JSON object once _json_value converts its deficiencies
     results: dict[str, dict] = {}
     for meas in measures:

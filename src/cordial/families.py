@@ -19,8 +19,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .certify import Certificate, DeficiencyValue, InfinityReason, witness
 from .errors import NotApplicable, SizeTooSmall, StrictlyNoncordial
-from .graph_core import FamilySpec, MultiGraph
-from .labeling import BalanceReport, VertexLabeling, balance
+from .graph_core import FamilySpec
 
 # ---------------------------------------------------------------- complete
 
@@ -112,31 +111,9 @@ def complete_cvd_witness(n: int) -> Certificate:
     return witness("cvd", labels, max(0, n - 2 * ell - 1), family="complete", param=n)
 
 
-# ---------------------------------------------------------------- instances
-
-
-class LabeledFamilyInstance(NamedTuple):
-    """A family member together with a labeling and its balance counts.
-
-    No package code builds one. It stays only because perfbench/probes.py
-    names it, in a test that is always false, until ROADMAP item 3 deletes it.
-    """
-
-    spec: FamilySpec
-    graph: MultiGraph
-    labeling: VertexLabeling
-    balance: BalanceReport
-
-    @classmethod
-    def build(cls, family: str, size: int, labels) -> "LabeledFamilyInstance":
-        spec = FamilySpec(family, size)
-        g = spec.build()
-        f = VertexLabeling(labels)
-        return cls(spec, g, f, balance(g, f))
-
-    @property
-    def is_cordial(self) -> bool:
-        return self.balance.vertex_diff <= 1 and self.balance.edge_diff <= 1
+class LabeledFamilyInstance:
+    """Never built: perfbench/probes.py names it only in an isinstance test
+    that is always false, so it stays until that test goes."""
 
 
 # ------------------------------------------------------------------ mobius

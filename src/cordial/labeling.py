@@ -1,5 +1,5 @@
-"""Binary vertex labelings, balance accounting, and the degree-parity
-noncordiality test."""
+"""Balance accounting of binary vertex labelings, and the degree-parity
+noncordiality test. A labeling is a tuple of bits, bit i labeling vertex i."""
 
 from __future__ import annotations
 
@@ -12,10 +12,10 @@ from .graph_core import MultiGraph
 
 
 class VertexLabeling(namedtuple("VertexLabeling", "labels")):
-    """An assignment of one bit per vertex id, index 0 first.
+    """A bit tuple checked and wrapped in a one-field named tuple.
 
-    A one-field named tuple, so f[0] is the whole labels tuple: bit i is
-    f.labels[i].
+    Package code passes plain bit tuples. This stays only for perfbench/,
+    which builds these for balance and prints the oracle's with to_string.
     """
 
     __slots__ = ()
@@ -43,17 +43,9 @@ class BalanceReport(NamedTuple):
     e0: int
     e1: int
 
-    @property
-    def vertex_diff(self) -> int:
-        return abs(self.v0 - self.v1)
 
-    @property
-    def edge_diff(self) -> int:
-        return abs(self.e0 - self.e1)
-
-
-def balance(g: MultiGraph, f: VertexLabeling | tuple[int, ...]) -> BalanceReport:
-    """Exact label counts of f, a VertexLabeling or bit tuple; edges count with multiplicity."""
+def balance(g: MultiGraph, f: tuple[int, ...]) -> BalanceReport:
+    """Exact label counts of the bit tuple f; edges count with multiplicity."""
     labels = f.labels if isinstance(f, VertexLabeling) else f
     if len(labels) != g.n:
         raise LengthMismatch(

@@ -309,7 +309,7 @@ def _result(mode: str, g: MultiGraph, first) -> OracleResult:
     cost, canon, e1 = min(priced)
     labels = tuple(canon >> i & 1 for i in range(n))
     repair = 0 if 2 * e1 > m else 1  # the minority edge label
-    cert = witness(mode, labels, cost, repair=repair, n=n, edges=g.edges, graph=g)
+    cert = witness(mode, labels, cost, repair=repair, graph=g)
     return OracleResult(DeficiencyValue.finite(cost), cert, count)
 
 
@@ -318,59 +318,37 @@ def solve(
     modes: tuple[str, ...],
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    workers: int = 1,
 ) -> dict[str, OracleResult]:
     """Answer each of modes, a subset of certify.MEASURES, from one scan of g.
 
-    Each result equals that of a scan in its mode alone. The scan runs in
-    the calling process: workers must be at least 1 and changes nothing else,
-    so no result depends on it.
+    Each result equals that of a scan in its mode alone.
     """
     check_search_size(g.n, max_vertices)
-    if workers < 1:
-        raise CordialError(f"workers must be at least 1, got {workers}")
     if not set(modes) <= set(MEASURES):
         raise CordialError(f"measures must be among {', '.join(MEASURES)}, got {modes!r}")
     first = _scan(g.n, g.edges, modes)
     return {mode: _result(mode, g, first) for mode in modes}
 
 
-def decide_cordial(
-    g: MultiGraph,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    workers: int = 1,
-) -> tuple[bool, VertexLabeling | None]:
-    """Exhaustively decide cordiality; on success return the canonical witness."""
-    res = solve(g, ("cordial",), max_vertices=max_vertices, workers=workers)
-    witness = res["cordial"].witness
+# The three one-mode calls below are the API from before solve. Only the
+# benchmark under perfbench/ still calls them, with a worker count that
+# changes nothing; no package code or script may (tests/test_graph_core.py).
+
+
+def decide_cordial(g: MultiGraph, *, max_vertices: int = DEFAULT_MAX_VERTICES,
+                   workers: int = 1) -> tuple[bool, VertexLabeling | None]:
+    """solve's cordial answer as (cordial?, its witness labeling or None)."""
+    witness = solve(g, ("cordial",), max_vertices=max_vertices)["cordial"].witness
     return (False, None) if witness is None else (True, VertexLabeling(witness.labels))
 
 
-def ced_oracle(
-    g: MultiGraph,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    workers: int = 1,
-) -> OracleResult:
-    """Minimum edge additions over friendly labelings, with a checked witness.
-
-    A friendly labeling is repairable only if vertices supporting edges of
-    the minority label exist; labelings without them are skipped, and if
-    every unbalanced labeling is skipped the value is infinite.
-    """
-    return solve(g, ("ced",), max_vertices=max_vertices, workers=workers)["ced"]
+def ced_oracle(g: MultiGraph, *, max_vertices: int = DEFAULT_MAX_VERTICES,
+               workers: int = 1) -> OracleResult:
+    """solve's ced result."""
+    return solve(g, ("ced",), max_vertices=max_vertices)["ced"]
 
 
-def cvd_oracle(
-    g: MultiGraph,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    workers: int = 1,
-) -> OracleResult:
-    """Minimum isolated-vertex additions over edge-balanced labelings.
-
-    The scan covers all labelings, not only friendly ones; when no labeling
-    balances the edge labels the value is infinite.
-    """
-    return solve(g, ("cvd",), max_vertices=max_vertices, workers=workers)["cvd"]
+def cvd_oracle(g: MultiGraph, *, max_vertices: int = DEFAULT_MAX_VERTICES,
+               workers: int = 1) -> OracleResult:
+    """solve's cvd result."""
+    return solve(g, ("cvd",), max_vertices=max_vertices)["cvd"]

@@ -3,7 +3,7 @@ an independent cordiality recount."""
 
 from hypothesis import strategies as st
 
-from cordial import MultiGraph, VertexLabeling
+from cordial import MultiGraph
 
 
 @st.composite
@@ -22,7 +22,7 @@ def multigraphs(draw, min_n: int = 1, max_n: int = 10, max_m: int = 24) -> Multi
 def labeled_multigraphs(draw, **kwargs):
     g = draw(multigraphs(**kwargs))
     bits = draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
-    return g, VertexLabeling(tuple(bits))
+    return g, tuple(bits)
 
 
 def is_cordial(edges, labels) -> bool:

@@ -32,11 +32,20 @@ def criterion(num: int, desc: str, budget: float):
     print(f"[criterion {num}] PASS: {desc} ({elapsed:.1f}s)")
 
 
+def _alone(g, mode):
+    """The result of a scan in mode alone."""
+    return c.solve(g, (mode,))[mode]
+
+
+def _is_cordial(g):
+    return _alone(g, "cordial").witness is not None
+
+
 def test_criterion_1_complete_edge_deficiency():
     with criterion(1, "complete graphs n=2..12: search equals floor(n/2)-1", 60.0):
         for n in range(2, 13):
             want = c.DeficiencyValue.finite(n // 2 - 1)
-            res = c.ced_oracle(c.complete_graph(n))
+            res = _alone(c.complete_graph(n), "ced")
             assert res.value == want
             assert c.ced_complete(n) == want
             assert res.witness.claimed_value == n // 2 - 1
@@ -48,7 +57,7 @@ def test_criterion_2_complete_vertex_deficiency():
     desc = "complete graphs n=1..14: vertex deficiency table, size-2 divergence flagged"
     with criterion(2, desc, 300.0):
         for n in range(1, 15):
-            res = c.cvd_oracle(c.complete_graph(n))
+            res = _alone(c.complete_graph(n), "cvd")
             if n in finite:
                 assert res.value == c.DeficiencyValue.finite(finite[n])
                 assert c.check_certificate(res.witness).accepted
@@ -73,19 +82,18 @@ def test_criterion_3_complete_cordiality():
     with criterion(3, "complete graphs n=1..8: cordial exactly when n <= 3", 10.0):
         for n in range(1, 9):
             g = c.complete_graph(n)
-            ok, witness = c.decide_cordial(g)
+            witness = _alone(g, "cordial").witness
+            ok = witness is not None
             assert ok == (n <= 3) == c.is_cordial_complete(n)
             if ok:
                 assert is_cordial(g.edges, witness.labels)
-            else:
-                assert witness is None
 
 
 def test_criterion_4_mobius_cordiality_and_constructions():
     desc = "mobius ladders: search verdicts k=3..10, constructions through k=200"
     with criterion(4, desc, 300.0):
         for k in range(3, 11):
-            assert c.decide_cordial(c.mobius_ladder(k))[0] == (k % 4 != 2)
+            assert _is_cordial(c.mobius_ladder(k)) == (k % 4 != 2)
             assert c.is_cordial_mobius(k) == (k % 4 != 2)
         for k in range(3, 201):
             if k % 4 == 2:
@@ -106,11 +114,11 @@ def test_criterion_5_mobius_deficiencies():
         one = c.DeficiencyValue.finite(1)
         for k in (6, 10):
             g = c.mobius_ladder(k)
-            assert c.ced_oracle(g).value == one
-            assert c.cvd_oracle(g).value == one
+            assert _alone(g, "ced").value == one
+            assert _alone(g, "cvd").value == one
         # the pinned seed balance: two edges apart before the single repair
         seed = c.mobius_ced_witness(6)
-        rep = c.balance(c.mobius_ladder(6), c.VertexLabeling(seed.labels))
+        rep = c.balance(c.mobius_ladder(6), seed.labels)
         assert (rep.e0, rep.e1) == (10, 8)
         for k in range(6, 201, 4):
             ced_w = c.mobius_ced_witness(k)
@@ -128,8 +136,8 @@ def test_criterion_6_wheel_deficiencies():
         one = c.DeficiencyValue.finite(1)
         for n in (7, 11):
             g = c.wheel_graph(n)
-            assert c.ced_oracle(g).value == one
-            assert c.cvd_oracle(g).value == one
+            assert _alone(g, "ced").value == one
+            assert _alone(g, "cvd").value == one
         for n in range(7, 200, 4):
             k = (n - 3) // 4
             g = c.wheel_graph(n)
@@ -137,13 +145,13 @@ def test_criterion_6_wheel_deficiencies():
             assert ced_w.claimed_value == 1
             assert c.check_certificate(ced_w).accepted
             assert ced_w.labels[n] == 0  # hub
-            rep = c.balance(g, c.VertexLabeling(ced_w.labels))
+            rep = c.balance(g, ced_w.labels)
             assert (rep.e0, rep.e1) == (4 * k + 2, 4 * k + 4)
             cvd_w = c.wheel_cvd_witness(n)
             assert cvd_w.claimed_value == 1
             assert c.check_certificate(cvd_w).accepted
             assert cvd_w.labels[n] == 1  # hub
-            rep = c.balance(g, c.VertexLabeling(cvd_w.labels))
+            rep = c.balance(g, cvd_w.labels)
             assert rep.e0 == rep.e1 == 4 * k + 3
 
 
@@ -151,10 +159,10 @@ def test_criterion_7_cycle_and_wheel_cordiality():
     desc = "cycles and wheels: residue rules against search, constructions through 200"
     with criterion(7, desc, 300.0):
         for n in range(3, 13):
-            assert c.decide_cordial(c.cycle_graph(n))[0] == (n % 4 != 2)
+            assert _is_cordial(c.cycle_graph(n)) == (n % 4 != 2)
             assert c.is_cordial_cycle(n) == (n % 4 != 2)
         for n in range(3, 12):
-            assert c.decide_cordial(c.wheel_graph(n))[0] == (n % 4 != 3)
+            assert _is_cordial(c.wheel_graph(n)) == (n % 4 != 3)
             assert c.is_cordial_wheel(n) == (n % 4 != 3)
         for n in range(3, 201):
             if n % 4 == 2:
@@ -191,7 +199,7 @@ def _random_labeled_graph(rng):
 
 def test_criterion_8_property_suites():
     desc = ("properties: count partitions, complement symmetry, zero-deficiency"
-            " equivalence, determinism, period additivity, round-trip")
+            " equivalence, period additivity, round-trip")
     with criterion(8, desc, 300.0):
         rng = random.Random(2026)
         pairs = [_random_labeled_graph(rng) for _ in range(1000)]
@@ -218,40 +226,27 @@ def test_criterion_8_property_suites():
         small += [c.mobius_ladder(k) for k in range(3, 8)]
         small += [c.wheel_graph(n) for n in range(3, 14)]
         for g in small:
-            ok = c.decide_cordial(g)[0]
-            assert (c.ced_oracle(g).value == zero) == ok
-            assert (c.cvd_oracle(g).value == zero) == ok
-
-        # worker count never changes values, witnesses, or visit counts
-        for g in (c.mobius_ladder(5), c.wheel_graph(6), c.complete_graph(9)):
-            for fn in (c.ced_oracle, c.cvd_oracle):
-                runs = [fn(g, workers=w) for w in (1, 2, 8)]
-                assert len({
-                    (r.value, r.witness, r.labelings_examined) for r in runs
-                }) == 1
-            assert len({c.decide_cordial(g, workers=w) for w in (1, 2, 8)}) == 1
+            ok = _is_cordial(g)
+            assert (_alone(g, "ced").value == zero) == ok
+            assert (_alone(g, "cvd").value == zero) == ok
 
         # one period adds exactly (4, 4, 6, 6) to (v0, v1, e0, e1) at every
         # step of every induction chain used above: the three cordial chains
         # and the two seeds, whose labels stay the seed plus whole periods
         seeds = [(k0, c.construct_mobius_labeling(k0)) for k0 in (3, 4, 5)]
         seeds += [(6, c.mobius_ced_witness(6)), (6, c.mobius_cvd_witness(6))]
-        chains = [
-            c.LabeledFamilyInstance.build("mobius", k0, cert.labels)
-            for k0, cert in seeds
-        ]
-        for cur in chains:
-            k0, seed = cur.spec.size, cur.labeling.labels
-            while cur.spec.size <= 200:
-                k = cur.spec.size
-                labels = _mobius_labels(cur.labeling.labels, k, k + 4)
+        for k0, cert in seeds:
+            seed = labels = cert.labels
+            rep = c.balance(c.mobius_ladder(k0), labels)
+            for k in range(k0, 201, 4):
+                labels = _mobius_labels(labels, k, k + 4)
                 assert labels == _mobius_labels(seed, k0, k + 4)
-                merged = c.LabeledFamilyInstance.build("mobius", k + 4, labels)
-                assert merged.balance.v0 == cur.balance.v0 + 4
-                assert merged.balance.v1 == cur.balance.v1 + 4
-                assert merged.balance.e0 == cur.balance.e0 + 6
-                assert merged.balance.e1 == cur.balance.e1 + 6
-                cur = merged
+                merged = c.balance(c.mobius_ladder(k + 4), labels)
+                assert merged.v0 == rep.v0 + 4
+                assert merged.v1 == rep.v1 + 4
+                assert merged.e0 == rep.e0 + 6
+                assert merged.e1 == rep.e1 + 6
+                rep = merged
 
         # certificates survive serialization and re-verification
         certs = [
@@ -262,8 +257,8 @@ def test_criterion_8_property_suites():
             c.wheel_ced_witness(11),
             c.wheel_cvd_witness(11),
             c.cycle_cordial_labeling(8),
-            c.ced_oracle(c.complete_graph(8)).witness,
-            c.cvd_oracle(c.wheel_graph(7)).witness,
+            _alone(c.complete_graph(8), "ced").witness,
+            _alone(c.wheel_graph(7), "cvd").witness,
         ]
         for cert in certs:
             again = c.parse_certificate(c.serialize_certificate(cert))

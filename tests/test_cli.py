@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,29 @@ def test_workers_below_one_exits_two(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"workers must be at least 1, got {argv[-1]}" in err
+
+
+def test_worker_count_changes_no_output(capsys, tmp_path):
+    # --workers is a contract that no printed value depends on: K20 cvd scans
+    # every high subset, M8 cvd stops at its first, the seeded 1,000-edge
+    # multigraph on 16 vertices runs on 2-byte lanes, and the table searches
+    # K1 to K10 and exits 1 on its n = 2 square-rule row
+    rng = random.Random(16)
+    m16 = tmp_path / "m16.txt"
+    edges = [rng.sample(range(16), 2) for _ in range(1000)]
+    m16.write_text("16 1000\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    oracle = ["compute", "--method", "oracle"]
+    argvs = [
+        [*oracle, "--family", "complete", "--n", "20", "--measure", "cvd"],
+        [*oracle, "--family", "mobius", "--n", "8", "--measure", "cvd"],
+        [*oracle, "--graph", str(m16)],
+        ["table", "--families", "complete", "--max-n", "10", "--format", "csv"],
+    ]
+    for argv in argvs:
+        runs = {run(capsys, *argv, "--workers", str(w))[:2] for w in (1, 2, 5)}
+        assert len(runs) == 1, argv
+        (code, out), = runs
+        assert code == (1 if argv[0] == "table" else 0) and out, argv
 
 
 def test_negative_vertex_cap_exits_two(capsys):

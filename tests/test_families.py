@@ -5,11 +5,9 @@ import pytest
 from cordial import (
     DeficiencyValue,
     FamilySpec,
-    LabeledFamilyInstance,
     NotApplicable,
     SizeTooSmall,
     StrictlyNoncordial,
-    VertexLabeling,
     balance,
     ced_complete,
     check_certificate,
@@ -28,6 +26,7 @@ from cordial import (
     is_cordial_wheel,
     mobius_ced_witness,
     mobius_cvd_witness,
+    mobius_ladder,
     wheel_cordial_labeling,
     wheel_ced_witness,
     wheel_cvd_witness,
@@ -46,9 +45,9 @@ def test_complete_split_balances_edges_when_it_exists():
             continue
         assert ell is not None
         labels = (0,) * ell + (1,) * (n - ell)
-        rep = balance(complete_graph(n), VertexLabeling(labels))
-        assert rep.edge_diff <= 1
-        assert rep.vertex_diff == n - 2 * ell
+        rep = balance(complete_graph(n), labels)
+        assert abs(rep.e0 - rep.e1) <= 1
+        assert rep.v1 - rep.v0 == n - 2 * ell
 
 
 def test_complete_split_is_the_least_imbalance_of_every_split():
@@ -105,20 +104,20 @@ def test_complete_witnesses():
 # ------------------------------------------------------------------ mobius
 
 
-def mobius_instance(k: int) -> LabeledFamilyInstance:
-    """The constructed cordial labeling of width k, with its balance counts."""
-    return LabeledFamilyInstance.build("mobius", k, construct_mobius_labeling(k).labels)
+def counts(k: int, labels) -> tuple[int, int, int, int]:
+    """(v0, v1, e0, e1) of labels on the mobius ladder of width k."""
+    return tuple(balance(mobius_ladder(k), labels))
 
 
 def test_base_labelings_are_friendly_with_pinned_counts():
-    counts = {3: (4, 5), 4: (6, 6), 5: (8, 7)}
-    for k, (e0, e1) in counts.items():
-        inst = mobius_instance(k)
-        assert (inst.balance.e0, inst.balance.e1) == (e0, e1)
-        assert inst.balance.vertex_diff <= 1
-        assert inst.is_cordial
+    pinned = {3: (4, 5), 4: (6, 6), 5: (8, 7)}
+    for k, (e0, e1) in pinned.items():
+        labels = construct_mobius_labeling(k).labels
+        v0, v1, got_e0, got_e1 = counts(k, labels)
+        assert (got_e0, got_e1) == (e0, e1)
+        assert abs(v0 - v1) <= 1 and abs(got_e0 - got_e1) <= 1
         # the graft anchor: a cross edge with both ends labeled 1
-        assert inst.labeling.labels[0] == 1 and inst.labeling.labels[k] == 1
+        assert labels[0] == 1 and labels[k] == 1
 
 
 def test_base_labeling_gating():
@@ -128,39 +127,30 @@ def test_base_labeling_gating():
         construct_mobius_labeling(6)
 
 
-def add_period(inst: LabeledFamilyInstance) -> LabeledFamilyInstance:
-    k = inst.spec.size
-    labels = _mobius_labels(inst.labeling.labels, k, k + 4)
-    return LabeledFamilyInstance.build("mobius", k + 4, labels)
+def period_step(k: int, labels) -> list[int]:
+    """What grafting one period onto labels of width k adds to each count."""
+    merged = counts(k + 4, _mobius_labels(labels, k, k + 4))
+    return [b - a for a, b in zip(counts(k, labels), merged)]
 
 
 def test_graft_adds_four_to_the_width():
-    merged = add_period(mobius_instance(5))
-    assert merged.spec.size == 9
-    assert merged.is_cordial
-    assert merged.labeling.labels == construct_mobius_labeling(9).labels
-
-
-def counts(inst: LabeledFamilyInstance) -> tuple[int, int, int, int]:
-    rep = inst.balance
-    return rep.v0, rep.v1, rep.e0, rep.e1
+    merged = _mobius_labels(construct_mobius_labeling(5).labels, 5, 9)
+    v0, v1, e0, e1 = counts(9, merged)
+    assert abs(v0 - v1) <= 1 and abs(e0 - e1) <= 1
+    assert merged == construct_mobius_labeling(9).labels
 
 
 def test_graft_seams_conserve_edge_labels():
-    big = mobius_instance(9)
-    merged = add_period(big)
     # the two cut cycle edges keep their labels, so the counts are additive
     # and one period adds what the width-4 base labeling has on its own
-    step = [b - a for a, b in zip(counts(big), counts(merged))]
-    assert step == list(counts(mobius_instance(4))) == [4, 4, 6, 6]
+    step = period_step(9, construct_mobius_labeling(9).labels)
+    assert step == list(counts(4, construct_mobius_labeling(4).labels)) == [4, 4, 6, 6]
 
 
 def test_graft_requires_a_unit_cross_edge():
     # labels chosen so every cross edge (i, i+3) joins a 0 and a 1: the cut
     # edges change label and the counts are no longer additive
-    awkward = LabeledFamilyInstance.build("mobius", 3, (0, 0, 0, 1, 1, 1))
-    step = [b - a for a, b in zip(counts(awkward), counts(add_period(awkward)))]
-    assert step == [4, 4, 8, 4]
+    assert period_step(3, (0, 0, 0, 1, 1, 1)) == [4, 4, 8, 4]
 
 
 def test_construct_mobius_all_admissible_widths():
@@ -176,13 +166,13 @@ def test_construct_mobius_all_admissible_widths():
 
 def test_mobius_witnesses_have_pinned_balance():
     w = mobius_ced_witness(6)
-    rep = balance(FamilySpec(w.family, w.param).build(), VertexLabeling(w.labels))
+    rep = balance(FamilySpec(w.family, w.param).build(), w.labels)
     assert (rep.e0, rep.e1) == (10, 8)
-    assert rep.vertex_diff == 0
+    assert rep.v0 == rep.v1
     assert check_certificate(w).accepted
 
     w = mobius_cvd_witness(6)
-    rep = balance(FamilySpec(w.family, w.param).build(), VertexLabeling(w.labels))
+    rep = balance(FamilySpec(w.family, w.param).build(), w.labels)
     assert rep.e0 == rep.e1 == 9
     assert (rep.v0, rep.v1) == (5, 7)
     assert w.added_vertex_labels == (0,)
@@ -210,7 +200,7 @@ def test_mobius_witness_gating():
 
 def test_cycle_labeling_pattern():
     w = cycle_cordial_labeling(7)
-    assert VertexLabeling(w.labels).to_string() == "1100110"
+    assert w.labels == (1, 1, 0, 0, 1, 1, 0)
     assert check_certificate(w).accepted
     with pytest.raises(NotApplicable):
         cycle_cordial_labeling(6)
@@ -230,7 +220,7 @@ def test_wheel_labeling_all_admissible_sizes():
 def test_wheel_ced_witness_balance():
     w = wheel_ced_witness(7)
     assert w.labels[7] == 0
-    rep = balance(wheel_graph(7), VertexLabeling(w.labels))
+    rep = balance(wheel_graph(7), w.labels)
     assert (rep.e0, rep.e1) == (6, 8)
     assert check_certificate(w).accepted
 
@@ -239,7 +229,7 @@ def test_wheel_cvd_witness_balances_edges_exactly():
     for n in (7, 11, 15):
         w = wheel_cvd_witness(n)
         assert w.labels[n] == 1
-        rep = balance(wheel_graph(n), VertexLabeling(w.labels))
+        rep = balance(wheel_graph(n), w.labels)
         assert rep.e0 == rep.e1 == n
         assert w.added_vertex_labels == (0,)
         assert check_certificate(w).accepted

@@ -25,15 +25,11 @@ from cordial import (
     MultiGraph,
     SizeLimitExceeded,
     Verdict,
-    VertexLabeling,
     balance,
-    ced_oracle,
     check_certificate,
     complete_graph,
     cross_validate,
-    cvd_oracle,
     cycle_graph,
-    decide_cordial,
     mobius_ladder,
     path_graph,
     serialize_certificate,
@@ -42,7 +38,8 @@ from cordial import (
 from cordial import cli, oracle
 from cordial.certify import MEASURES
 from cordial.errors import CordialError, SelfCheckFailed
-from cordial.oracle import _result, _scan, _split, solve
+from cordial.labeling import VertexLabeling
+from cordial.oracle import _result, _scan, _split, ced_oracle, cvd_oracle, decide_cordial, solve
 from strategies import is_cordial, multigraphs
 
 # ------------------------------------------------- definitional references
@@ -66,11 +63,12 @@ def _reference(g, mode, halve):
             continue  # halved at vertex 0, not at the scan's vertex n-1
         f = _labels(x, g.n)
         rep = balance(g, f)
-        if mode != "cvd" and rep.vertex_diff > 1:
+        vertex_diff, edge_diff = abs(rep.v0 - rep.v1), abs(rep.e0 - rep.e1)
+        if mode != "cvd" and vertex_diff > 1:
             continue
         examined += 1
-        if rep.edge_diff <= 1:
-            cost = max(0, rep.vertex_diff - 1) if mode == "cvd" else 0
+        if edge_diff <= 1:
+            cost = max(0, vertex_diff - 1) if mode == "cvd" else 0
         elif mode == "ced":
             minority = 0 if rep.e1 > rep.e0 else 1
             pairs = (
@@ -80,7 +78,7 @@ def _reference(g, mode, halve):
             )
             if not any(pairs):
                 continue
-            cost = rep.edge_diff - 1
+            cost = edge_diff - 1
         else:
             continue
         cand = (cost, min(x, mask ^ x))
@@ -120,6 +118,11 @@ def _random_graph(rng, max_n=7, max_m=12):
     return MultiGraph(n, edges)
 
 
+def _alone(g, mode, **kw):
+    """The result of a scan in mode alone."""
+    return solve(g, (mode,), **kw)[mode]
+
+
 def _crossing_multigraph(m, n=7, side=3):
     """m parallel-heavy edges between vertices 0..side-1 and the rest, so the
     labeling with exactly 0..side-1 labeled 1 puts all m edges on label 1."""
@@ -133,21 +136,21 @@ def _crossing_multigraph(m, n=7, side=3):
 @pytest.mark.parametrize("seed", range(25))
 def test_oracles_match_definitional_brute_force(seed):
     g = _random_graph(random.Random(seed))
-    assert decide_cordial(g)[0] == _brute_cordial(g)
-    ced = ced_oracle(g).value
+    assert (_alone(g, "cordial").witness is not None) == _brute_cordial(g)
+    ced = _alone(g, "ced").value
     want = _brute_ced(g)
     assert (ced.value if not ced.is_infinite else None) == want
-    cvd = cvd_oracle(g).value
+    cvd = _alone(g, "cvd").value
     want = _brute_cvd(g)
     assert (cvd.value if not cvd.is_infinite else None) == want
 
 
 def test_scan_visits_every_friendly_labeling_exactly_once():
     # vertex n-1 is pinned at label 0, so one labeling of each complement pair
-    assert ced_oracle(complete_graph(6)).labelings_examined == comb(5, 3)
+    assert _alone(complete_graph(6), "ced").labelings_examined == comb(5, 3)
     empty = MultiGraph(0, [])
-    assert cvd_oracle(empty).labelings_examined == 1
-    assert decide_cordial(empty) == (True, VertexLabeling(()))
+    assert _alone(empty, "cvd").labelings_examined == 1
+    assert _alone(empty, "cordial").witness.labels == ()
 
 
 @example(wheel_graph(12))  # 13 vertices: the low part is full, high part 2
@@ -177,13 +180,8 @@ def test_scan_matches_reference_in_every_mode_and_plan(g):
             assert res.value.value == best[0]
             assert res.witness.labels == _labels(best[1], g.n)
 
-    ok, f = decide_cordial(g)
-    best = refs["cordial"][1]
-    assert ok == (best is not None)
-    assert f == (VertexLabeling(_labels(best[1], g.n)) if ok else None)
-    check("ced", ced_oracle(g))
-    check("cvd", cvd_oracle(g))
     for mode in refs:
+        check(mode, _alone(g, mode))
         check(mode, _result(mode, g, _scan(g.n, g.edges, (mode,))))
 
 
@@ -197,7 +195,7 @@ def _recount(g):
         for x in range(h << low, (h + 1) << low):
             rep = balance(g, tuple(x >> i & 1 for i in range(g.n)))
             first.setdefault((rep.v1, rep.e1), x)
-            cordial |= rep.vertex_diff <= 1 and rep.edge_diff <= 1
+            cordial |= abs(rep.v0 - rep.v1) <= 1 and abs(rep.e0 - rep.e1) <= 1
         if cordial:
             break
     return first
@@ -458,22 +456,20 @@ def _key(res):
 @given(multigraphs(max_n=9))
 def test_one_scan_answers_any_modes_like_single_mode_calls(g):
     # one scan records the candidate cells of every mode asked for, so every
-    # subset of modes at any worker count must give exactly the single-mode
-    # results
+    # subset of modes must give exactly the single-mode results; so must the
+    # one-mode calls from before solve, which take a workers count and ignore it
     cordial = solve(g, ("cordial",))["cordial"]
-    alone = {"cordial": _key(cordial), "ced": _key(ced_oracle(g))}
-    alone["cvd"] = _key(cvd_oracle(g))
-    ok, f = decide_cordial(g)
+    alone = {"cordial": _key(cordial), "ced": _key(ced_oracle(g, workers=2))}
+    alone["cvd"] = _key(cvd_oracle(g, workers=3))
+    ok, f = decide_cordial(g, workers=2)
     assert ok == (cordial.witness is not None)
     assert f == (VertexLabeling(cordial.witness.labels) if ok else None)
-    subsets = [s for k in (1, 2, 3) for s in combinations(MEASURES, k)]
-    for workers in (1, 2, 3):
-        for modes in subsets:
-            got = solve(g, modes, workers=workers)
-            assert list(got) == list(modes)
-            assert {mode: _key(got[mode]) for mode in modes} == {
-                mode: alone[mode] for mode in modes
-            }
+    for modes in [s for k in (1, 2, 3) for s in combinations(MEASURES, k)]:
+        got = solve(g, modes)
+        assert list(got) == list(modes)
+        assert {mode: _key(got[mode]) for mode in modes} == {
+            mode: alone[mode] for mode in modes
+        }
 
 
 @pytest.mark.parametrize("family, n", [("complete", 6), ("mobius", 8)])
@@ -504,12 +500,6 @@ def test_compute_loads_only_the_standard_library_and_starts_no_pool(family, n):
         assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
-def test_worker_count_below_one_is_rejected():
-    for bad in (0, -1):
-        with pytest.raises(CordialError, match="workers"):
-            ced_oracle(complete_graph(4), workers=bad)
-
-
 def test_unknown_measure_is_rejected_before_the_scan(monkeypatch):
     def scan(*task):
         raise AssertionError("scanned before checking the measures")
@@ -528,11 +518,11 @@ def test_rejected_witness_raises_self_check_failed(monkeypatch):
         return Verdict(False, "forced")
 
     monkeypatch.setattr(cordial.certify, "check_certificate", reject)
-    for oracle in (ced_oracle, cvd_oracle):
+    for mode in ("ced", "cvd"):
         with pytest.raises(SelfCheckFailed):
-            oracle(complete_graph(4))
+            _alone(complete_graph(4), mode)
     with pytest.raises(SelfCheckFailed):
-        decide_cordial(cycle_graph(4))
+        _alone(cycle_graph(4), "cordial")
     with pytest.raises(SelfCheckFailed):
         cordial.families.complete_ced_witness(6)
     with pytest.raises(SelfCheckFailed):
@@ -582,48 +572,52 @@ def test_scan_witness_is_checked_on_the_scanned_graph(monkeypatch):
 def test_complete_edge_deficiency_frozen():
     expected = {2: 0, 3: 0, 4: 1, 5: 1, 6: 2, 7: 2, 8: 3, 9: 3, 10: 4}
     for n, want in expected.items():
-        assert ced_oracle(complete_graph(n)).value == DeficiencyValue.finite(want)
+        assert _alone(complete_graph(n), "ced").value == DeficiencyValue.finite(want)
 
 
 def test_complete_vertex_deficiency_frozen():
     finite = {1: 0, 2: 0, 3: 0, 4: 1, 6: 1, 7: 2, 9: 2}
     for n, want in finite.items():
-        assert cvd_oracle(complete_graph(n)).value == DeficiencyValue.finite(want)
+        assert _alone(complete_graph(n), "cvd").value == DeficiencyValue.finite(want)
     for n in (5, 8, 10):
-        value = cvd_oracle(complete_graph(n)).value
+        value = _alone(complete_graph(n), "cvd").value
         assert value.is_infinite
         assert value.reason is InfinityReason.STRICTLY_NONCORDIAL
         assert value.describe() == "infinity (StrictlyNoncordial)"
 
 
+def _is_cordial(g, **kw):
+    return _alone(g, "cordial", **kw).witness is not None
+
+
 def test_cycle_cordiality_frozen():
     for n in range(3, 11):
-        assert decide_cordial(cycle_graph(n))[0] == (n % 4 != 2)
+        assert _is_cordial(cycle_graph(n)) == (n % 4 != 2)
 
 
 def test_wheel_cordiality_frozen():
     for n in range(3, 11):
-        assert decide_cordial(wheel_graph(n))[0] == (n % 4 != 3)
+        assert _is_cordial(wheel_graph(n)) == (n % 4 != 3)
 
 
 def test_mobius_cordiality_frozen():
     for k in range(3, 8):
-        assert decide_cordial(mobius_ladder(k))[0] == (k % 4 != 2)
+        assert _is_cordial(mobius_ladder(k)) == (k % 4 != 2)
 
 
 def test_every_path_is_cordial():
     for n in range(1, 9):
-        assert decide_cordial(path_graph(n))[0]
+        assert _is_cordial(path_graph(n))
 
 
 def test_edge_deficiency_can_be_infinite():
     # a triple edge: only mixed labelings are friendly, all edges land on 1,
     # and no same-labeled pair exists to absorb additions
     g = MultiGraph(2, [(0, 1)] * 3)
-    value = ced_oracle(g).value
+    value = _alone(g, "ced").value
     assert value.is_infinite
     assert value.reason is InfinityReason.NO_FEASIBLE_AUGMENTATION
-    assert cvd_oracle(g).value.reason is InfinityReason.STRICTLY_NONCORDIAL
+    assert _alone(g, "cvd").value.reason is InfinityReason.STRICTLY_NONCORDIAL
 
 
 # ------------------------------------------------- witnesses, determinism
@@ -631,7 +625,7 @@ def test_edge_deficiency_can_be_infinite():
 
 def test_witnesses_are_accepted_and_claim_the_value():
     for g in (complete_graph(6), wheel_graph(7), mobius_ladder(6), cycle_graph(6)):
-        for res in (ced_oracle(g), cvd_oracle(g)):
+        for res in (_alone(g, "ced"), _alone(g, "cvd")):
             if res.value.is_infinite:
                 assert res.witness is None
             else:
@@ -641,10 +635,10 @@ def test_witnesses_are_accepted_and_claim_the_value():
 
 def test_cordial_witness_is_cordial_and_scan_invariant():
     g = cycle_graph(4)
-    ok, f = decide_cordial(g)
-    assert ok and is_cordial(g.edges, f.labels)
+    f = _alone(g, "cordial").witness.labels
+    assert is_cordial(g.edges, f)
     # the same canonical witness as a search over every labeling
-    assert f.labels == _labels(_reference(g, "cordial", False)[1][1], g.n)
+    assert f == _labels(_reference(g, "cordial", False)[1][1], g.n)
 
 
 def test_cross_validate_and_compute_scan_each_graph_once(monkeypatch, capsys):
@@ -663,20 +657,11 @@ def test_cross_validate_and_compute_scan_each_graph_once(monkeypatch, capsys):
     assert "cvd MATCH" in capsys.readouterr().out
 
 
-def test_worker_count_does_not_change_results():
-    # W5 is settled by its first high subset, K6 scans every one, and the
-    # 256-edge crossing multigraph runs on 2-byte lanes, whose new e1 values
-    # a set difference finds
-    for g in (wheel_graph(5), complete_graph(6), _crossing_multigraph(256)):
-        runs = [ced_oracle(g, workers=w) for w in (1, 2, 5)]
-        assert len({(r.value, r.witness, r.labelings_examined) for r in runs}) == 1
-
-
 def test_size_cap_is_enforced_and_overridable():
     g = path_graph(6)
     with pytest.raises(SizeLimitExceeded):
-        decide_cordial(g, max_vertices=5)
-    assert decide_cordial(g, max_vertices=6)[0]
+        _is_cordial(g, max_vertices=5)
+    assert _is_cordial(g, max_vertices=6)
 
 
 def test_deficiency_value_rendering():

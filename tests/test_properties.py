@@ -9,21 +9,18 @@ from strategies import is_cordial, labeled_multigraphs, multigraphs
 from cordial import (
     Certificate,
     DeficiencyValue,
-    LabeledFamilyInstance,
     MalformedCertificate,
     MultiGraph,
-    VertexLabeling,
     balance,
-    ced_oracle,
     check_certificate,
     construct_mobius_labeling,
-    cvd_oracle,
-    decide_cordial,
     mobius_ced_witness,
     mobius_cvd_witness,
+    mobius_ladder,
     parity_obstruction,
     parse_certificate,
     serialize_certificate,
+    solve,
 )
 from cordial.families import _mobius_labels
 
@@ -41,30 +38,31 @@ def test_label_counts_partition_vertices_and_edges(gf):
 @given(labeled_multigraphs())
 def test_complement_swaps_vertex_counts_and_fixes_edge_counts(gf):
     g, f = gf
-    complement = tuple(1 - b for b in f.labels)
-    rep, flipped = balance(g, f), balance(g, VertexLabeling(complement))
+    complement = tuple(1 - b for b in f)
+    rep, flipped = balance(g, f), balance(g, complement)
     assert (flipped.v0, flipped.v1) == (rep.v1, rep.v0)
     assert (flipped.e0, flipped.e1) == (rep.e0, rep.e1)
-    assert is_cordial(g.edges, f.labels) == is_cordial(g.edges, complement)
+    assert is_cordial(g.edges, f) == is_cordial(g.edges, complement)
 
 
 @settings(max_examples=60)
 @given(multigraphs(max_n=7, max_m=14))
 def test_zero_deficiency_in_either_sense_is_cordiality(g):
-    ok = decide_cordial(g)[0]
-    assert (ced_oracle(g).value == DeficiencyValue.finite(0)) == ok
-    assert (cvd_oracle(g).value == DeficiencyValue.finite(0)) == ok
+    res = solve(g, ("cordial", "ced", "cvd"))
+    ok = res["cordial"].witness is not None
+    assert (res["ced"].value == DeficiencyValue.finite(0)) == ok
+    assert (res["cvd"].value == DeficiencyValue.finite(0)) == ok
 
 
 @settings(max_examples=40)
 @given(multigraphs(max_n=7, max_m=14))
 def test_oracle_witnesses_repair_the_graph(g):
-    res = ced_oracle(g)
+    res = solve(g, ("ced",))["ced"]
     if not res.value.is_infinite:
         w = res.witness
         repaired = MultiGraph(g.n, g.edges + w.added_edges)  # no loop, no stray id
         assert is_cordial(repaired.edges, w.labels)
-    res = cvd_oracle(g)
+    res = solve(g, ("cvd",))["cvd"]
     if not res.value.is_infinite:
         w = res.witness
         assert is_cordial(g.edges, w.labels + w.added_vertex_labels)
@@ -74,7 +72,7 @@ def test_oracle_witnesses_repair_the_graph(g):
 @given(multigraphs(max_n=8, max_m=16))
 def test_parity_obstruction_is_sound(g):
     if parity_obstruction(g):
-        assert not decide_cordial(g)[0]
+        assert solve(g, ("cordial",))["cordial"].witness is None
 
 
 @settings(max_examples=300)
@@ -90,20 +88,10 @@ def test_parity_obstruction_is_exactly_the_friendly_parity_argument(g):
     assert parity_obstruction(g) == (g.m % 2 == 0 and g.m // 2 % 2 not in parities)
 
 
-@settings(max_examples=10)
-@given(multigraphs(min_n=2, max_n=6, max_m=10))
-def test_worker_count_never_changes_results(g):
-    base = ced_oracle(g, workers=1)
-    split = ced_oracle(g, workers=3)
-    assert (base.value, base.witness, base.labelings_examined) == (
-        split.value, split.witness, split.labelings_examined
-    )
-
-
 @settings(max_examples=30)
 @given(multigraphs(max_n=7, max_m=12))
 def test_oracle_certificates_survive_the_wire(g):
-    for res in (ced_oracle(g), cvd_oracle(g)):
+    for res in solve(g, ("ced", "cvd")).values():
         if res.value.is_infinite:
             continue
         again = parse_certificate(serialize_certificate(res.witness))
@@ -124,7 +112,7 @@ def test_a_certificate_holds_iff_its_graph_plus_its_additions_is_cordial(gf, dat
     added_labels = tuple(data.draw(bits if kind == "cvd" else st.just([]) | bits))
     own = {"ced": added_edges, "cvd": added_labels}.get(kind, ())
     claim = data.draw(st.sampled_from((len(own), len(own), len(own) + 1, len(own) - 1)))
-    cert = Certificate(kind, f.labels, claim, n=g.n, edges=g.edges,
+    cert = Certificate(kind, f, claim, n=g.n, edges=g.edges,
                        added_edges=added_edges, added_vertex_labels=added_labels)
     # the README rule: a kind lists only its own additions, one per claimed
     # unit; an added edge is a vertex pair of the graph; the graph plus its
@@ -134,7 +122,7 @@ def test_a_certificate_holds_iff_its_graph_plus_its_additions_is_cordial(gf, dat
     elif any(u == v or not (0 <= u < g.n and 0 <= v < g.n) for u, v in added_edges):
         expected = "rejected"
     else:
-        labels = f.labels + added_labels
+        labels = f + added_labels
         edge_labels = [labels[u] ^ labels[v] for u, v in g.edges + added_edges]
         cordial = all(abs(counted.count(0) - counted.count(1)) <= 1
                       for counted in (labels, edge_labels))
@@ -154,14 +142,12 @@ def test_a_certificate_holds_iff_its_graph_plus_its_additions_is_cordial(gf, dat
 def test_graft_conserves_seam_labels_for_any_anchored_labeling(k, enc):
     bits = [(enc >> i) & 1 for i in range(2 * k)]
     bits[0] = bits[k] = 1
-    big = LabeledFamilyInstance.build("mobius", k, bits)
-    merged = LabeledFamilyInstance.build(
-        "mobius", k + 4, _mobius_labels(tuple(bits), k, k + 4)
-    )
-    assert merged.balance.v0 == big.balance.v0 + 4
-    assert merged.balance.v1 == big.balance.v1 + 4
-    assert merged.balance.e0 == big.balance.e0 + 6
-    assert merged.balance.e1 == big.balance.e1 + 6
+    big = balance(mobius_ladder(k), tuple(bits))
+    merged = balance(mobius_ladder(k + 4), _mobius_labels(tuple(bits), k, k + 4))
+    assert merged.v0 == big.v0 + 4
+    assert merged.v1 == big.v1 + 4
+    assert merged.e0 == big.e0 + 6
+    assert merged.e1 == big.e1 + 6
 
 
 @given(st.integers(3, 200))
