@@ -17,6 +17,7 @@ loads only when a certificate is read or written.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
 from itertools import chain
 from typing import Iterable, NamedTuple
@@ -104,20 +105,20 @@ def _structural_check(cert: Certificate, graph: MultiGraph | None) -> MultiGraph
     for key in ("param", "n"):
         if getattr(cert, key) is not None:
             _expect_int(getattr(cert, key), key)
-    # labels and additions of plain ints pass in one C-level type pass, else
-    # the first faulty one is named in key order; the graph build checks edges
-    try:
-        held = [cert.labels, *cert.added_edges, cert.added_vertex_labels]
-        clean = (set(map(len, cert.added_edges)) <= {2}
-                 and set(map(type, chain.from_iterable(held))) <= {int})
-    except TypeError:  # a field, or an added_edges item, that is not a sequence
-        clean = False
-    if not clean:
+    # labels and additions that are tuples or lists of plain ints pass in a
+    # few C-level type passes, else the first faulty one is named in key
+    # order; the graph build checks edges
+    lists = {tuple, list}
+    if not (type(cert.added_edges) in lists
+            and {type(cert.labels), type(cert.added_vertex_labels),
+                 *map(type, cert.added_edges)} <= lists
+            and set(map(len, cert.added_edges)) <= {2}
+            and set(map(type, chain(cert.labels, cert.added_vertex_labels,
+                                    *cert.added_edges))) <= {int}):
         for key in ("labels", "added_edges", "added_vertex_labels"):
-            try:
-                values = iter(getattr(cert, key))
-            except TypeError:
-                raise MalformedCertificate(f"{key} must be a sequence") from None
+            values = getattr(cert, key)
+            if not isinstance(values, Sequence):
+                raise MalformedCertificate(f"{key} must be a sequence")
             for value in _endpoints(values) if key == "added_edges" else values:
                 _expect_int(value, key)
     for key in ("labels", "added_vertex_labels"):
@@ -161,6 +162,12 @@ def _structural_check(cert: Certificate, graph: MultiGraph | None) -> MultiGraph
     by_family = None if spec is None else _shared.get(spec) or spec.build()
     if cert.n is None:
         return by_family
+    # MultiGraph takes any iterable of pairs, and JSON can write only sequences
+    if not isinstance(cert.edges, Sequence):
+        raise MalformedCertificate("edges must be a sequence")
+    if not (set(map(type, cert.edges)) <= lists
+            or all(isinstance(pair, Sequence) for pair in cert.edges)):
+        raise MalformedCertificate("edges must be (u, v) pairs")
     try:
         by_edges = MultiGraph(cert.n, cert.edges)
     except CordialError as exc:  # a non-integer id, a loop or a stray id
@@ -175,10 +182,9 @@ def _structural_check(cert: Certificate, graph: MultiGraph | None) -> MultiGraph
 def _endpoints(pairs):
     """Both endpoints of every added edge; an item that is not a pair is malformed."""
     for pair in pairs:
-        try:
-            u, v = pair
-        except (TypeError, ValueError):
-            raise MalformedCertificate("added_edges must be (u, v) pairs") from None
+        if not isinstance(pair, Sequence) or len(pair) != 2:
+            raise MalformedCertificate("added_edges must be (u, v) pairs")
+        u, v = pair
         yield u
         yield v
 

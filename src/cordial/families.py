@@ -84,8 +84,7 @@ def cvd_complete_literal(n: int) -> DeficiencyValue:
 
 
 def complete_cordial_labeling(n: int) -> Certificate:
-    FamilySpec("complete", n)
-    if n > 3:
+    if not is_cordial_complete(n):
         raise NotApplicable(
             "complete graphs on more than 3 vertices have no cordial labeling"
         )
@@ -150,8 +149,7 @@ def _mobius_labels(seed: tuple[int, ...], k0: int, k: int) -> tuple[int, ...]:
 
 def construct_mobius_labeling(k: int) -> Certificate:
     """Cordial labeling for any admissible width: a base labeling plus periods."""
-    FamilySpec("mobius", k)
-    if k % 4 == 2:
+    if not is_cordial_mobius(k):
         raise NotApplicable("no cordial labeling exists when the width is 2 modulo 4")
     k0 = {3: 3, 0: 4, 1: 5}[k % 4]
     labels = _mobius_labels(_MOBIUS_BASE_LABELS[k0], k0, k)
@@ -160,8 +158,7 @@ def construct_mobius_labeling(k: int) -> Certificate:
 
 def _mobius_deficiency_labels(k: int, seed: tuple[int, ...]) -> tuple[int, ...]:
     """A width-6 seed extended to width k, for the widths 2 modulo 4 only."""
-    FamilySpec("mobius", k)
-    if k % 4 != 2:
+    if is_cordial_mobius(k):
         raise NotApplicable("the deficiency witnesses apply to widths 2 modulo 4 only")
     return _mobius_labels(seed, 6, k)
 
@@ -180,7 +177,10 @@ def mobius_cvd_witness(k: int) -> Certificate:
 
 # ------------------------------------------------------------- cycle, wheel
 
-_CYCLE_PATTERN = (1, 1, 0, 0)
+
+def _cycle_pattern(n: int) -> tuple[int, ...]:
+    """Labels 1100 repeated over n vertices."""
+    return ((1, 1, 0, 0) * (n // 4 + 1))[:n]
 
 
 def is_cordial_cycle(n: int) -> bool:
@@ -189,11 +189,9 @@ def is_cordial_cycle(n: int) -> bool:
 
 
 def cycle_cordial_labeling(n: int) -> Certificate:
-    FamilySpec("cycle", n)
-    if n % 4 == 2:
+    if not is_cordial_cycle(n):
         raise NotApplicable("no cordial labeling exists when the length is 2 modulo 4")
-    labels = tuple(_CYCLE_PATTERN[i % 4] for i in range(n))
-    return witness("cordial", labels, family="cycle", param=n)
+    return witness("cordial", _cycle_pattern(n), family="cycle", param=n)
 
 
 def is_cordial_wheel(n: int) -> bool:
@@ -204,28 +202,23 @@ def is_cordial_wheel(n: int) -> bool:
 def _wheel_rim(n: int) -> tuple[int, ...]:
     # lengths 2 mod 4 need a longer leading run; the plain cycle pattern
     # would leave the spokes unable to absorb the rim imbalance
-    if n % 4 == 2:
-        t = (n - 2) // 4
-        return (1, 1, 1, 1) + (0, 0, 1, 1) * (t - 1) + (0, 0)
-    return tuple(_CYCLE_PATTERN[i % 4] for i in range(n))
+    return (1, 1) + _cycle_pattern(n - 2) if n % 4 == 2 else _cycle_pattern(n)
 
 
 def wheel_cordial_labeling(n: int) -> Certificate:
     """Hub labeled 0; rim chosen so spokes rebalance the rim's edge counts."""
-    FamilySpec("wheel", n)
-    if n % 4 == 3:
+    if not is_cordial_wheel(n):
         raise NotApplicable("no cordial labeling exists when the rim is 3 modulo 4")
     return witness("cordial", _wheel_rim(n) + (0,), family="wheel", param=n)
 
 
 def _wheel_deficiency_labels(n: int, hub: int) -> tuple[int, ...]:
     """The cycle-patterned rim, for rims 3 modulo 4 from 7 on, then the hub."""
-    FamilySpec("wheel", n)
-    if n % 4 != 3:
+    if is_cordial_wheel(n):
         raise NotApplicable("the deficiency witnesses apply to rims 3 modulo 4 only")
     if n < 7:
         raise NotApplicable("witness construction starts at rim length 7")
-    return tuple(_CYCLE_PATTERN[i % 4] for i in range(n)) + (hub,)
+    return _cycle_pattern(n) + (hub,)
 
 
 def wheel_ced_witness(n: int) -> Certificate:

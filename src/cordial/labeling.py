@@ -3,7 +3,6 @@ noncordiality test. A labeling is a tuple of bits, bit i labeling vertex i."""
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import combinations
 from typing import NamedTuple
 
@@ -11,28 +10,17 @@ from .errors import LengthMismatch
 from .graph_core import MultiGraph
 
 
-class VertexLabeling(namedtuple("VertexLabeling", "labels")):
-    """A bit tuple checked and wrapped in a one-field named tuple.
+class VertexLabeling(tuple):
+    """A bit tuple that prints itself with to_string.
 
     Package code passes plain bit tuples. This stays only for perfbench/,
-    which builds these for balance and prints the oracle's with to_string.
+    which builds these for balance and prints the oracle's.
     """
 
     __slots__ = ()
 
-    def __new__(cls, labels: tuple[int, ...]):
-        clean = tuple(int(b) for b in labels)
-        if any(b not in (0, 1) for b in clean):
-            raise ValueError("labels must be bits")
-        return super().__new__(cls, clean)
-
-    @classmethod
-    def _make(cls, iterable) -> VertexLabeling:
-        # _replace builds through _make, which would skip the check above
-        return cls(*iterable)
-
     def to_string(self) -> str:
-        return "".join(str(b) for b in self.labels)
+        return "".join(map(str, self))
 
 
 class BalanceReport(NamedTuple):
@@ -45,14 +33,11 @@ class BalanceReport(NamedTuple):
 
 
 def balance(g: MultiGraph, f: tuple[int, ...]) -> BalanceReport:
-    """Exact label counts of the bit tuple f; edges count with multiplicity."""
-    labels = f.labels if isinstance(f, VertexLabeling) else f
-    if len(labels) != g.n:
-        raise LengthMismatch(
-            f"labeling has {len(labels)} bits for a graph on {g.n} vertices"
-        )
-    v1 = sum(labels)
-    e1 = sum([labels[u] ^ labels[v] for u, v in g.edges])
+    """Exact label counts of the bit sequence f; edges count with multiplicity."""
+    if len(f) != g.n:
+        raise LengthMismatch(f"labeling has {len(f)} bits for a graph on {g.n} vertices")
+    v1 = sum(f)
+    e1 = sum([f[u] ^ f[v] for u, v in g.edges])
     return BalanceReport(v0=g.n - v1, v1=v1, e0=g.m - e1, e1=e1)
 
 

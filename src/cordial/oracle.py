@@ -107,9 +107,16 @@ def _split(n: int) -> tuple[int, int]:
     return low, width - low
 
 
-def _ones_range(modes, n: int) -> range:
-    """The ones counts of the stream that modes scan."""
-    return range(n + 1) if "cvd" in modes else range(n // 2, (n + 1) // 2 + 1)
+def _candidates(modes, n: int, m: int):
+    """(rows, whole, balanced): where the candidate cells of modes lie.
+
+    rows are the ones counts of the stream that modes scan, whole the rows
+    whose every e1 is a candidate, ced's friendly rows at n > 2, and balanced
+    the e1 of the edge-balanced cells, the only candidates of the other rows.
+    """
+    friendly = range(n // 2, (n + 1) // 2 + 1)
+    rows = range(n + 1) if "cvd" in modes else friendly
+    return rows, friendly if "ced" in modes and n > 2 else (), {m // 2, (m + 1) // 2}
 
 
 @cache
@@ -166,9 +173,8 @@ def _pack(values, code: str) -> int:
 def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
     """Scan the labelings of the stream that modes scan, vertex n-1 at 0.
 
-    Returns first, mapping each reached candidate cell of modes to the least
-    encoding reaching it: every cell of a friendly row when ced is asked at
-    n > 2, and only the edge-balanced cells of every other row. The scan
+    Returns first, mapping each reached candidate cell of modes, as
+    _candidates places them, to the least encoding reaching it. The scan
     ends with the first high subset at which a cordial cell is reached, once
     all of that subset's candidate cells are recorded. The lane width is the
     least that holds cap, the cut bound of the module docstring. Each high
@@ -177,10 +183,7 @@ def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
     """
     low, high = _split(n)
     m = len(edges)
-    balanced = {m // 2, (m + 1) // 2}  # the e1 of the edge-balanced cells
-    rows = _ones_range(modes, n)
-    friendly = range(n // 2, (n + 1) // 2 + 1)
-    whole = friendly if "ced" in modes and n > 2 else ()  # rows that record every e1
+    rows, whole, balanced = _candidates(modes, n, m)
     pairs = Counter(edges)  # edges are canonical, u < v
     mu = max(pairs.values(), default=0)
     cap = min(m, mu * (n // 2) * ((n + 1) // 2))
@@ -246,7 +249,7 @@ def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
                     k = x.bit_count()
                     if (h_ones + k, e1) not in first:
                         first[h_ones + k, e1] = x | h << low
-                        cordial |= h_ones + k in friendly
+                        cordial |= abs(n - 2 * (h_ones + k)) <= 1  # a friendly row
                     i = E.find(pat, group_end[k], hi)  # go on from the next group
         if wholes and width > 1:
             E = array(code, E)
@@ -289,11 +292,10 @@ def _result(mode: str, g: MultiGraph, first) -> OracleResult:
     label, a cvd witness adds the minority vertex label.
     """
     n, m = g.n, g.m
-    rows = _ones_range((mode,), n)
+    rows, whole, balanced = _candidates((mode,), n, m)
     count = sum(comb(max(n - 1, 0), ones) for ones in rows)
-    balanced = {m // 2, (m + 1) // 2}  # the e1 of the edge-balanced cells
-    if mode == "ced" and n > 2:  # a friendly cell of any e1 may be repaired
-        cells = [cell for cell in first if cell[0] in rows]
+    if whole:  # a friendly cell of any e1 may be repaired
+        cells = [cell for cell in first if cell[0] in whole]
     else:  # only edge-balanced cells are candidates
         cells = [(ones, e1) for ones in rows for e1 in balanced]
     priced = [

@@ -270,12 +270,16 @@ def test_integer_fields_refuse_bools_and_floats(fields, reason):
 @pytest.mark.parametrize("fields,reason", [
     (dict(edges=(1, 2)), "edges must be (u, v) pairs"),
     (dict(edges=((0, 1, 1),)), "edges must be (u, v) pairs"),
+    (dict(edges=({0, 1},)), "edges must be (u, v) pairs"),
     (dict(edges=((0,),), labels=(True, False)), "labels must be an integer"),
     (dict(kind="ced", claimed_value=1, added_edges=((0, 1, 1),)),
      "added_edges must be (u, v) pairs"),
     (dict(kind="ced", claimed_value=1, added_edges=(0,)), "added_edges must be (u, v) pairs"),
-], ids=["int-edges", "triple-edge", "before-labels", "triple-added-edge",
-        "int-added-edge"])
+    (dict(kind="ced", claimed_value=1, added_edges=((b for b in (0, 1)),)),
+     "added_edges must be (u, v) pairs"),
+    (dict(kind="ced", claimed_value=1, added_edges=({0, 1},)), "added_edges must be (u, v) pairs"),
+], ids=["int-edges", "triple-edge", "set-edge", "before-labels", "triple-added-edge",
+        "int-added-edge", "generator-added-edge", "set-added-edge"])
 def test_pair_fields_refuse_items_that_are_not_pairs(fields, reason):
     # as for MultiGraph, a pair is any two-item sequence. An edges item that
     # is not one is found by the graph build, the last step, so the labels'
@@ -284,13 +288,36 @@ def test_pair_fields_refuse_items_that_are_not_pairs(fields, reason):
         check_certificate(Certificate(**{**_K2, **fields}))
 
 
-@pytest.mark.parametrize("value", [None, 5])
+# iterables that are not sequences; each test builds its own generator
+_NOT_SEQUENCES = [pytest.param(lambda: (b for b in (1, 0)), id="generator"),
+                  pytest.param(lambda: {1, 0}, id="set"),
+                  pytest.param(lambda: {1: 0, 0: 1}, id="dict")]
+
+
+@pytest.mark.parametrize("value", [None, 5, *_NOT_SEQUENCES])
 @pytest.mark.parametrize("key", ["labels", "added_edges", "added_vertex_labels"])
 def test_fields_that_are_not_sequences_are_malformed(key, value):
     # a certificate built in code may hold anything; JSON input never reaches
-    # here with such a field, as its readers make tuples
+    # here with such a field, as its readers make tuples. An iterable that is
+    # not a sequence could be read once only, or not indexed, or not written
+    # as JSON, so it is named, not iterated
+    value = value() if callable(value) else value
     with pytest.raises(MalformedCertificate, match=f"^{key} must be a sequence$"):
         check_certificate(Certificate(**{**_K2, key: value}))
+    # a field that is one is named before the others, in step 3's key order
+    if key != "labels":
+        with pytest.raises(MalformedCertificate, match="^labels must be an integer$"):
+            check_certificate(Certificate(**{**_K2, "labels": "10", key: value}))
+
+
+@pytest.mark.parametrize("value", [5, *_NOT_SEQUENCES])
+def test_explicit_edges_that_are_not_a_sequence_are_malformed(value):
+    # the graph build would take any iterable, but the certificate could then
+    # not be written as JSON
+    value = value() if callable(value) else value
+    cert = Certificate(**{**_K2, "edges": value})
+    with pytest.raises(MalformedCertificate, match="^edges must be a sequence$"):
+        check_certificate(cert)
 
 
 def test_label_count_is_checked_before_the_family_member_is_built(monkeypatch):

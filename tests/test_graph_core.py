@@ -44,7 +44,6 @@ from cordial import (
 )
 from cordial import certify, errors, families, graph_core, labeling, oracle
 from cordial.families import REGISTRY
-from cordial.labeling import VertexLabeling
 
 
 def test_complete_graph_shape():
@@ -298,10 +297,9 @@ _LEGACY = {"decide_cordial", "ced_oracle", "cvd_oracle", "VertexLabeling",
 
 def test_the_package_and_the_scripts_name_the_old_api_only_where_it_is_defined():
     # so deleting these names touches no other package code: decide_cordial
-    # returns a VertexLabeling, which oracle imports, and balance accepts one;
-    # nothing else names them outside their own definitions, imports and
-    # exported names included
-    allowed = {("oracle", "decide_cordial"), ("oracle", "ImportFrom"), ("labeling", "balance")}
+    # returns a VertexLabeling, which oracle imports; nothing else names them
+    # outside their own definitions, imports and exported names included
+    allowed = {("oracle", "decide_cordial"), ("oracle", "ImportFrom")}
     paths = [*(_ROOT / "src" / "cordial").glob("*.py"), *(_ROOT / "scripts").glob("*.py")]
     found = [
         f"{path.name}:{top.lineno} names {word}"
@@ -391,14 +389,13 @@ def test_parse_loop_and_range_report_line():
 
 
 def _records():
-    """One instance of every record type, VertexLabeling included."""
+    """One instance of every record type."""
     g = complete_graph(5)
     report = cross_validate([FamilySpec("mobius", 6)])
     cert = complete_ced_witness(6)
     return [
         g,
         FamilySpec("mobius", 6),
-        VertexLabeling((0, 1, 1)),
         DeficiencyValue.infinite(InfinityReason.STRICTLY_NONCORDIAL),
         balance(g, (0, 0, 1, 1, 1)),
         cert,
@@ -437,6 +434,3 @@ def test_replace_derives_a_checked_variant():
     assert FamilySpec("cycle", 5)._replace(size=6) == FamilySpec("cycle", 6)
     with pytest.raises(SizeTooSmall):
         FamilySpec("cycle", 5)._replace(size=2)
-    assert VertexLabeling((0, 1))._replace(labels=(1, 1)) == VertexLabeling((1, 1))
-    with pytest.raises(ValueError):
-        VertexLabeling((0, 1))._replace(labels=(0, 2))

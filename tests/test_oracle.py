@@ -145,6 +145,51 @@ def test_oracles_match_definitional_brute_force(seed):
     assert (cvd.value if not cvd.is_infinite else None) == want
 
 
+def _deficiencies_by_definition(g):
+    """(ced, cvd) of g from the definitions, None for infinity.
+
+    cvd is the least k <= n for which g plus k isolated vertices has a
+    cordial labeling, and ced the least k <= m for which g plus some multiset
+    of k non-loop vertex pairs has one. A labeling of g plus k isolated
+    vertices is one of g plus some number j of ones among the new vertices.
+    Under a labeling f of g, k added pairs are some number a of pairs that f
+    labels 0 and k - a that it labels 1; each kind is open only if f has
+    such a pair. Counts are recounted from the edge list, with no balance()
+    and no price rule.
+    """
+    def cordial(v0, v1, e0, e1):
+        return abs(v0 - v1) <= 1 and abs(e0 - e1) <= 1
+
+    counts = []  # (v0, v1, e0, e1, the induced labels of g's vertex pairs)
+    for x in range(1 << g.n):
+        f = _labels(x, g.n)
+        e1 = sum(f[u] ^ f[v] for u, v in g.edges)
+        kinds = {f[u] ^ f[v] for u, v in combinations(range(g.n), 2)}
+        counts.append((g.n - sum(f), sum(f), g.m - e1, e1, kinds))
+    cvd = next((k for k in range(g.n + 1)
+                if any(cordial(v0 + k - j, v1 + j, e0, e1)
+                       for v0, v1, e0, e1, _ in counts for j in range(k + 1))), None)
+    ced = next((k for k in range(g.m + 1)
+                if any(cordial(v0, v1, e0 + a, e1 + k - a)
+                       for v0, v1, e0, e1, kinds in counts for a in range(k + 1)
+                       if (a == 0 or 0 in kinds) and (a == k or 1 in kinds))), None)
+    return ced, cvd
+
+
+def test_ced_and_cvd_match_their_definitions():
+    # unlike _reference, which prices cells by the oracle's own rule, this
+    # adds isolated vertices or vertex pairs until some labeling is cordial
+    rng = random.Random(5)
+    graphs = [*map(complete_graph, range(1, 6)), *map(cycle_graph, range(3, 7)),
+              *map(path_graph, range(1, 6)), wheel_graph(3), wheel_graph(4),
+              *(_random_graph(rng, max_n=6, max_m=8) for _ in range(300))]
+    for g in graphs:
+        got = solve(g, ("cordial", "ced", "cvd"))
+        ced, cvd = _deficiencies_by_definition(g)
+        assert (got["ced"].value.value, got["cvd"].value.value) == (ced, cvd), g
+        assert (got["cordial"].witness is not None) == (ced == 0) == (cvd == 0), g
+
+
 def test_scan_visits_every_friendly_labeling_exactly_once():
     # vertex n-1 is pinned at label 0, so one labeling of each complement pair
     assert _alone(complete_graph(6), "ced").labelings_examined == comb(5, 3)

@@ -2,15 +2,21 @@
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import is_cordial, labeled_multigraphs, multigraphs
 
 from cordial import (
+    FAMILIES,
     Certificate,
     DeficiencyValue,
+    FamilySpec,
     MalformedCertificate,
     MultiGraph,
+    ParseError,
+    SizeLimitExceeded,
+    Verdict,
     balance,
     check_certificate,
     construct_mobius_labeling,
@@ -19,6 +25,7 @@ from cordial import (
     mobius_ladder,
     parity_obstruction,
     parse_certificate,
+    parse_edge_list,
     serialize_certificate,
     solve,
 )
@@ -159,3 +166,62 @@ def test_mobius_constructions_are_their_seed_plus_periods(k):
         k0 = {3: 3, 0: 4, 1: 5}[k % 4]
         seed = construct_mobius_labeling(k0).labels
         assert construct_mobius_labeling(k).labels == _mobius_labels(seed, k0, k)
+
+
+class _SizedBuild(Exception):
+    """Raised by the spy on FamilySpec.build in place of building the member."""
+
+
+@settings(max_examples=50)
+@given(st.integers(10 ** 9, 10 ** 30))
+def test_oversized_values_are_refused_before_work_they_would_size(big):
+    """A huge param or n with a short labels, edge id, added-edge id or
+    claimed_value, in memory or read back from JSON, and a huge edge-list
+    header count through solve, each end in MalformedCertificate, a rejecting
+    Verdict, ParseError or SizeLimitExceeded. No family member is built and
+    no MultiGraph build holds more than the few edges the input lists.
+
+    The one known exception is not drawn here: labels whose count matches a
+    huge family member's vertex count make the checker build that member.
+    """
+    k2 = dict(n=2, edges=((0, 1),))
+    certs = [Certificate("cordial", (0, 1), 0, family=family, param=big)
+             for family in FAMILIES]
+    certs += [
+        Certificate("cordial", (0, 1), 0, n=big, edges=()),
+        Certificate("cordial", (0, 1), 0, n=2, edges=((0, big),)),
+        Certificate("ced", (0, 1), 1, n=2, edges=((0, 1), (0, 1)), added_edges=((0, big),)),
+        Certificate("ced", (0, 1), big, **k2),
+        Certificate("cvd", (0, 1), big, **k2),
+    ]
+    runs = [lambda cert=cert: check_certificate(cert) for cert in certs]
+    runs += [lambda cert=cert: check_certificate(parse_certificate(serialize_certificate(cert)))
+             for cert in certs]
+    runs += [lambda text=text: solve(parse_edge_list(text), ("cordial", "ced", "cvd"))
+             for text in (f"{big} 0\n", f"3 {big}\n")]
+    built = []  # the edge count of every MultiGraph build
+
+    def build(spec):
+        raise _SizedBuild(spec)
+
+    def new(cls, n, edges):
+        edges = tuple(edges)
+        built.append(len(edges))
+        return real_new(cls, n, edges)
+
+    def unchecked(cls, n, edges):
+        built.append(len(edges))  # a list or tuple, as no generator runs
+        return real_unchecked(cls, n, edges)
+
+    real_new, real_unchecked = MultiGraph.__new__, MultiGraph._unchecked.__func__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FamilySpec, "build", build)
+        mp.setattr(MultiGraph, "__new__", staticmethod(new))
+        mp.setattr(MultiGraph, "_unchecked", classmethod(unchecked))
+        for run in runs:
+            try:
+                verdict = run()
+            except (MalformedCertificate, ParseError, SizeLimitExceeded):
+                continue
+            assert isinstance(verdict, Verdict) and not verdict.accepted, verdict
+    assert max(built) <= 2, built
