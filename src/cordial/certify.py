@@ -17,7 +17,6 @@ loads only when a certificate is read or written.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from enum import Enum
 from itertools import chain
 from typing import Iterable, NamedTuple
@@ -76,7 +75,9 @@ class Certificate(NamedTuple):
 
     The graph is given either as a (family, param) reference, expanded by the
     generators at check time, or as an explicit (n, edges) pair; when both are
-    present they must agree.
+    present they must agree. The annotations are the checker's type rule:
+    labels and added_vertex_labels are tuples of ints, and added_edges and
+    edges tuples of 2-tuples, so each field serializes and parses back equal.
     """
 
     kind: str
@@ -105,22 +106,16 @@ def _structural_check(cert: Certificate, graph: MultiGraph | None) -> MultiGraph
     for key in ("param", "n"):
         if getattr(cert, key) is not None:
             _expect_int(getattr(cert, key), key)
-    # labels and additions that are tuples or lists of plain ints pass in a
-    # few C-level type passes, else the first faulty one is named in key
-    # order; the graph build checks edges
-    lists = {tuple, list}
-    if not (type(cert.added_edges) in lists
-            and {type(cert.labels), type(cert.added_vertex_labels),
-                 *map(type, cert.added_edges)} <= lists
-            and set(map(len, cert.added_edges)) <= {2}
-            and set(map(type, chain(cert.labels, cert.added_vertex_labels,
-                                    *cert.added_edges))) <= {int}):
-        for key in ("labels", "added_edges", "added_vertex_labels"):
-            values = getattr(cert, key)
-            if not isinstance(values, Sequence):
-                raise MalformedCertificate(f"{key} must be a sequence")
-            for value in _endpoints(values) if key == "added_edges" else values:
-                _expect_int(value, key)
+    # labels and additions must be tuples of integers and of integer pairs,
+    # each checked by a few C-level type passes and the first faulty one
+    # named in key order; the graph step checks edges
+    for key in ("labels", "added_edges", "added_vertex_labels"):
+        values = getattr(cert, key)
+        if key == "added_edges":
+            values = chain.from_iterable(_tuple_pairs(values, key))
+        elif type(values) is not tuple:
+            raise MalformedCertificate(f"{key} must be a tuple")
+        _expect_ints(values, key)
     for key in ("labels", "added_vertex_labels"):
         if not set(getattr(cert, key)) <= {0, 1}:
             raise MalformedCertificate(f"{key} must be bits")
@@ -162,31 +157,15 @@ def _structural_check(cert: Certificate, graph: MultiGraph | None) -> MultiGraph
     by_family = None if spec is None else _shared.get(spec) or spec.build()
     if cert.n is None:
         return by_family
-    # MultiGraph takes any iterable of pairs, and JSON can write only sequences
-    if not isinstance(cert.edges, Sequence):
-        raise MalformedCertificate("edges must be a sequence")
-    if not (set(map(type, cert.edges)) <= lists
-            or all(isinstance(pair, Sequence) for pair in cert.edges)):
-        raise MalformedCertificate("edges must be (u, v) pairs")
+    # outside the try, which would call a shape fault a bad graph
+    edges = _tuple_pairs(cert.edges, "edges")
     try:
-        by_edges = MultiGraph(cert.n, cert.edges)
+        by_edges = MultiGraph(cert.n, edges)
     except CordialError as exc:  # a non-integer id, a loop or a stray id
         raise MalformedCertificate(f"bad explicit graph: {exc}") from None
-    except (TypeError, ValueError):  # an edge MultiGraph cannot unpack
-        raise MalformedCertificate("edges must be (u, v) pairs") from None
     if by_family is not None and by_family != by_edges:
         raise MalformedCertificate("family expansion disagrees with explicit edges")
     return by_edges
-
-
-def _endpoints(pairs):
-    """Both endpoints of every added edge; an item that is not a pair is malformed."""
-    for pair in pairs:
-        if not isinstance(pair, Sequence) or len(pair) != 2:
-            raise MalformedCertificate("added_edges must be (u, v) pairs")
-        u, v = pair
-        yield u
-        yield v
 
 
 def check_certificate(cert: Certificate, graph: MultiGraph | None = None) -> Verdict:
@@ -198,7 +177,9 @@ def check_certificate(cert: Certificate, graph: MultiGraph | None = None) -> Ver
     additions repair last, and calls a failure there augmented: ced rejects
     an unfriendly labeling before a loop or an out-of-range added edge, and
     cvd rejects unbalanced edge labels before its vertex count. Structural
-    breakage raises MalformedCertificate instead of rejecting. graph is used
+    breakage raises MalformedCertificate instead of rejecting; a field that
+    is a list, a range or any other sequence in place of the tuple its
+    annotation names is breakage too, and is never converted. graph is used
     unbuilt only if its n and its edges object are the certificate's own. A
     family reference is built by FamilySpec.build, except the member of the
     cross_validate row that is running, which the row built once already.
@@ -238,7 +219,6 @@ def witness(kind: str, labels, value: int = 0, repair: int | None = None,
     the minority label. A rejected or malformed certificate is a bug in its
     maker and raises SelfCheckFailed.
     """
-    labels = tuple(labels)
     if graph is not None:
         ref = {"n": graph.n, "edges": graph.edges}
     additions = {}
@@ -265,20 +245,32 @@ def _expect_str(value, what: str) -> str:
 
 
 def _expect_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    """value, if it is an int; a bool or any other subclass is not one."""
+    if type(value) is not int:
         raise MalformedCertificate(f"{what} must be an integer")
     return value
 
 
+def _expect_ints(values, what: str) -> None:
+    """_expect_int on each of values, in one C-level type pass."""
+    if not set(map(type, values)) <= {int}:
+        raise MalformedCertificate(f"{what} must be an integer")
+
+
+def _tuple_pairs(value, what: str, shape: str = "(u, v) pairs"):
+    """value, if it is a tuple of 2-tuples; else MalformedCertificate."""
+    if not (type(value) is tuple and set(map(type, value)) <= {tuple}
+            and set(map(len, value)) <= {2}):
+        raise MalformedCertificate(f"{what} must be {shape}")
+    return value
+
+
 def _expect_pairs(value, what: str) -> tuple[tuple[int, int], ...]:
-    if not isinstance(value, list):
-        raise MalformedCertificate(f"{what} must be an array of [u, v] pairs")
-    pairs = []
-    for item in value:
-        if not isinstance(item, list) or len(item) != 2:
-            raise MalformedCertificate(f"{what} must be an array of [u, v] pairs")
-        pairs.append((_expect_int(item[0], what), _expect_int(item[1], what)))
-    return tuple(pairs)
+    arrays = type(value) is list and set(map(type, value)) <= {list}
+    pairs = _tuple_pairs(tuple(map(tuple, value)) if arrays else None, what,
+                         "an array of [u, v] pairs")
+    _expect_ints(chain.from_iterable(pairs), what)
+    return pairs
 
 
 def _expect_bits(value, what: str) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import threading
+from enum import IntEnum
 
 import pytest
 
@@ -180,9 +181,11 @@ def test_explicit_graph_certificates():
         kind="cordial", n=g.n, edges=g.edges, labels=(1, 1, 0, 0, 1), claimed_value=0
     )
     assert check_certificate(cert).accepted
-    # any two-item sequence is a pair, as for MultiGraph
+    # a pair is a 2-tuple, as the annotation says: list pairs, which
+    # MultiGraph would take, would parse back as tuples, so not equal
     listed = cert._replace(edges=tuple(map(list, g.edges)))
-    assert check_certificate(listed).accepted
+    with pytest.raises(MalformedCertificate, match=r"^edges must be \(u, v\) pairs$"):
+        check_certificate(listed)
 
 
 def test_family_and_explicit_graph_must_agree():
@@ -260,8 +263,10 @@ _K2 = dict(kind="cordial", n=2, edges=((0, 1),), labels=(1, 0), claimed_value=0)
      "bad explicit graph: edge (False, True): vertex ids must be integers"),
     (dict(kind="ced", claimed_value=1, added_edges=((False, 2),)),
      "added_edges must be an integer"),
+    # an int subclass other than bool is no int either, as for MultiGraph
+    (dict(labels=tuple(IntEnum("Bit", "ZERO ONE", start=0))), "labels must be an integer"),
 ], ids=["bool-labels", "float-label", "bool-param", "bool-n", "bool-edge",
-        "bool-added-edge"])
+        "bool-added-edge", "int-subclass-labels"])
 def test_integer_fields_refuse_bools_and_floats(fields, reason):
     with pytest.raises(MalformedCertificate, match=f"^{re.escape(reason)}$"):
         check_certificate(Certificate(**{**_K2, **fields}))
@@ -278,45 +283,57 @@ def test_integer_fields_refuse_bools_and_floats(fields, reason):
     (dict(kind="ced", claimed_value=1, added_edges=((b for b in (0, 1)),)),
      "added_edges must be (u, v) pairs"),
     (dict(kind="ced", claimed_value=1, added_edges=({0, 1},)), "added_edges must be (u, v) pairs"),
+    (dict(edges=([0, 1],)), "edges must be (u, v) pairs"),
+    (dict(kind="ced", claimed_value=1, added_edges=([0, 1],)),
+     "added_edges must be (u, v) pairs"),
 ], ids=["int-edges", "triple-edge", "set-edge", "before-labels", "triple-added-edge",
-        "int-added-edge", "generator-added-edge", "set-added-edge"])
+        "int-added-edge", "generator-added-edge", "set-added-edge", "list-edge",
+        "list-added-edge"])
 def test_pair_fields_refuse_items_that_are_not_pairs(fields, reason):
-    # as for MultiGraph, a pair is any two-item sequence. An edges item that
-    # is not one is found by the graph build, the last step, so the labels'
-    # bools are named before it
+    # a pair is a 2-tuple, as the annotations say; a list pair would parse
+    # back as a tuple. An edges item that is not one is found at the graph
+    # step, the last, so the labels' bools are named before it
     with pytest.raises(MalformedCertificate, match=f"^{re.escape(reason)}$"):
         check_certificate(Certificate(**{**_K2, **fields}))
 
 
-# iterables that are not sequences; each test builds its own generator
+# iterables that are not sequences, then sequences that are not tuples but
+# hold the bits a tuple would; each test builds its own generator
 _NOT_SEQUENCES = [pytest.param(lambda: (b for b in (1, 0)), id="generator"),
                   pytest.param(lambda: {1, 0}, id="set"),
                   pytest.param(lambda: {1: 0, 0: 1}, id="dict")]
+_NOT_TUPLES = [pytest.param(lambda: [1, 0], id="list"),
+               pytest.param(lambda: range(2), id="range"),
+               pytest.param(lambda: bytes((1, 0)), id="bytes")]
 
 
-@pytest.mark.parametrize("value", [None, 5, *_NOT_SEQUENCES])
+@pytest.mark.parametrize("value", [None, 5, *_NOT_SEQUENCES, *_NOT_TUPLES])
 @pytest.mark.parametrize("key", ["labels", "added_edges", "added_vertex_labels"])
 def test_fields_that_are_not_sequences_are_malformed(key, value):
     # a certificate built in code may hold anything; JSON input never reaches
-    # here with such a field, as its readers make tuples. An iterable that is
-    # not a sequence could be read once only, or not indexed, or not written
-    # as JSON, so it is named, not iterated
+    # here with such a field, as its readers make tuples. A field that is not
+    # a tuple is named, never iterated or converted: a generator could be
+    # read once only, and a list, range or bytes would parse back unequal
     value = value() if callable(value) else value
-    with pytest.raises(MalformedCertificate, match=f"^{key} must be a sequence$"):
+    reason = f"{key} must be a tuple"
+    if key == "added_edges":
+        reason = "added_edges must be (u, v) pairs"
+    with pytest.raises(MalformedCertificate, match=f"^{re.escape(reason)}$"):
         check_certificate(Certificate(**{**_K2, key: value}))
     # a field that is one is named before the others, in step 3's key order
     if key != "labels":
-        with pytest.raises(MalformedCertificate, match="^labels must be an integer$"):
+        with pytest.raises(MalformedCertificate, match="^labels must be a tuple$"):
             check_certificate(Certificate(**{**_K2, "labels": "10", key: value}))
 
 
-@pytest.mark.parametrize("value", [5, *_NOT_SEQUENCES])
+@pytest.mark.parametrize("value", [5, *_NOT_SEQUENCES,
+                                   pytest.param(lambda: [(0, 1)], id="list")])
 def test_explicit_edges_that_are_not_a_sequence_are_malformed(value):
-    # the graph build would take any iterable, but the certificate could then
-    # not be written as JSON
+    # the graph build would take any iterable of pairs, but the certificate
+    # could then not be written as JSON, or would parse back unequal
     value = value() if callable(value) else value
     cert = Certificate(**{**_K2, "edges": value})
-    with pytest.raises(MalformedCertificate, match="^edges must be a sequence$"):
+    with pytest.raises(MalformedCertificate, match=r"^edges must be \(u, v\) pairs$"):
         check_certificate(cert)
 
 
@@ -583,6 +600,9 @@ def test_witness_adds_the_stated_repairs_and_checks_them():
         witness("ced", (0, 0), 1, repair=1, family="complete", param=2)
     with pytest.raises(SelfCheckFailed, match="malformed: .* must claim 0"):
         witness("cordial", (1, 1, 0, 0), 1, family="cycle", param=4)
+    # a maker passes tuples; witness judges what it was given, never a copy
+    with pytest.raises(SelfCheckFailed, match="malformed: labels must be a tuple$"):
+        witness("cordial", [1, 1, 0, 0], family="cycle", param=4)
 
 
 def test_cross_validate_flags_a_witness_claiming_other_than_its_form(monkeypatch):

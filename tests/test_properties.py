@@ -144,6 +144,46 @@ def test_a_certificate_holds_iff_its_graph_plus_its_additions_is_cordial(gf, dat
         assert parse_certificate(serialize_certificate(cert)) == cert
 
 
+def _held(draw, values):
+    """values as a tuple, a list, or a range or bytes where one holds them."""
+    forms = [tuple, list]
+    if all(0 <= v < 256 for v in values):
+        forms.append(bytes)
+    if values and values == tuple(range(values[0], values[0] + len(values))):
+        forms.append(lambda v: range(v[0], v[0] + len(v)))
+    return draw(st.sampled_from(forms))(values)
+
+
+def _held_pairs(draw, pairs):
+    """pairs as a tuple or a list, each pair held as _held draws it."""
+    return draw(st.sampled_from((tuple, list)))(_held(draw, pair) for pair in pairs)
+
+
+@settings(max_examples=500)
+@given(labeled_multigraphs(max_n=4, max_m=6), st.data())
+def test_an_in_memory_certificate_is_malformed_or_survives_the_wire(gf, data):
+    # fields and pairs drawn as tuples, lists, ranges or bytes: the checker
+    # must refuse every form that JSON cannot give back equal, and judge the
+    # parsed copy as it judged the original
+    g, f = gf
+    draw = data.draw
+    kind = draw(st.sampled_from(("cordial", "ced", "cvd")))
+    ids = st.integers(0, g.n - 1)
+    added_edges = draw(st.lists(st.tuples(ids, ids), max_size=2)) if kind == "ced" else []
+    added_labels = draw(st.lists(st.integers(0, 1), max_size=2)) if kind == "cvd" else []
+    cert = Certificate(kind, _held(draw, f), len(added_edges) + len(added_labels),
+                       n=g.n, edges=_held_pairs(draw, g.edges),
+                       added_edges=_held_pairs(draw, added_edges),
+                       added_vertex_labels=_held(draw, tuple(added_labels)))
+    try:
+        verdict = check_certificate(cert)
+    except MalformedCertificate:
+        return
+    again = parse_certificate(serialize_certificate(cert))
+    assert again == cert
+    assert check_certificate(again) == verdict
+
+
 @settings(max_examples=60)
 @given(st.integers(3, 6), st.integers(0, 2 ** 12 - 1))
 def test_graft_conserves_seam_labels_for_any_anchored_labeling(k, enc):
