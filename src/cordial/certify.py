@@ -5,7 +5,9 @@ A certificate proves an upper bound only: Accepted means the exhibited
 labeling (plus its stated augmentation) achieves the claimed value. Matching
 lower bounds come from exhaustion or the parity obstruction and are recorded
 by the validation report, never assumed. witness() builds and checks every
-certificate the package makes; parse_certificate reads the rest. The closed
+certificate the package makes, and cordial_witnesses() issues one value-0
+witness per kind from one such check; parse_certificate reads the rest. No
+other module builds a Certificate (tests/test_lint.py). The closed
 forms, witnesses and lower-bound sources that cross_validate compares come
 from families.REGISTRY.
 
@@ -238,6 +240,22 @@ def witness(kind: str, labels, value: int = 0, repair: int | None = None,
     return cert
 
 
+def cordial_witnesses(kinds, labels, graph: MultiGraph | None = None,
+                      **ref) -> tuple[Certificate, ...]:
+    """witness(kind, labels, graph=graph, **ref) for each of kinds, in order,
+    from one check.
+
+    At value 0 the verdict cannot depend on the kind: no kind lists an
+    addition, and the rule then reads only the labeled graph, which the
+    certificates share. So the first kind's witness is checked, and every
+    kind's certificate is that one under its own kind. kinds must be a
+    nonempty sequence of MEASURES.
+    """
+    self_check(bool(kinds) and set(kinds) <= set(MEASURES), f"bad kinds {kinds!r}")
+    cert = witness(kinds[0], labels, graph=graph, **ref)
+    return tuple(cert._replace(kind=kind) for kind in kinds)
+
+
 def _expect_str(value, what: str) -> str:
     if not isinstance(value, str):
         raise MalformedCertificate(f"{what} must be a string")
@@ -296,15 +314,28 @@ _JSON_KEYS = {
 
 
 def serialize_certificate(cert: Certificate) -> str:
-    """Deterministic JSON rendering; key order is fixed."""
+    """Deterministic JSON rendering; key order is fixed.
+
+    Raises MalformedCertificate unless parse_certificate reads the text back
+    equal to cert, so no file it writes is refused by the reader. Like the
+    reader, it neither resolves nor builds the graph.
+    """
     import json
 
     payload = {}
-    for key, read in _JSON_KEYS.items():
-        value = getattr(cert, key)
-        if value is not None and _ADDITIONS.get(key, cert.kind) == cert.kind:
-            payload[key] = "".join(map(str, value)) if read is _expect_bits else value
-    return json.dumps(payload, indent=2) + "\n"
+    try:
+        for key, read in _JSON_KEYS.items():
+            value = getattr(cert, key)
+            if value is not None and _ADDITIONS.get(key, cert.kind) == cert.kind:
+                payload[key] = "".join(map(str, value)) if read is _expect_bits else value
+        text = json.dumps(payload, indent=2) + "\n"
+    except (TypeError, ValueError, RecursionError) as exc:  # no JSON form
+        raise MalformedCertificate(f"not serializable as JSON: {exc}") from None
+    again = parse_certificate(text)
+    for key in _JSON_KEYS:
+        if getattr(again, key) != getattr(cert, key):
+            raise MalformedCertificate(f"{key} does not read back equal")
+    return text
 
 
 def parse_certificate(text: str) -> Certificate:

@@ -18,12 +18,18 @@ asked for, with vertex n-1 pinned at label 0. Pinning is sound because
 complementing a labeling preserves every edge label, and the canonical
 encoding, the smaller of a labeling and its complement, is the one with
 vertex n-1 labeled 0. labelings_examined is the size of the halved stream
-of the result's own mode. Results are bit-identical whatever the modes
-scanned alongside, and equal to those of a search over all 2**n labelings.
-Every witness is built and checked by certify.witness, the one place any
-witness certificate is made; a scan witness is checked against the scanned
-MultiGraph itself, not a rebuild. The result's value types and the search
-cap DEFAULT_MAX_VERTICES come from certify, below this module and families.
+of the result's own mode, computed once per (n, mode). Results are
+bit-identical whatever the modes scanned alongside, and in whatever order,
+and equal to those of a search over all 2**n labelings. A graph is cordial
+exactly when the scan reaches a cordial cell, a friendly row at an
+edge-balanced e1; then every measure is 0 and the least encoding of those
+cells is every measure's witness, so a cordial graph's measures share one
+labeling and one check, certify.cordial_witnesses. A noncordial graph's
+measures are priced one by one and each witness is built and checked by
+certify.witness. Certificates are made only in certify, and a scan witness
+is checked against the scanned MultiGraph itself, not a rebuild. The
+result's value types and the search cap DEFAULT_MAX_VERTICES come from
+certify, below this module and families.
 
 The scan kernel splits the free vertices 0..n-2 into a low part of at most
 LOW_BITS vertices and a high part holding the rest. For one high subset h a
@@ -72,6 +78,7 @@ from .certify import (
     Certificate,
     DeficiencyValue,
     InfinityReason,
+    cordial_witnesses,
     witness,
 )
 from .errors import CordialError, SizeLimitExceeded
@@ -283,6 +290,13 @@ def check_search_size(n: int, max_vertices: int) -> None:
         )
 
 
+@cache
+def _stream_size(n: int, mode: str) -> int:
+    """labelings_examined of mode on n vertices: its halved stream's size."""
+    rows = _candidates((mode,), n, 0)[0]
+    return sum(comb(max(n - 1, 0), ones) for ones in rows)
+
+
 def _result(mode: str, g: MultiGraph, first) -> OracleResult:
     """Read one mode's checked result off a scan's cells.
 
@@ -293,7 +307,7 @@ def _result(mode: str, g: MultiGraph, first) -> OracleResult:
     """
     n, m = g.n, g.m
     rows, whole, balanced = _candidates((mode,), n, m)
-    count = sum(comb(max(n - 1, 0), ones) for ones in rows)
+    count = _stream_size(n, mode)
     if whole:  # a friendly cell of any e1 may be repaired
         cells = [cell for cell in first if cell[0] in whole]
     else:  # only edge-balanced cells are candidates
@@ -323,13 +337,28 @@ def solve(
 ) -> dict[str, OracleResult]:
     """Answer each of modes, a subset of certify.MEASURES, from one scan of g.
 
-    Each result equals that of a scan in its mode alone.
+    Each result equals that of a scan in its mode alone. A cordial cell is
+    a candidate of every mode and the only one any prices at 0, so a scan
+    that reached one settles every mode with one labeling and one check;
+    otherwise _result prices each mode.
     """
     check_search_size(g.n, max_vertices)
     if not set(modes) <= set(MEASURES):
         raise CordialError(f"measures must be among {', '.join(MEASURES)}, got {modes!r}")
-    first = _scan(g.n, g.edges, modes)
-    return {mode: _result(mode, g, first) for mode in modes}
+    if not modes:
+        return {}
+    n = g.n
+    first = _scan(n, g.edges, modes)
+    friendly, _, balanced = _candidates(("cordial",), n, g.m)
+    cordial = [x for ones in friendly for e1 in balanced
+               if (x := first.get((ones, e1))) is not None]
+    if not cordial:
+        return {mode: _result(mode, g, first) for mode in modes}
+    canon = min(cordial)
+    certs = cordial_witnesses(modes, tuple(canon >> i & 1 for i in range(n)), graph=g)
+    zero = DeficiencyValue.finite(0)
+    return {mode: OracleResult(zero, cert, _stream_size(n, mode))
+            for mode, cert in zip(modes, certs)}
 
 
 # The three one-mode calls below are the API from before solve. Only the

@@ -58,3 +58,19 @@ def test_module_level_imports_follow_the_layer_order():
                 found += [f"{path.name}: .{t}" for t in targets if _LAYER.get(t, own) >= own]
             nodes.extend(ast.iter_child_nodes(node))
     assert not found, sorted(found)
+
+
+def test_only_certify_makes_a_certificate():
+    # a certificate is made only by certify's witness makers, which check it,
+    # or by its JSON reader; so no script or other package module may call
+    # Certificate(...) or copy a record with ._replace(...)
+    found = []
+    for path in _PACKAGE + _SCRIPTS:
+        if path.parent.name == "cordial" and path.stem == "certify":
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in ("Certificate", "_replace"):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, found

@@ -9,7 +9,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations, zip_longest
+from itertools import combinations, permutations, zip_longest
 from math import comb
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from cordial import (
     serialize_certificate,
     wheel_graph,
 )
-from cordial import cli, oracle
+from cordial import certify, cli, oracle
 from cordial.certify import MEASURES
 from cordial.errors import CordialError, SelfCheckFailed
 from cordial.labeling import VertexLabeling
@@ -509,12 +509,58 @@ def test_one_scan_answers_any_modes_like_single_mode_calls(g):
     ok, f = decide_cordial(g, workers=2)
     assert ok == (cordial.witness is not None)
     assert f == (VertexLabeling(cordial.witness.labels) if ok else None)
-    for modes in [s for k in (1, 2, 3) for s in combinations(MEASURES, k)]:
+    # a cordial graph's modes share one check, whichever mode comes first
+    for modes in [s for k in (1, 2, 3) for s in permutations(MEASURES, k)]:
         got = solve(g, modes)
         assert list(got) == list(modes)
         assert {mode: _key(got[mode]) for mode in modes} == {
             mode: alone[mode] for mode in modes
         }
+
+
+@pytest.mark.parametrize("g, cordial", [
+    (mobius_ladder(4), True), (complete_graph(3), True), (_crossing_multigraph(256), True),
+    (_planted_cordial_multigraph(13, 13), True),
+    (wheel_graph(7), False), (complete_graph(4), False), (complete_graph(5), False),
+    (MultiGraph(2, [(0, 1)] * 3), False),  # no measure finite
+])
+def test_a_cordial_graph_settles_every_measure_with_one_check(monkeypatch, g, cordial):
+    # a cordial cell prices every measure at 0 with one labeling, so one
+    # check issues all three witnesses; a noncordial graph checks each finite
+    # ced or cvd witness on its own, and never a cordial one
+    checked = []
+
+    def check(cert, graph=None):
+        checked.append(cert.kind)
+        return check_certificate(cert, graph)
+
+    monkeypatch.setattr(certify, "check_certificate", check)
+    got = solve(g, MEASURES)
+    finite = [m for m in ("ced", "cvd") if not got[m].value.is_infinite]
+    assert (got["cordial"].witness is not None) == cordial
+    assert checked == (["cordial"] if cordial else finite)
+    if cordial:
+        assert {got[m].value for m in MEASURES} == {DeficiencyValue.finite(0)}
+        assert len({got[m].witness.labels for m in MEASURES}) == 1
+    for m in MEASURES:
+        cert = got[m].witness
+        assert (cert is None) == got[m].value.is_infinite
+        if cert is not None:  # every issued certificate stands on its own
+            assert cert.kind == m
+            assert check_certificate(cert) == Verdict(True)
+
+
+def test_no_measure_asked_scans_nothing(monkeypatch):
+    # the cap and the measure names are still checked, then nothing is scanned
+    def scan(*args):
+        raise AssertionError("scanned with no measure asked")
+
+    monkeypatch.setattr(oracle, "_scan", scan)
+    assert solve(complete_graph(20), ()) == {}
+    with pytest.raises(SizeLimitExceeded):
+        solve(complete_graph(25), ())
+    with pytest.raises(CordialError):
+        solve(complete_graph(3), ("cordial", "odd"))
 
 
 @pytest.mark.parametrize("family, n", [("complete", 6), ("mobius", 8)])

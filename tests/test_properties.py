@@ -164,7 +164,8 @@ def _held_pairs(draw, pairs):
 def test_an_in_memory_certificate_is_malformed_or_survives_the_wire(gf, data):
     # fields and pairs drawn as tuples, lists, ranges or bytes: the checker
     # must refuse every form that JSON cannot give back equal, and judge the
-    # parsed copy as it judged the original
+    # parsed copy as it judged the original. The writer, called with no prior
+    # check, refuses what the reader would refuse or read back unequal
     g, f = gf
     draw = data.draw
     kind = draw(st.sampled_from(("cordial", "ced", "cvd")))
@@ -175,6 +176,10 @@ def test_an_in_memory_certificate_is_malformed_or_survives_the_wire(gf, data):
                        n=g.n, edges=_held_pairs(draw, g.edges),
                        added_edges=_held_pairs(draw, added_edges),
                        added_vertex_labels=_held(draw, tuple(added_labels)))
+    try:
+        assert parse_certificate(serialize_certificate(cert)) == cert
+    except MalformedCertificate:
+        pass
     try:
         verdict = check_certificate(cert)
     except MalformedCertificate:
