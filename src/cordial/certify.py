@@ -98,71 +98,86 @@ class Verdict(NamedTuple):
     reason: str = ""
 
 
+_ACCEPTED = Verdict(True)
+# each kind's own additions, the key it may list
+_OWN = {kind: key for key, kind in _ADDITIONS.items()}
+# check_certificate's two tests, (counts index, fault, repaired), in the
+# order each kind runs them: the count its additions repair goes last
+_TESTS = {
+    kind: sorted([(0, "vertex labels not friendly", _ADDITIONS["added_vertex_labels"] == kind),
+                  (1, "edge labels unbalanced", _ADDITIONS["added_edges"] == kind)],
+                 key=lambda test: test[2])
+    for kind in MEASURES
+}
+
+
 def _structural_check(cert: Certificate, graph: MultiGraph | None) -> MultiGraph:
-    if cert.kind not in MEASURES:
-        raise MalformedCertificate(f"unknown kind {cert.kind!r}")
-    if _expect_int(cert.claimed_value, "claimed_value") < 0:
+    kind, labels, claimed, family, param, n, edges, added_edges, added_labels = cert
+    if kind not in MEASURES:
+        raise MalformedCertificate(f"unknown kind {kind!r}")
+    if _expect_int(claimed, "claimed_value") < 0:
         raise MalformedCertificate("claimed_value must be non-negative")
     # the JSON readers' integer test, so every certificate judged here
     # serializes to JSON that parses back to it
-    for key in ("param", "n"):
-        if getattr(cert, key) is not None:
-            _expect_int(getattr(cert, key), key)
+    if param is not None:
+        _expect_int(param, "param")
+    if n is not None:
+        _expect_int(n, "n")
     # labels and additions must be tuples of integers and of integer pairs,
     # each checked by a few C-level type passes and the first faulty one
-    # named in key order; the graph step checks edges
-    for key in ("labels", "added_edges", "added_vertex_labels"):
-        values = getattr(cert, key)
-        if key == "added_edges":
-            values = chain.from_iterable(_tuple_pairs(values, key))
-        elif type(values) is not tuple:
-            raise MalformedCertificate(f"{key} must be a tuple")
-        _expect_ints(values, key)
-    for key in ("labels", "added_vertex_labels"):
-        if not set(getattr(cert, key)) <= {0, 1}:
-            raise MalformedCertificate(f"{key} must be bits")
+    # named in field order; the graph step checks edges
+    if type(labels) is not tuple:
+        raise MalformedCertificate("labels must be a tuple")
+    _expect_ints(labels, "labels")
+    _expect_ints(chain.from_iterable(_tuple_pairs(added_edges, "added_edges")), "added_edges")
+    if type(added_labels) is not tuple:
+        raise MalformedCertificate("added_vertex_labels must be a tuple")
+    _expect_ints(added_labels, "added_vertex_labels")
+    if not set(labels) <= {0, 1}:
+        raise MalformedCertificate("labels must be bits")
+    if not set(added_labels) <= {0, 1}:
+        raise MalformedCertificate("added_vertex_labels must be bits")
     # a kind lists only its own additions, one for each unit it claims
-    own = None
-    for key, kind in _ADDITIONS.items():
-        if kind == cert.kind:
-            own = key
-        elif getattr(cert, key):
-            raise MalformedCertificate(f"{cert.kind} certificates may not list {key}")
-    listed = len(getattr(cert, own)) if own else 0
-    if listed != cert.claimed_value:
+    for key, values in (("added_edges", added_edges), ("added_vertex_labels", added_labels)):
+        if values and _ADDITIONS[key] != kind:
+            raise MalformedCertificate(f"{kind} certificates may not list {key}")
+    listed = len(added_edges) + len(added_labels)  # the other kind's are empty
+    if listed != claimed:
+        own = _OWN.get(kind)
         raise MalformedCertificate(
-            f"claimed_value {cert.claimed_value} != {listed} {own.replace('_', ' ')}"
-            if own else f"a {cert.kind} certificate must claim 0"
+            f"claimed_value {claimed} != {listed} {own.replace('_', ' ')}"
+            if own else f"a {kind} certificate must claim 0"
         )
     # the graph reference's shape, then the label count, compared before any
     # build: the size of a family member is untrusted input
-    for first, second in (("family", "param"), ("n", "edges")):
-        if (getattr(cert, first) is None) != (getattr(cert, second) is None):
-            raise MalformedCertificate(f"{first} and {second} must appear together")
-    if cert.param is None and cert.n is None:
+    if (family is None) != (param is None):
+        raise MalformedCertificate("family and param must appear together")
+    if (n is None) != (edges is None):
+        raise MalformedCertificate("n and edges must appear together")
+    if param is None and n is None:
         raise MalformedCertificate("no graph: need (family, param) or (n, edges)")
     spec = None
-    if cert.family is not None:
-        if cert.family not in FAMILIES:
-            raise MalformedCertificate(f"unknown family {cert.family!r}")
+    if family is not None:
+        if family not in FAMILIES:
+            raise MalformedCertificate(f"unknown family {family!r}")
         try:
-            spec = FamilySpec(cert.family, cert.param)
+            spec = FamilySpec(family, param)
         except CordialError as exc:
             raise MalformedCertificate(f"bad family reference: {exc}") from None
-    n = cert.n if spec is None else spec.vertex_count
-    if len(cert.labels) != n:
+    count = n if spec is None else spec.vertex_count
+    if len(labels) != count:
         raise MalformedCertificate(
-            f"{len(cert.labels)} labels for a graph on {n} vertices"
+            f"{len(labels)} labels for a graph on {count} vertices"
         )
-    if spec is None and graph is not None and graph.n == n and graph.edges is cert.edges:
+    if spec is None and graph is not None and graph.n == n and graph.edges is edges:
         return graph  # built from these very edges, so already validated
     by_family = None if spec is None else _shared.get(spec) or spec.build()
-    if cert.n is None:
+    if n is None:
         return by_family
     # outside the try, which would call a shape fault a bad graph
-    edges = _tuple_pairs(cert.edges, "edges")
+    edges = _tuple_pairs(edges, "edges")
     try:
-        by_edges = MultiGraph(cert.n, edges)
+        by_edges = MultiGraph(n, edges)
     except CordialError as exc:  # a non-integer id, a loop or a stray id
         raise MalformedCertificate(f"bad explicit graph: {exc}") from None
     if by_family is not None and by_family != by_edges:
@@ -187,27 +202,27 @@ def check_certificate(cert: Certificate, graph: MultiGraph | None = None) -> Ver
     cross_validate row that is running, which the row built once already.
     """
     g = _structural_check(cert, graph)
-    f = cert.labels
-    rep = balance(g, f)
-    vertices, edges = [rep.v0, rep.v1], [rep.e0, rep.e1]
-    for b in cert.added_vertex_labels:
-        vertices[b] += 1
+    v0, v1, e0, e1 = balance(g, cert.labels)
+    counts = (v0, v1), (e0, e1)
     bad_edge = ""
-    for u, v in cert.added_edges:
-        if u == v or not (0 <= u < g.n and 0 <= v < g.n):
-            bad_edge = f"added edge ({u}, {v}) " + (
-                "is a loop" if u == v else f"outside 0..{g.n - 1}")
-            break
-        edges[f[u] ^ f[v]] += 1
-    tests = [("added_vertex_labels", "vertex labels not friendly", vertices),
-             ("added_edges", "edge labels unbalanced", edges)]
-    for key, fault, (c0, c1) in sorted(tests, key=lambda t: _ADDITIONS[t[0]] == cert.kind):
-        repaired = _ADDITIONS[key] == cert.kind
+    if cert.added_vertex_labels or cert.added_edges:  # count what each adds
+        f = cert.labels
+        vertices, edges = counts = [v0, v1], [e0, e1]
+        for b in cert.added_vertex_labels:
+            vertices[b] += 1
+        for u, v in cert.added_edges:
+            if u == v or not (0 <= u < g.n and 0 <= v < g.n):
+                bad_edge = f"added edge ({u}, {v}) " + (
+                    "is a loop" if u == v else f"outside 0..{g.n - 1}")
+                break
+            edges[f[u] ^ f[v]] += 1
+    for i, fault, repaired in _TESTS[cert.kind]:
         if repaired and bad_edge:
             return Verdict(False, bad_edge)
+        c0, c1 = counts[i]
         if abs(c0 - c1) > 1:
             return Verdict(False, f"{'augmented ' * repaired}{fault} ({c0} vs {c1})")
-    return Verdict(True)
+    return _ACCEPTED
 
 
 def witness(kind: str, labels, value: int = 0, repair: int | None = None,
@@ -253,7 +268,7 @@ def cordial_witnesses(kinds, labels, graph: MultiGraph | None = None,
     """
     self_check(bool(kinds) and set(kinds) <= set(MEASURES), f"bad kinds {kinds!r}")
     cert = witness(kinds[0], labels, graph=graph, **ref)
-    return tuple(cert._replace(kind=kind) for kind in kinds)
+    return tuple(cert if kind == cert.kind else cert._replace(kind=kind) for kind in kinds)
 
 
 def _expect_str(value, what: str) -> str:

@@ -39,9 +39,12 @@ leaving l and h and w those between them. One pass over the distinct vertex
 pairs and their multiplicities builds alpha and gathers what w and beta
 need. A low pair (u, v) of multiplicity c adds c to the lanes holding
 exactly one of u and v; the edges from a low vertex out of the low part add
-their count to the lanes holding it. w's packed steps are built once the
-scan passes h = 0, and beta(h) as h ascends, from beta(h & (h - 1)), so a
-scan that stops early builds only what it visits. Lanes are 1, 2 or 4
+their count to the lanes holding it, and are kept per high end. The pairs
+ascend, so those with both ends high are the pass's tail, left unread until
+the scan passes h = 0. All of the high part's terms are built then: the
+high vertices' degrees, the bit masks of their edges among themselves and
+w's packed steps. beta(h) is built as h ascends, from beta(h & (h - 1)), so
+a scan that stops at h = 0 builds none of them. Lanes are 1, 2 or 4
 bytes, the least that holds cap = min(m, mu * (n//2) * ((n+1)//2)), where
 mu is the largest multiplicity: e1 counts the edges across one cut, and a
 cut separates at most (n//2) * ((n+1)//2) pairs. Packing is linear, so a
@@ -56,7 +59,9 @@ search per balanced e1 over each span, for the e1's bytes in the lane
 width: a match that straddles two lanes is skipped, and an aligned one
 records its group's cell if it is new and resumes the search at the next
 group. A row that needs every e1 takes the values not reached before by
-bytes.translate or a set difference. High subsets ascend, so the first hit
+bytes.translate, locating each by a bytes search, or on wider lanes by a set
+difference of the map from each value to its least lane, built in one pass
+over the row's lanes. High subsets ascend, so the first hit
 of a cell is its least encoding, and a scan stops after the first high
 subset that reaches a cordial cell, the only cells the rule prices at 0.
 Every scan runs in the calling process.
@@ -68,7 +73,7 @@ import sys
 from array import array
 from collections import Counter
 from functools import cache
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from math import comb
 from typing import NamedTuple
 
@@ -87,6 +92,8 @@ from .labeling import VertexLabeling
 
 LOW_BITS = 10  # at most 2**10 lanes; each layout is built once per process
 _LANE_CODES = {1: "B", 2: "H", 4: "I"}  # lane bytes -> array typecode
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits -> bits
+_ZERO = DeficiencyValue.finite(0)  # every cordial result's value
 
 
 class OracleResult(NamedTuple):
@@ -187,11 +194,12 @@ def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
     least that holds cap, the cut bound of the module docstring. Each high
     subset makes one aligned search per balanced e1 over each of the cached
     spans of _plans, and reads the rows of whole from their groups' lanes.
+    edges must be canonical (u < v) and sorted, as a MultiGraph holds them.
     """
     low, high = _split(n)
     m = len(edges)
     rows, whole, balanced = _candidates(modes, n, m)
-    pairs = Counter(edges)  # edges are canonical, u < v
+    pairs = Counter(edges)  # in ascending order
     mu = max(pairs.values(), default=0)
     cap = min(m, mu * (n // 2) * ((n + 1) // 2))
     width = next(w for w in _LANE_CODES if cap < 1 << 8 * w)
@@ -202,33 +210,42 @@ def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
     # beta(h), the edges leaving h, gives e1 of labeling l | h << low
     g = 0  # each product below skips c = 1, where it would only copy the lanes
     out = [0] * low  # out[x] counts the edges from low vertex x out of the low part
-    deg = [0] * (high + 1)  # the degrees of the high vertices, then the pinned one
     ends = [[] for _ in range(high)]  # ends[t]: (u, c) per low u with c edges to low + t
-    # up[t]: (mask, k + 1) per bit k, mask the high vertices above t whose count to t has bit k
-    up = [[0] * mu.bit_length() for _ in range(high)]
-    for (u, v), c in pairs.items():
+    # edges are canonical and sorted, so the pairs ascend, and the pairs with
+    # both ends high, which only h > 0 reads, are their tail: left in items
+    items = iter(pairs.items())
+    tail = ()
+    for (u, v), c in items:
         if v < low:  # in a lane exactly when one end is in its subset
             g += c * (ind[u] ^ ind[v]) if c > 1 else ind[u] ^ ind[v]
-            continue
-        deg[v - low] += c
-        if u < low:
+        elif u < low:
             out[u] += c
             if v < low + high:
                 ends[v - low].append((u, c))
-            continue
-        deg[u - low] += c
-        if v < low + high:
-            up[u - low] = [mask | (c >> k & 1) << v - low for k, mask in enumerate(up[u - low])]
+        else:
+            tail = (((u, v), c),)
+            break
     g += sum(c * lanes if c > 1 else lanes for c, lanes in zip(out, ind) if c)
-    up = [[(mask, k + 1) for k, mask in enumerate(masks) if mask] for masks in up]
     size = len(order) * width
     # a cut of at least m/2 edges exists, so cap >= (m+1)//2 and both fit a lane
     pats = [(e1, e1.to_bytes(width, sys.byteorder)) for e1 in balanced]
-    seen = [b"" if width == 1 else set() for _ in range(n + 1)]  # e1s of whole rows
+    seen = {ones: b"" if width == 1 else set() for ones in whole}  # e1s reached so far
     first: dict[tuple[int, int], int] = {}
     beta = [0]  # beta[h] counts the edges leaving high subset h
     for h in range(1 << high):
-        if h == 1:  # cross[t] packs the edges from each low subset to low + t
+        if h == 1:  # the high part's terms, which h = 0 does not read
+            deg = [sum(c for _, c in e) for e in ends]  # the high vertices' degrees
+            # up[t]: (mask, k + 1) per bit k, mask the high vertices above t
+            # whose count to t has bit k
+            up = [[0] * mu.bit_length() for _ in range(high)]
+            for (u, v), c in chain(tail, items):
+                deg[u - low] += c
+                if v < low + high:
+                    deg[v - low] += c
+                    up[u - low] = [mask | (c >> k & 1) << v - low
+                                   for k, mask in enumerate(up[u - low])]
+            up = [[(mask, k + 1) for k, mask in enumerate(masks) if mask] for masks in up]
+            # cross[t] packs the edges from each low subset to low + t
             cross = [sum(c * ind[u] if c > 1 else ind[u] for u, c in e) for e in ends]
             # from h - 1 to h, the lowest set bit t of h joins and the bits below t leave
             steps = [(below - c) << 1 for below, c in zip(accumulate(cross, initial=0), cross)]
@@ -262,19 +279,21 @@ def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
             E = array(code, E)
         for ones, start, stop in wholes:
             block = E[start:stop]
-            if width == 1:
+            if width == 1:  # a bytes search per new e1 finds its least lane
                 new = block.translate(None, seen[ones])
                 if not new:
                     continue
                 seen[ones] += new
                 new = set(new)
-            else:
-                new = set(block) - seen[ones]
+                lane = {e1: start + block.index(e1) for e1 in new}
+            else:  # one pass maps every e1 of the block to its least lane
+                lane = dict(zip(block[::-1], range(stop - 1, start - 1, -1)))
+                new = lane.keys() - seen[ones]
                 if not new:
                     continue
                 seen[ones] |= new
             for e1 in new:
-                first[ones, e1] = order[start + block.index(e1)] | h << low
+                first[ones, e1] = order[lane[e1]] | h << low
             cordial |= not new.isdisjoint(balanced)
         if cordial:
             break
@@ -288,6 +307,11 @@ def check_search_size(n: int, max_vertices: int) -> None:
             f"graph has {n} vertices; exhaustive search is capped at"
             f" {max_vertices} (raise max_vertices to override)"
         )
+
+
+def _bits(x: int, n: int) -> tuple[int, ...]:
+    """The labeling encoded by x on n vertices: bit i of x labels vertex i."""
+    return tuple(bin(x | 1 << n)[:2:-1].encode().translate(_BIT_BYTES))
 
 
 @cache
@@ -323,9 +347,8 @@ def _result(mode: str, g: MultiGraph, first) -> OracleResult:
             reason = InfinityReason.NO_FEASIBLE_AUGMENTATION
         return OracleResult(DeficiencyValue.infinite(reason), None, count)
     cost, canon, e1 = min(priced)
-    labels = tuple(canon >> i & 1 for i in range(n))
     repair = 0 if 2 * e1 > m else 1  # the minority edge label
-    cert = witness(mode, labels, cost, repair=repair, graph=g)
+    cert = witness(mode, _bits(canon, n), cost, repair=repair, graph=g)
     return OracleResult(DeficiencyValue.finite(cost), cert, count)
 
 
@@ -347,17 +370,14 @@ def solve(
         raise CordialError(f"measures must be among {', '.join(MEASURES)}, got {modes!r}")
     if not modes:
         return {}
-    n = g.n
+    n, m = g.n, g.m
     first = _scan(n, g.edges, modes)
-    friendly, _, balanced = _candidates(("cordial",), n, g.m)
-    cordial = [x for ones in friendly for e1 in balanced
-               if (x := first.get((ones, e1))) is not None]
+    rows, e1s = (n // 2, n - n // 2), (m // 2, m - m // 2)  # friendly, balanced
+    cordial = [x for ones in rows for e1 in e1s if (x := first.get((ones, e1))) is not None]
     if not cordial:
         return {mode: _result(mode, g, first) for mode in modes}
-    canon = min(cordial)
-    certs = cordial_witnesses(modes, tuple(canon >> i & 1 for i in range(n)), graph=g)
-    zero = DeficiencyValue.finite(0)
-    return {mode: OracleResult(zero, cert, _stream_size(n, mode))
+    certs = cordial_witnesses(modes, _bits(min(cordial), n), graph=g)
+    return {mode: OracleResult(_ZERO, cert, _stream_size(n, mode))
             for mode, cert in zip(modes, certs)}
 
 

@@ -294,6 +294,12 @@ def test_scan_part_matches_a_recount_on_any_high_range(lane_widths):
             full = _recount(g)
             for modes in _MODE_SETS:
                 (narrow if m < 256 else wide).append((g, modes, _priced(g, full, modes)))
+    # a dense multigraph on 2-byte lanes with no edge-balanced cell, so ced
+    # scans every high subset; its friendly row holds 57 distinct e1 values,
+    # each recorded at its least lane
+    g = _even_multigraph(14, 2, 400)
+    assert g.m == 414
+    wide.append((g, ("ced",), _priced(g, _recount(g), ("ced",))))
     cases = [c for pair in zip_longest(narrow, wide) for c in pair if c]
     for g, modes, want in cases * 2:
         assert _scan(g.n, g.edges, modes) == want
@@ -449,24 +455,34 @@ def test_scan_builds_beta_exactly_on_five_and_six_high_vertices(n, m_min, width,
     assert lane_widths == [width] * len(_MODE_SETS)
 
 
-def _planted_cordial_multigraph(n, seed):
+def _planted_cordial_multigraph(n, seed, h=None):
     """A multigraph on n vertices, cordial under a planted labeling whose high
-    subset holds the top high vertex t = n-2 alone.
+    subset is h: 0, or one high vertex t alone, by default the top one, n-2.
 
-    Vertex 0 links t to the pinned vertex n-1 and every other edge is
-    doubled, so t and n-1 are the only odd-degree vertices and e1 is odd
-    exactly when their labels differ. m/2 is odd, so every cordial labeling
-    with n-1 labeled 0 labels t with 1, and none has a lower high subset.
+    With a t, vertex 0 links t to the pinned vertex n-1 and every other edge
+    has an even multiplicity, so t and n-1 are the only odd-degree vertices
+    and e1 is odd exactly when their labels differ. m/2 is odd, so every
+    cordial labeling with n-1 labeled 0 labels t with 1, and none has a
+    lower high subset. Every high vertex and the pinned one also gets
+    multi-edges from two low vertices, one labeled like it and one not.
     """
     rng = random.Random(seed)
-    low = _split(n)[0]
-    ones = rng.sample(range(low), n // 2 - 1) + [n - 2]
+    low, high = _split(n)
+    if h is None:
+        h = 1 << (high - 1)
+    t = [low + h.bit_length() - 1] if h else []
+    ones = rng.sample(range(low), n // 2 - len(t)) + t
     labels = [int(v in ones) for v in range(n)]
     pairs = list(combinations(range(n), 2))
     mixed = [(u, v) for u, v in pairs if labels[u] != labels[v]]
     same = [(u, v) for u, v in pairs if labels[u] == labels[v]]
-    # m = 26 and the planted labeling puts 1 + 2 * 6 = m/2 edges on label 1
-    edges = [(0, n - 2), (0, n - 1)] + 2 * rng.sample(mixed, 6) + 2 * rng.sample(same, 6)
+    # the planted labeling puts 1 + 2 * 6 of these 26 edges on label 1, or 2 * 6 of 24
+    edges = [(0, v) for v in t + [n - 1] if t] + 2 * rng.sample(mixed, 6) + 2 * rng.sample(same, 6)
+    for v in range(low, n):  # c of the 2c edges below are on label 1, and 4 divides 2c
+        c = 2 * rng.randint(1, 3)
+        for like in (True, False):
+            u = rng.choice([u for u in range(low) if (labels[u] == labels[v]) == like])
+            edges += [(u, v)] * c
     g = MultiGraph(n, edges)
     assert is_cordial(g.edges, labels)
     return g
@@ -474,19 +490,23 @@ def _planted_cordial_multigraph(n, seed):
 
 @pytest.mark.parametrize("n", [13, 14])
 def test_scan_stops_at_the_witness_high_subset(n):
-    g = _planted_cordial_multigraph(n, n)
+    # the witness at high subset 0, where the scan builds none of the high
+    # part's terms, at 1, the first that reads them, and at the top
     low, high = _split(n)
-    top = 1 << (high - 1)  # the high subset of the planted labeling
-    for mode in MEASURES:
-        res = solve(g, (mode,))[mode]
-        best = _reference(g, mode, False)[1]
-        assert res.value.value == best[0] == 0
-        assert res.witness.labels == _labels(best[1], n)
-        assert best[1] >> low == top
-        first = _scan(n, g.edges, (mode,))
-        # nothing above the witness's high subset is scanned, all of it is
-        assert max(x >> low for x in first.values()) == top
-        assert first == _priced(g, _recount(g), (mode,))
+    for h in (0, 1, 1 << (high - 1)):
+        g = _planted_cordial_multigraph(n, n, h)
+        # multi-edges from the low part to every high vertex and the pinned one
+        assert {v for u, v in g.edges if u < low <= v and g.edges.count((u, v)) > 1} == set(range(low, n))
+        for mode in MEASURES:
+            res = solve(g, (mode,))[mode]
+            best = _reference(g, mode, False)[1]
+            assert res.value.value == best[0] == 0
+            assert res.witness.labels == _labels(best[1], n)
+            assert best[1] >> low == h
+            first = _scan(n, g.edges, (mode,))
+            # nothing above the witness's high subset is scanned, all of it is
+            assert max(x >> low for x in first.values()) == h
+            assert first == _priced(g, _recount(g), (mode,))
 
 
 def _key(res):
