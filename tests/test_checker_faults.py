@@ -22,6 +22,7 @@ import random
 from pathlib import Path
 
 from cordial.certify import MEASURES, Certificate, check_certificate
+from cordial.errors import CordialError
 from cordial.families import family_certificates
 from cordial.graph_core import FAMILIES, FamilySpec, MultiGraph
 from cordial.oracle import solve
@@ -142,7 +143,7 @@ def _bases(rng):
             try:
                 if FamilySpec(family, size).vertex_count > 10:
                     continue
-            except Exception:
+            except CordialError:  # below the family's least size
                 continue
             family_certs += [cert for _, cert in family_certificates(family, size)]
     while True:
