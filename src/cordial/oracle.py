@@ -211,8 +211,9 @@ def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
     g = 0  # each product below skips c = 1, where it would only copy the lanes
     out = [0] * low  # out[x] counts the edges from low vertex x out of the low part
     ends = [[] for _ in range(high)]  # ends[t]: (u, c) per low u with c edges to low + t
-    # edges are canonical and sorted, so the pairs ascend, and the pairs with
-    # both ends high, which only h > 0 reads, are their tail: left in items
+    # edges are canonical and sorted, so the pairs ascend and those with both
+    # ends high, which only h > 0 reads, are their tail: the pass stops at the
+    # first, kept in tail, and h = 1 resumes it from items
     items = iter(pairs.items())
     tail = ()
     for (u, v), c in items:

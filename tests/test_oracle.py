@@ -298,8 +298,9 @@ def test_scan_part_matches_a_recount_on_any_high_range(lane_widths):
     # scans every high subset; its friendly row holds 57 distinct e1 values,
     # each recorded at its least lane
     g = _even_multigraph(14, 2, 400)
-    assert g.m == 414
-    wide.append((g, ("ced",), _priced(g, _recount(g), ("ced",))))
+    want = _priced(g, _recount(g), ("ced",))
+    assert g.m == 414 and len(want) == 57
+    wide.append((g, ("ced",), want))
     cases = [c for pair in zip_longest(narrow, wide) for c in pair if c]
     for g, modes, want in cases * 2:
         assert _scan(g.n, g.edges, modes) == want
@@ -477,7 +478,8 @@ def _planted_cordial_multigraph(n, seed, h=None):
     mixed = [(u, v) for u, v in pairs if labels[u] != labels[v]]
     same = [(u, v) for u, v in pairs if labels[u] == labels[v]]
     # the planted labeling puts 1 + 2 * 6 of these 26 edges on label 1, or 2 * 6 of 24
-    edges = [(0, v) for v in t + [n - 1] if t] + 2 * rng.sample(mixed, 6) + 2 * rng.sample(same, 6)
+    edges = [(0, t[0]), (0, n - 1)] if t else []
+    edges += 2 * rng.sample(mixed, 6) + 2 * rng.sample(same, 6)
     for v in range(low, n):  # c of the 2c edges below are on label 1, and 4 divides 2c
         c = 2 * rng.randint(1, 3)
         for like in (True, False):
