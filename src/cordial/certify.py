@@ -23,7 +23,7 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable, NamedTuple
 
-from .errors import CordialError, MalformedCertificate, SelfCheckFailed, self_check
+from .errors import CordialError, MalformedCertificate, SelfCheckFailed
 from .graph_core import FAMILIES, FamilySpec, MultiGraph
 from .labeling import balance, first_pair_with_edge_label, parity_obstruction
 
@@ -226,10 +226,11 @@ def check_certificate(cert: Certificate, graph: MultiGraph | None = None) -> Ver
 
 
 def witness(kind: str, labels, value: int = 0, repair: int | None = None,
-            graph: MultiGraph | None = None, **ref) -> Certificate:
+            graph: MultiGraph | None = None, family=None, param=None, n=None,
+            edges=None) -> Certificate:
     """Build a kind witness on labels and check it; every witness comes from here.
 
-    ref is family=, param= or n=, edges=. graph, in place of ref, is a
+    The graph is family=, param= or n=, edges=. graph, in place of those, is a
     MultiGraph: its n and edges are the reference, and the check uses it
     unbuilt. A ced witness adds value copies of the first vertex pair whose
     induced label is repair; a cvd witness adds value isolated vertices of
@@ -237,28 +238,29 @@ def witness(kind: str, labels, value: int = 0, repair: int | None = None,
     maker and raises SelfCheckFailed.
     """
     if graph is not None:
-        ref = {"n": graph.n, "edges": graph.edges}
-    additions = {}
+        n, edges = graph.n, graph.edges
+    added_edges = added_labels = ()
     if value and kind == "ced":
         pair = first_pair_with_edge_label(labels, repair)
-        self_check(pair is not None, f"no vertex pair with induced label {repair}")
-        additions["added_edges"] = (pair,) * value
+        if pair is None:
+            raise SelfCheckFailed(f"no vertex pair with induced label {repair}")
+        added_edges = (pair,) * value
     elif value and kind == "cvd":
         minority = 0 if 2 * sum(labels) > len(labels) else 1
-        additions["added_vertex_labels"] = (minority,) * value
-    cert = Certificate(kind, labels, value, **additions, **ref)
+        added_labels = (minority,) * value
+    cert = Certificate(kind, labels, value, family, param, n, edges, added_edges, added_labels)
     try:
         verdict = check_certificate(cert, graph=graph)
     except MalformedCertificate as exc:
         raise SelfCheckFailed(f"{kind} witness malformed: {exc}") from None
-    self_check(verdict.accepted, f"{kind} witness rejected: {verdict.reason}")
+    if not verdict.accepted:
+        raise SelfCheckFailed(f"{kind} witness rejected: {verdict.reason}")
     return cert
 
 
-def cordial_witnesses(kinds, labels, graph: MultiGraph | None = None,
-                      **ref) -> tuple[Certificate, ...]:
-    """witness(kind, labels, graph=graph, **ref) for each of kinds, in order,
-    from one check.
+def cordial_witnesses(kinds, labels, graph: MultiGraph) -> tuple[Certificate, ...]:
+    """witness(kind, labels, graph=graph) for each of kinds, in order, from
+    one check.
 
     At value 0 the verdict cannot depend on the kind: no kind lists an
     addition, and the rule then reads only the labeled graph, which the
@@ -266,8 +268,9 @@ def cordial_witnesses(kinds, labels, graph: MultiGraph | None = None,
     kind's certificate is that one under its own kind. kinds must be a
     nonempty sequence of MEASURES.
     """
-    self_check(bool(kinds) and set(kinds) <= set(MEASURES), f"bad kinds {kinds!r}")
-    cert = witness(kinds[0], labels, graph=graph, **ref)
+    if not (kinds and set(kinds) <= set(MEASURES)):
+        raise SelfCheckFailed(f"bad kinds {kinds!r}")
+    cert = witness(kinds[0], labels, graph=graph)
     return tuple(cert if kind == cert.kind else cert._replace(kind=kind) for kind in kinds)
 
 

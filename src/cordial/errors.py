@@ -47,9 +47,3 @@ class MalformedCertificate(CordialError):
 
 class SelfCheckFailed(CordialError):
     """An internal invariant failed: a bug in this package, not a bad input."""
-
-
-def self_check(ok: bool, what: str) -> None:
-    """Raise SelfCheckFailed(what) unless ok; unlike assert, survives python -O."""
-    if not ok:
-        raise SelfCheckFailed(what)

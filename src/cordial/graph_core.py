@@ -1,17 +1,19 @@
 """Loopless multigraphs, the graph families under study, and the edge-list parser.
 
 Vertices are dense 0-based ids. Graphs are valid by construction and immutable
-once built, so one instance can be shared by any number of callers. MultiGraph
-checks a caller's graph; only the generators and parse_edge_list, whose edges
-are integer and in range already, build through MultiGraph._unchecked, and
-they hand it canonical (u < v) pairs in sorted order. FamilySpec.build runs
-its generator on every call; no member is kept here.
+once built, so one instance can be shared by any number of callers. Each
+holds its pair table, counted once where it is built. MultiGraph checks a
+caller's graph; only the generators and parse_edge_list, whose edges are
+integer and in range already, skip the checks: parse_edge_list hands
+MultiGraph._unchecked canonical (u < v) sorted pairs, whose repeats it
+counts, and the generators hand MultiGraph._simple distinct ones.
+FamilySpec.build runs its generator on every call; no member is kept here.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -25,11 +27,17 @@ def _integer(value, what: str) -> int:
     return value
 
 
-class MultiGraph(namedtuple("MultiGraph", "n edges")):
+class MultiGraph(namedtuple("MultiGraph", "n edges pairs repeats mu")):
     """A loopless multigraph: a vertex count plus a multiset of unordered edges.
 
     Edges are stored (min, max)-ordered and sorted, which makes equality and
     iteration order deterministic. Parallel edges are kept with multiplicity.
+    The pair table holds them once each: pairs, the distinct edges in the
+    same order; repeats, (i, k) for each pair i with k > 0 copies past its
+    first, in ascending i; and mu, the largest multiplicity (0 with no
+    edge). So a simple graph's table is its edges and no repeat. The table
+    is derived from edges, so equality, hashing and pickling mean what n and
+    edges mean, and _make and _replace read only n and edges.
     """
 
     __slots__ = ()
@@ -49,17 +57,35 @@ class MultiGraph(namedtuple("MultiGraph", "n edges")):
 
     @classmethod
     def _unchecked(cls, n: int, edges) -> MultiGraph:
-        """Wrap pairs the package built as they come; no checks, no reorder.
+        """Wrap pairs the package built as they come, counting their repeats;
+        no checks, no reorder.
 
         The caller's pairs are integer, in range, canonical (u < v) and
-        sorted, as the generators and parse_edge_list make them.
+        sorted, as parse_edge_list makes them, so the counted pairs ascend.
         """
-        return tuple.__new__(cls, (n, tuple(edges)))
+        edges = tuple(edges)
+        counts = Counter(edges)
+        if len(counts) == len(edges):
+            return cls._simple(n, edges)
+        repeats = tuple((i, c - 1) for i, c in enumerate(counts.values()) if c > 1)
+        return tuple.__new__(cls, (n, edges, tuple(counts), repeats, max(counts.values())))
+
+    @classmethod
+    def _simple(cls, n: int, edges) -> MultiGraph:
+        """_unchecked for distinct pairs, as the generators make them: the
+        edge tuple is the pair tuple, copied nowhere, with no repeat."""
+        edges = tuple(edges)
+        return tuple.__new__(cls, (n, edges, edges, (), min(1, len(edges))))
 
     @classmethod
     def _make(cls, iterable) -> MultiGraph:
-        # _replace builds through _make, which would skip the checks above
-        return cls(*iterable)
+        # _replace builds through _make, which would skip the checks above;
+        # the pair table follows from the edges, so it is counted again
+        n, edges, *_ = iterable
+        return cls(n, edges)
+
+    def __getnewargs__(self):
+        return self.n, self.edges  # a copy or an unpickled graph is checked again
 
     @property
     def m(self) -> int:
@@ -68,9 +94,13 @@ class MultiGraph(namedtuple("MultiGraph", "n edges")):
     @property
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
-        for u, v in self.edges:
+        for u, v in self.pairs:
             deg[u] += 1
             deg[v] += 1
+        for i, k in self.repeats:
+            u, v = self.pairs[i]
+            deg[u] += k
+            deg[v] += k
         return tuple(deg)
 
 
@@ -78,7 +108,7 @@ def complete_graph(n: int) -> MultiGraph:
     """K_n: every unordered pair of the n vertices is an edge."""
     if _integer(n, "n") < 1:
         raise SizeTooSmall("complete graphs need n >= 1")
-    return MultiGraph._unchecked(n, combinations(range(n), 2))
+    return MultiGraph._simple(n, combinations(range(n), 2))
 
 
 def cycle_graph(n: int) -> MultiGraph:
@@ -86,14 +116,14 @@ def cycle_graph(n: int) -> MultiGraph:
     if _integer(n, "n") < 3:
         raise SizeTooSmall("cycles need n >= 3")
     edges = [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)]
-    return MultiGraph._unchecked(n, edges)
+    return MultiGraph._simple(n, edges)
 
 
 def path_graph(n: int) -> MultiGraph:
     """P_n on n >= 1 vertices, so n - 1 edges."""
     if _integer(n, "n") < 1:
         raise SizeTooSmall("paths need n >= 1")
-    return MultiGraph._unchecked(n, ((i, i + 1) for i in range(n - 1)))
+    return MultiGraph._simple(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def ladder_graph(k: int) -> MultiGraph:
@@ -105,7 +135,7 @@ def ladder_graph(k: int) -> MultiGraph:
         edges += [(i, i + 1), (i, k + i)]
     edges.append((k - 1, 2 * k - 1))
     edges += [(k + i, k + i + 1) for i in range(k - 1)]
-    return MultiGraph._unchecked(2 * k, edges)
+    return MultiGraph._simple(2 * k, edges)
 
 
 def mobius_ladder(k: int) -> MultiGraph:
@@ -120,7 +150,7 @@ def mobius_ladder(k: int) -> MultiGraph:
     for i in range(1, k):
         edges += [(i, i + 1), (i, i + k)]
     edges += [(i, i + 1) for i in range(k, 2 * k - 1)]
-    return MultiGraph._unchecked(2 * k, edges)
+    return MultiGraph._simple(2 * k, edges)
 
 
 def wheel_graph(n: int) -> MultiGraph:
@@ -131,7 +161,7 @@ def wheel_graph(n: int) -> MultiGraph:
     for i in range(1, n - 1):
         edges += [(i, i + 1), (i, n)]
     edges.append((n - 1, n))
-    return MultiGraph._unchecked(n + 1, edges)
+    return MultiGraph._simple(n + 1, edges)
 
 
 class _Generator(NamedTuple):
@@ -203,7 +233,8 @@ def parse_edge_list(text: str) -> MultiGraph:
     separated by single spaces. Loops and out-of-range ids raise their own
     error types, everything else malformed raises ParseError with the line.
     The pairs are ordered (u < v) and sorted here, as MultiGraph._unchecked
-    expects them.
+    expects them; it counts their repeats into the graph's pair table, the
+    one count of this graph's edges.
     """
     header = None
     n = m = 0

@@ -1,5 +1,7 @@
 """Balance accounting of binary vertex labelings, and the degree-parity
-noncordiality test. A labeling is a tuple of bits, bit i labeling vertex i."""
+noncordiality test. A labeling is a tuple of bits, bit i labeling vertex i.
+Both read a graph's pair table, so each sums multiplicities over the distinct
+vertex pairs instead of visiting every parallel edge."""
 
 from __future__ import annotations
 
@@ -33,11 +35,16 @@ class BalanceReport(NamedTuple):
 
 
 def balance(g: MultiGraph, f: tuple[int, ...]) -> BalanceReport:
-    """Exact label counts of the bit sequence f; edges count with multiplicity."""
+    """Exact label counts of the bit sequence f; edges count with multiplicity.
+
+    e1 counts the distinct pairs whose ends differ, plus the copies past the
+    first of each repeated one.
+    """
     if len(f) != g.n:
         raise LengthMismatch(f"labeling has {len(f)} bits for a graph on {g.n} vertices")
     v1 = sum(f)
-    e1 = sum([f[u] ^ f[v] for u, v in g.edges])
+    differ = [f[u] ^ f[v] for u, v in g.pairs]
+    e1 = differ.count(1) + sum([k for i, k in g.repeats if differ[i]])
     return BalanceReport(v0=g.n - v1, v1=v1, e0=g.m - e1, e1=e1)
 
 

@@ -35,21 +35,23 @@ The scan kernel splits the free vertices 0..n-2 into a low part of at most
 LOW_BITS vertices and a high part holding the rest. For one high subset h a
 single big int holds the e1 of every low subset l, one fixed-width lane per
 l: e1 = alpha(l) + beta(h) - 2 w(l, h), where alpha and beta count the edges
-leaving l and h and w those between them. One pass over the distinct vertex
-pairs and their multiplicities builds alpha and gathers what w and beta
-need. A low pair (u, v) of multiplicity c adds c to the lanes holding
-exactly one of u and v; the edges from a low vertex out of the low part add
-their count to the lanes holding it, and are kept per high end. The pairs
-ascend, so those with both ends high are the pass's tail, left unread until
-the scan passes h = 0. All of the high part's terms are built then: the
-high vertices' degrees, the bit masks of their edges among themselves and
-w's packed steps. beta(h) is built as h ascends, from beta(h & (h - 1)), so
-a scan that stops at h = 0 builds none of them. Lanes are 1, 2 or 4
-bytes, the least that holds cap = min(m, mu * (n//2) * ((n+1)//2)), where
-mu is the largest multiplicity: e1 counts the edges across one cut, and a
-cut separates at most (n//2) * ((n+1)//2) pairs. Packing is linear, so a
-lane may overflow while the terms are summed, yet every final lane lies in
-0..cap and the bytes of the sum are the lanes. Lanes are grouped by
+leaving l and h and w those between them. One pass over the graph's pair
+table, its distinct vertex pairs and their multiplicities, builds alpha and
+gathers what w and beta need; the table is counted where the graph is
+built, so a scan counts no edge. A low pair (u, v) of multiplicity c adds c
+to the lanes holding exactly one of u and v; the edges from a low vertex
+out of the low part add their count to the lanes holding it, and are kept
+per high end. The pairs ascend, so those with both ends high are the pass's
+tail, left unread until the scan passes h = 0. All of the high part's terms
+are built then: the high vertices' degrees, the bit masks of their edges
+among themselves and w's packed steps. beta(h) is built as h ascends, from
+beta(h & (h - 1)), so a scan that stops at h = 0 builds none of them. Lanes
+are 1, 2 or 4 bytes, the least that holds cap = min(m, mu * (n//2) *
+((n+1)//2)), where mu is the graph's largest multiplicity: e1 counts the
+edges across one cut, and a cut separates at most (n//2) * ((n+1)//2)
+pairs. Packing is linear, so a lane may overflow while the terms are
+summed, yet every final lane lies in 0..cap and the bytes of the sum are
+the lanes. Lanes are grouped by
 popcount, ascending inside a group, so each ones count is one byte range.
 The groups whose rows need only their edge-balanced e1 values form at most
 two runs of bytes, below and above the rows that need every e1. These
@@ -71,7 +73,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter
 from functools import cache
 from itertools import accumulate, chain, groupby
 from math import comb
@@ -184,8 +185,8 @@ def _pack(values, code: str) -> int:
     return int.from_bytes(array(code, values).tobytes(), sys.byteorder)
 
 
-def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
-    """Scan the labelings of the stream that modes scan, vertex n-1 at 0.
+def _scan(graph: MultiGraph, modes) -> dict[tuple[int, int], int]:
+    """Scan graph's labelings of the stream that modes scan, vertex n-1 at 0.
 
     Returns first, mapping each reached candidate cell of modes, as
     _candidates places them, to the least encoding reaching it. The scan
@@ -194,13 +195,12 @@ def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
     least that holds cap, the cut bound of the module docstring. Each high
     subset makes one aligned search per balanced e1 over each of the cached
     spans of _plans, and reads the rows of whole from their groups' lanes.
-    edges must be canonical (u < v) and sorted, as a MultiGraph holds them.
+    The pairs are read off graph's pair table, canonical (u < v) and
+    ascending.
     """
+    n, m, mu = graph.n, graph.m, graph.mu
     low, high = _split(n)
-    m = len(edges)
     rows, whole, balanced = _candidates(modes, n, m)
-    pairs = Counter(edges)  # in ascending order
-    mu = max(pairs.values(), default=0)
     cap = min(m, mu * (n // 2) * ((n + 1) // 2))
     width = next(w for w in _LANE_CODES if cap < 1 << 8 * w)
     order, code, ones_lanes, ind = _lanes(low, width)
@@ -211,10 +211,13 @@ def _scan(n: int, edges, modes) -> dict[tuple[int, int], int]:
     g = 0  # each product below skips c = 1, where it would only copy the lanes
     out = [0] * low  # out[x] counts the edges from low vertex x out of the low part
     ends = [[] for _ in range(high)]  # ends[t]: (u, c) per low u with c edges to low + t
-    # edges are canonical and sorted, so the pairs ascend and those with both
-    # ends high, which only h > 0 reads, are their tail: the pass stops at the
-    # first, kept in tail, and h = 1 resumes it from items
-    items = iter(pairs.items())
+    mults = [1] * len(graph.pairs)  # each pair's multiplicity, from the table's repeats
+    for i, k in graph.repeats:
+        mults[i] += k
+    # the pairs are canonical and ascend, so those with both ends high, which
+    # only h > 0 reads, are their tail: the pass stops at the first, kept in
+    # tail, and h = 1 resumes it from items
+    items = zip(graph.pairs, mults)
     tail = ()
     for (u, v), c in items:
         if v < low:  # in a lane exactly when one end is in its subset
@@ -372,7 +375,7 @@ def solve(
     if not modes:
         return {}
     n, m = g.n, g.m
-    first = _scan(n, g.edges, modes)
+    first = _scan(g, modes)
     rows, e1s = (n // 2, n - n // 2), (m // 2, m - m // 2)  # friendly, balanced
     cordial = [x for ones in rows for e1 in e1s if (x := first.get((ones, e1))) is not None]
     if not cordial:

@@ -9,13 +9,14 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from strategies import multigraphs
+from strategies import labeled_multigraphs, multigraphs
 
 import cordial
 from cordial import (
@@ -150,11 +151,12 @@ def test_every_generator_builds_what_the_checked_constructor_builds():
     ("path", 300), ("ladder", 300),
 ])
 def test_generators_emit_canonical_sorted_edges(family, top):
-    # MultiGraph._unchecked wraps the generator's pairs as they come
+    # MultiGraph._simple wraps the generator's pairs as they come, as the
+    # pairs of a simple graph, so they must also be distinct
     for size in range(MIN_SIZE[family], top + 1):
         edges = FamilySpec(family, size).build().edges
         assert all(u < v for u, v in edges), (family, size)
-        assert edges == tuple(sorted(edges)), (family, size)
+        assert edges == tuple(sorted(set(edges))), (family, size)
 
 
 def test_alternating_family_builds_are_never_stale():
@@ -342,6 +344,49 @@ def test_parsed_graph_equals_the_checked_build(g):
     # the pairs as MultiGraph does; the text lists each edge flipped, in reverse
     text = f"{g.n} {g.m}\n" + "".join(f"{v} {u}\n" for u, v in reversed(g.edges))
     assert parse_edge_list(text) == MultiGraph(g.n, g.edges)
+
+
+def _assert_table_recounts(g, labels):
+    """g's pair table, m, degrees and balance against per-edge counts over
+    g.edges, which never read the table."""
+    counts = sorted(Counter(g.edges).items())
+    assert g.pairs == tuple(pair for pair, _ in counts)
+    assert g.repeats == tuple((i, c - 1) for i, (_, c) in enumerate(counts) if c > 1)
+    assert g.mu == max((c for _, c in counts), default=0)
+    # a simple graph's edge tuple is its pair tuple, copied nowhere
+    assert (g.pairs is g.edges) == (not g.repeats)
+    assert g.m == len(g.edges) == sum(c for _, c in counts)
+    deg = [0] * g.n
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    assert g.degrees == tuple(deg)
+    e1 = sum(1 for u, v in g.edges if labels[u] != labels[v])
+    v1 = labels.count(1)
+    assert balance(g, labels) == (g.n - v1, v1, g.m - e1, e1)
+
+
+@given(labeled_multigraphs(min_n=0, max_n=12, max_m=60))
+def test_the_pair_table_matches_a_per_edge_recount(labeled):
+    g, labels = labeled
+    text = f"{g.n} {g.m}\n" + "".join(f"{v} {u}\n" for u, v in reversed(g.edges))
+    for built in (g, parse_edge_list(text)):
+        _assert_table_recounts(built, labels)
+
+
+def test_the_pair_table_of_every_family_member_and_the_edge_cases():
+    rng = random.Random(12)
+    graphs = [FamilySpec(family, size).build()
+              for family in FAMILIES for size in range(MIN_SIZE[family], 61)]
+    graphs += [MultiGraph(0, ()), MultiGraph(1, ()), parse_edge_list("0 0\n"),
+               parse_edge_list("1 0\n"), MultiGraph(2, [(1, 0)] * 3)]
+    # the 33,001-parallel-edge star of the oracle's four-byte-lane test
+    star = [(0, 4)] * 33001 + [(v, 4) for v in (1, 2, 3) for _ in range(11000)]
+    graphs.append(MultiGraph(5, star))
+    for g in graphs:
+        _assert_table_recounts(g, tuple(rng.randrange(2) for _ in range(g.n)))
+    assert graphs[-1].repeats == ((0, 33000), (1, 10999), (2, 10999), (3, 10999))
+    assert graphs[-1].mu == 33001
 
 
 def test_parse_accepts_comments_anywhere():

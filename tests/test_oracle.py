@@ -227,7 +227,7 @@ def test_scan_matches_reference_in_every_mode_and_plan(g):
 
     for mode in refs:
         check(mode, _alone(g, mode))
-        check(mode, _result(mode, g, _scan(g.n, g.edges, (mode,))))
+        check(mode, _result(mode, g, _scan(g, (mode,))))
 
 
 def _recount(g):
@@ -303,7 +303,7 @@ def test_scan_part_matches_a_recount_on_any_high_range(lane_widths):
     wide.append((g, ("ced",), want))
     cases = [c for pair in zip_longest(narrow, wide) for c in pair if c]
     for g, modes, want in cases * 2:
-        assert _scan(g.n, g.edges, modes) == want
+        assert _scan(g, modes) == want
     assert lane_widths == [1 if g.m < 256 else 2 for g, _, _ in cases] * 2
 
 
@@ -320,7 +320,7 @@ def test_scan_part_is_exact_when_degree_sums_overflow_a_lane(m, lane_widths):
     assert _split(13) == (10, 2)
     full = _recount(g)
     for modes in _MODE_SETS:
-        assert _scan(g.n, g.edges, modes) == _priced(g, full, modes)
+        assert _scan(g, modes) == _priced(g, full, modes)
     assert lane_widths == [1 if m < 256 else 2] * len(_MODE_SETS)
 
 
@@ -332,7 +332,7 @@ def test_scan_packs_one_byte_lanes_when_no_cut_reaches_256_edges(lane_widths):
     assert g.m == 260
     full = _recount(g)
     for modes in _MODE_SETS:
-        assert _scan(g.n, g.edges, modes) == _priced(g, full, modes)
+        assert _scan(g, modes) == _priced(g, full, modes)
     assert lane_widths == [1] * len(_MODE_SETS)
 
 
@@ -344,7 +344,7 @@ def test_balanced_lookup_stays_inside_its_popcount_group(c, width, lane_widths):
     # Row 6 is friendly, so the scan stops at high subset 0. c = 22 gives
     # m = 264 and 2-byte lanes
     g = MultiGraph(13, [(v, 12) for v in range(12) for _ in range(c)])
-    assert _scan(g.n, g.edges, ("cvd",)) == {(6, 6 * c): 0b111111}
+    assert _scan(g, ("cvd",)) == {(6, 6 * c): 0b111111}
     assert lane_widths == [width]
 
 
@@ -366,7 +366,7 @@ def test_scan_matches_a_recount_on_four_byte_lanes(lane_widths):
     full = _recount(g)
     assert full[1, 33001] == 0b1 and full[3, 33000] == 0b1110
     for modes in _MODE_SETS:
-        assert _scan(g.n, g.edges, modes) == _priced(g, full, modes)
+        assert _scan(g, modes) == _priced(g, full, modes)
     assert lane_widths == [4] * len(_MODE_SETS)
 
 
@@ -379,7 +379,7 @@ def test_span_search_skips_a_match_straddling_two_lanes(lane_widths):
     g = MultiGraph(5, [(0, 1)] * 100 + [(0, 4)] * 157 + [(1, 4)] * 99 + [(2, 3)] * 156)
     assert _lane_e1(g, 0) == [0, 257, 199, 256]
     for modes in _MODE_SETS:
-        assert _scan(g.n, g.edges, modes) == _priced(g, _recount(g), modes) == {(2, 256): 0b11}
+        assert _scan(g, modes) == _priced(g, _recount(g), modes) == {(2, 256): 0b11}
     assert lane_widths == [2] * len(_MODE_SETS)
 
 
@@ -393,7 +393,7 @@ def test_span_search_goes_on_past_a_cell_recorded_before():
     assert full[1, 3] >> low == 1 and full[2, 3] >> low == 2
     assert _lane_e1(g, 2)[0] == 3
     for modes in _MODE_SETS:
-        assert _scan(g.n, g.edges, modes) == _priced(g, full, modes)
+        assert _scan(g, modes) == _priced(g, full, modes)
 
 
 def test_span_search_covers_runs_below_and_above_whole_rows():
@@ -410,7 +410,7 @@ def test_span_search_covers_runs_below_and_above_whole_rows():
     assert {(ones, x >> low) for (ones, _), x in cells.items()} == {
         (1, 0), (9, 0), (2, 1), (10, 1), (3, 3), (11, 3)}
     for modes in _MODE_SETS:
-        assert _scan(g.n, g.edges, modes) == _priced(g, full, modes)
+        assert _scan(g, modes) == _priced(g, full, modes)
 
 
 def _even_multigraph(n, seed, m_min):
@@ -452,7 +452,7 @@ def test_scan_builds_beta_exactly_on_five_and_six_high_vertices(n, m_min, width,
     whole = _priced(g, full, ("ced",))
     assert max(x >> low for x in whole.values()) == (1 << high) - 1
     for modes in _MODE_SETS:
-        assert _scan(g.n, g.edges, modes) == _priced(g, full, modes)
+        assert _scan(g, modes) == _priced(g, full, modes)
     assert lane_widths == [width] * len(_MODE_SETS)
 
 
@@ -505,7 +505,7 @@ def test_scan_stops_at_the_witness_high_subset(n):
             assert res.value.value == best[0] == 0
             assert res.witness.labels == _labels(best[1], n)
             assert best[1] >> low == h
-            first = _scan(n, g.edges, (mode,))
+            first = _scan(g, (mode,))
             # nothing above the witness's high subset is scanned, all of it is
             assert max(x >> low for x in first.values()) == h
             assert first == _priced(g, _recount(g), (mode,))
