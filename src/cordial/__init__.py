@@ -27,8 +27,7 @@ _HOMES = {
                      " is_cordial_complete is_cordial_cycle is_cordial_mobius"
                      " is_cordial_wheel mobius_ced_witness mobius_cvd_witness"
                      " wheel_cordial_labeling wheel_ced_witness wheel_cvd_witness"),
-        ("graph_core", "FAMILIES MIN_SIZE FamilySpec MultiGraph complete_graph cycle_graph"
-                       " ladder_graph mobius_ladder parse_edge_list path_graph wheel_graph"),
+        ("graph_core", "FAMILIES MIN_SIZE FamilySpec MultiGraph parse_edge_list"),
         ("labeling", "BalanceReport balance first_pair_with_edge_label parity_obstruction"),
         ("oracle", "OracleResult solve"),
     )

@@ -75,8 +75,8 @@ class DeficiencyValue(NamedTuple):
 class Certificate(NamedTuple):
     """A labeling-based upper-bound witness for one graph.
 
-    The graph is given either as a (family, param) reference, expanded by the
-    generators at check time, or as an explicit (n, edges) pair; when both are
+    The graph is given either as a (family, param) reference, expanded by
+    FamilySpec.build at check time, or as an explicit (n, edges) pair; when both are
     present they must agree. The annotations are the checker's type rule:
     labels and added_vertex_labels are tuples of ints, and added_edges and
     edges tuples of 2-tuples, so each field serializes and parses back equal.
@@ -202,20 +202,18 @@ def check_certificate(cert: Certificate, graph: MultiGraph | None = None) -> Ver
     cross_validate row that is running, which the row built once already.
     """
     g = _structural_check(cert, graph)
-    v0, v1, e0, e1 = balance(g, cert.labels)
-    counts = (v0, v1), (e0, e1)
+    f = cert.labels
+    v0, v1, e0, e1 = balance(g, f)
+    vertices, edges = counts = [v0, v1], [e0, e1]
+    for b in cert.added_vertex_labels:
+        vertices[b] += 1
     bad_edge = ""
-    if cert.added_vertex_labels or cert.added_edges:  # count what each adds
-        f = cert.labels
-        vertices, edges = counts = [v0, v1], [e0, e1]
-        for b in cert.added_vertex_labels:
-            vertices[b] += 1
-        for u, v in cert.added_edges:
-            if u == v or not (0 <= u < g.n and 0 <= v < g.n):
-                bad_edge = f"added edge ({u}, {v}) " + (
-                    "is a loop" if u == v else f"outside 0..{g.n - 1}")
-                break
-            edges[f[u] ^ f[v]] += 1
+    for u, v in cert.added_edges:
+        if u == v or not (0 <= u < g.n and 0 <= v < g.n):
+            bad_edge = f"added edge ({u}, {v}) " + (
+                "is a loop" if u == v else f"outside 0..{g.n - 1}")
+            break
+        edges[f[u] ^ f[v]] += 1
     for i, fault, repaired in _TESTS[cert.kind]:
         if repaired and bad_edge:
             return Verdict(False, bad_edge)
@@ -226,19 +224,17 @@ def check_certificate(cert: Certificate, graph: MultiGraph | None = None) -> Ver
 
 
 def witness(kind: str, labels, value: int = 0, repair: int | None = None,
-            graph: MultiGraph | None = None, family=None, param=None, n=None,
-            edges=None) -> Certificate:
+            graph: MultiGraph | None = None, family=None, param=None) -> Certificate:
     """Build a kind witness on labels and check it; every witness comes from here.
 
-    The graph is family=, param= or n=, edges=. graph, in place of those, is a
-    MultiGraph: its n and edges are the reference, and the check uses it
-    unbuilt. A ced witness adds value copies of the first vertex pair whose
-    induced label is repair; a cvd witness adds value isolated vertices of
-    the minority label. A rejected or malformed certificate is a bug in its
-    maker and raises SelfCheckFailed.
+    The graph is family=, param= or graph=, a MultiGraph: its n and edges
+    are the reference, and the check uses it unbuilt. A ced witness adds
+    value copies of the first vertex pair whose induced label is repair; a
+    cvd witness adds value isolated vertices of the minority label. A
+    rejected or malformed certificate is a bug in its maker and raises
+    SelfCheckFailed.
     """
-    if graph is not None:
-        n, edges = graph.n, graph.edges
+    n, edges = (None, None) if graph is None else (graph.n, graph.edges)
     added_edges = added_labels = ()
     if value and kind == "ced":
         pair = first_pair_with_edge_label(labels, repair)
@@ -356,12 +352,22 @@ def serialize_certificate(cert: Certificate) -> str:
     return text
 
 
+def _json_object(pairs) -> dict:
+    """json.loads's object hook: a key given twice is malformed, not overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedCertificate(f"duplicate key: {key}")
+        obj[key] = value
+    return obj
+
+
 def parse_certificate(text: str) -> Certificate:
     """Inverse of serialize_certificate; shape problems raise MalformedCertificate."""
     import json
 
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_json_object)
     except (ValueError, RecursionError) as exc:
         raise MalformedCertificate(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):

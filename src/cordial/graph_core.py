@@ -3,11 +3,12 @@
 Vertices are dense 0-based ids. Graphs are valid by construction and immutable
 once built, so one instance can be shared by any number of callers. Each
 holds its pair table, counted once where it is built. MultiGraph checks a
-caller's graph; only the generators and parse_edge_list, whose edges are
-integer and in range already, skip the checks: parse_edge_list hands
+caller's graph; only the family builders and parse_edge_list, whose edges
+are integer and in range already, skip the checks: parse_edge_list hands
 MultiGraph._unchecked canonical (u < v) sorted pairs, whose repeats it
-counts, and the generators hand MultiGraph._simple distinct ones.
-FamilySpec.build runs its generator on every call; no member is kept here.
+counts, and the builders hand MultiGraph._simple distinct ones. A family
+member is built only by FamilySpec(family, size).build(), which runs its
+builder on every call; no member is kept here.
 """
 
 from __future__ import annotations
@@ -65,15 +66,14 @@ class MultiGraph(namedtuple("MultiGraph", "n edges pairs repeats mu")):
         """
         edges = tuple(edges)
         counts = Counter(edges)
-        if len(counts) == len(edges):
-            return cls._simple(n, edges)
         repeats = tuple((i, c - 1) for i, c in enumerate(counts.values()) if c > 1)
-        return tuple.__new__(cls, (n, edges, tuple(counts), repeats, max(counts.values())))
+        mu = max(counts.values(), default=0)
+        return tuple.__new__(cls, (n, edges, tuple(counts), repeats, mu))
 
     @classmethod
     def _simple(cls, n: int, edges) -> MultiGraph:
-        """_unchecked for distinct pairs, as the generators make them: the
-        edge tuple is the pair tuple, copied nowhere, with no repeat."""
+        """_unchecked for distinct pairs, as the family builders make them:
+        the edge tuple is the pair tuple, copied nowhere, with no repeat."""
         edges = tuple(edges)
         return tuple.__new__(cls, (n, edges, edges, (), min(1, len(edges))))
 
@@ -94,42 +94,30 @@ class MultiGraph(namedtuple("MultiGraph", "n edges pairs repeats mu")):
     @property
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
-        for u, v in self.pairs:
+        for u, v in self.edges:
             deg[u] += 1
             deg[v] += 1
-        for i, k in self.repeats:
-            u, v = self.pairs[i]
-            deg[u] += k
-            deg[v] += k
         return tuple(deg)
 
 
-def complete_graph(n: int) -> MultiGraph:
+def _complete(n: int) -> MultiGraph:
     """K_n: every unordered pair of the n vertices is an edge."""
-    if _integer(n, "n") < 1:
-        raise SizeTooSmall("complete graphs need n >= 1")
     return MultiGraph._simple(n, combinations(range(n), 2))
 
 
-def cycle_graph(n: int) -> MultiGraph:
-    """C_n for n >= 3, vertices in cyclic order."""
-    if _integer(n, "n") < 3:
-        raise SizeTooSmall("cycles need n >= 3")
+def _cycle(n: int) -> MultiGraph:
+    """C_n, vertices in cyclic order."""
     edges = [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)]
     return MultiGraph._simple(n, edges)
 
 
-def path_graph(n: int) -> MultiGraph:
-    """P_n on n >= 1 vertices, so n - 1 edges."""
-    if _integer(n, "n") < 1:
-        raise SizeTooSmall("paths need n >= 1")
+def _path(n: int) -> MultiGraph:
+    """P_n on n vertices, so n - 1 edges."""
     return MultiGraph._simple(n, ((i, i + 1) for i in range(n - 1)))
 
 
-def ladder_graph(k: int) -> MultiGraph:
+def _ladder(k: int) -> MultiGraph:
     """The ladder P_2 x P_k: rails 0..k-1 and k..2k-1 joined by k rungs."""
-    if _integer(k, "k") < 1:
-        raise SizeTooSmall("ladders need k >= 1")
     edges = []
     for i in range(k - 1):
         edges += [(i, i + 1), (i, k + i)]
@@ -138,14 +126,9 @@ def ladder_graph(k: int) -> MultiGraph:
     return MultiGraph._simple(2 * k, edges)
 
 
-def mobius_ladder(k: int) -> MultiGraph:
-    """The Mobius ladder M_k: a 2k-cycle plus the k cross-edges (i, i+k).
-
-    3-regular with 3k edges. k = 2 is rejected: its cross-edges would
-    duplicate cycle chords and the family facts below assume k >= 3.
-    """
-    if _integer(k, "k") < 3:
-        raise SizeTooSmall("mobius ladders need k >= 3")
+def _mobius(k: int) -> MultiGraph:
+    """The Mobius ladder M_k: a 2k-cycle plus the k cross-edges (i, i+k);
+    3-regular with 3k edges."""
     edges = [(0, 1), (0, k), (0, 2 * k - 1)]
     for i in range(1, k):
         edges += [(i, i + 1), (i, i + k)]
@@ -153,10 +136,8 @@ def mobius_ladder(k: int) -> MultiGraph:
     return MultiGraph._simple(2 * k, edges)
 
 
-def wheel_graph(n: int) -> MultiGraph:
+def _wheel(n: int) -> MultiGraph:
     """W_n: an n-cycle on 0..n-1 plus a center vertex n joined to the rim."""
-    if _integer(n, "n") < 3:
-        raise SizeTooSmall("wheels need n >= 3")
     edges = [(0, 1), (0, n - 1), (0, n)]
     for i in range(1, n - 1):
         edges += [(i, i + 1), (i, n)]
@@ -166,18 +147,19 @@ def wheel_graph(n: int) -> MultiGraph:
 
 class _Generator(NamedTuple):
     build: Callable[[int], MultiGraph]
-    min_size: int  # smallest size parameter build accepts
+    min_size: int  # the family's one minimum size, which FamilySpec checks
     vertices: Callable[[int], int]  # vertex count of the member, without building it
     edges: Callable[[int], int]  # edge count of the member, without building it
 
 
 _GENERATORS = {
-    "complete": _Generator(complete_graph, 1, lambda n: n, lambda n: n * (n - 1) // 2),
-    "cycle": _Generator(cycle_graph, 3, lambda n: n, lambda n: n),
-    "path": _Generator(path_graph, 1, lambda n: n, lambda n: n - 1),
-    "ladder": _Generator(ladder_graph, 1, lambda k: 2 * k, lambda k: 3 * k - 2),
-    "mobius": _Generator(mobius_ladder, 3, lambda k: 2 * k, lambda k: 3 * k),
-    "wheel": _Generator(wheel_graph, 3, lambda n: n + 1, lambda n: 2 * n),
+    "complete": _Generator(_complete, 1, lambda n: n, lambda n: n * (n - 1) // 2),
+    "cycle": _Generator(_cycle, 3, lambda n: n, lambda n: n),
+    "path": _Generator(_path, 1, lambda n: n, lambda n: n - 1),
+    "ladder": _Generator(_ladder, 1, lambda k: 2 * k, lambda k: 3 * k - 2),
+    # k >= 3: M_2's cross-edges would duplicate cycle chords; the family facts assume k >= 3
+    "mobius": _Generator(_mobius, 3, lambda k: 2 * k, lambda k: 3 * k),
+    "wheel": _Generator(_wheel, 3, lambda n: n + 1, lambda n: 2 * n),
 }
 
 FAMILIES = tuple(_GENERATORS)
@@ -214,16 +196,18 @@ class FamilySpec(namedtuple("FamilySpec", "family size")):
 
 
 def _read_ints(tokens: list[str], what: str, line_no: int) -> list[int]:
-    """The tokens as ints; a decimal number longer than int()'s digit limit
-    (sys.get_int_max_str_digits, 4300 by default) is named as such."""
+    """The tokens as ints, each -?[0-9]+ in ASCII; one with more digits than
+    int() reads (sys.get_int_max_str_digits, 4300 by default) is named so."""
+    digits = "".join(tokens).replace("-", "")
     try:
-        return [int(token) for token in tokens]
-    except ValueError:
+        if digits.isascii() and digits.isdigit():  # so int() reads only -?[0-9]+
+            return [int(token) for token in tokens]
+    except ValueError:  # a misplaced '-', or more digits than int() reads
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        digits = [token.lstrip("+-") for token in tokens]
-        if limit and any(d.isdecimal() and len(d) > limit for d in digits):
+        numbers = [token.removeprefix("-") for token in tokens]
+        if limit and any(d.isdigit() and len(d) > limit for d in numbers):
             raise ParseError(f"{what} must have at most {limit} digits", line_no) from None
-        raise ParseError(f"{what} must be integers", line_no) from None
+    raise ParseError(f"{what} must be integers", line_no)
 
 
 def parse_edge_list(text: str) -> MultiGraph:

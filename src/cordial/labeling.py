@@ -1,7 +1,7 @@
 """Balance accounting of binary vertex labelings, and the degree-parity
 noncordiality test. A labeling is a tuple of bits, bit i labeling vertex i.
-Both read a graph's pair table, so each sums multiplicities over the distinct
-vertex pairs instead of visiting every parallel edge."""
+balance reads a graph's pair table, so it sums multiplicities over the
+distinct vertex pairs instead of visiting every parallel edge."""
 
 from __future__ import annotations
 

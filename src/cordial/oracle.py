@@ -376,8 +376,8 @@ def solve(
         return {}
     n, m = g.n, g.m
     first = _scan(g, modes)
-    rows, e1s = (n // 2, n - n // 2), (m // 2, m - m // 2)  # friendly, balanced
-    cordial = [x for ones in rows for e1 in e1s if (x := first.get((ones, e1))) is not None]
+    rows, _, balanced = _candidates(("cordial",), n, m)
+    cordial = [x for ones in rows for e1 in balanced if (x := first.get((ones, e1))) is not None]
     if not cordial:
         return {mode: _result(mode, g, first) for mode in modes}
     certs = cordial_witnesses(modes, _bits(min(cordial), n), graph=g)

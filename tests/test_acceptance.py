@@ -45,7 +45,7 @@ def test_criterion_1_complete_edge_deficiency():
     with criterion(1, "complete graphs n=2..12: search equals floor(n/2)-1", 60.0):
         for n in range(2, 13):
             want = c.DeficiencyValue.finite(n // 2 - 1)
-            res = _alone(c.complete_graph(n), "ced")
+            res = _alone(c.FamilySpec("complete", n).build(), "ced")
             assert res.value == want
             assert c.ced_complete(n) == want
             assert res.witness.claimed_value == n // 2 - 1
@@ -57,7 +57,7 @@ def test_criterion_2_complete_vertex_deficiency():
     desc = "complete graphs n=1..14: vertex deficiency table, size-2 divergence flagged"
     with criterion(2, desc, 300.0):
         for n in range(1, 15):
-            res = _alone(c.complete_graph(n), "cvd")
+            res = _alone(c.FamilySpec("complete", n).build(), "cvd")
             if n in finite:
                 assert res.value == c.DeficiencyValue.finite(finite[n])
                 assert c.check_certificate(res.witness).accepted
@@ -81,7 +81,7 @@ def test_criterion_2_complete_vertex_deficiency():
 def test_criterion_3_complete_cordiality():
     with criterion(3, "complete graphs n=1..8: cordial exactly when n <= 3", 10.0):
         for n in range(1, 9):
-            g = c.complete_graph(n)
+            g = c.FamilySpec("complete", n).build()
             witness = _alone(g, "cordial").witness
             ok = witness is not None
             assert ok == (n <= 3) == c.is_cordial_complete(n)
@@ -93,7 +93,7 @@ def test_criterion_4_mobius_cordiality_and_constructions():
     desc = "mobius ladders: search verdicts k=3..10, constructions through k=200"
     with criterion(4, desc, 300.0):
         for k in range(3, 11):
-            assert _is_cordial(c.mobius_ladder(k)) == (k % 4 != 2)
+            assert _is_cordial(c.FamilySpec("mobius", k).build()) == (k % 4 != 2)
             assert c.is_cordial_mobius(k) == (k % 4 != 2)
         for k in range(3, 201):
             if k % 4 == 2:
@@ -113,12 +113,12 @@ def test_criterion_5_mobius_deficiencies():
     with criterion(5, desc, 300.0):
         one = c.DeficiencyValue.finite(1)
         for k in (6, 10):
-            g = c.mobius_ladder(k)
+            g = c.FamilySpec("mobius", k).build()
             assert _alone(g, "ced").value == one
             assert _alone(g, "cvd").value == one
         # the pinned seed balance: two edges apart before the single repair
         seed = c.mobius_ced_witness(6)
-        rep = c.balance(c.mobius_ladder(6), seed.labels)
+        rep = c.balance(c.FamilySpec("mobius", 6).build(), seed.labels)
         assert (rep.e0, rep.e1) == (10, 8)
         for k in range(6, 201, 4):
             ced_w = c.mobius_ced_witness(k)
@@ -126,7 +126,7 @@ def test_criterion_5_mobius_deficiencies():
             assert ced_w.claimed_value == 1 and cvd_w.claimed_value == 1
             assert c.check_certificate(ced_w).accepted
             assert c.check_certificate(cvd_w).accepted
-            assert c.parity_obstruction(c.mobius_ladder(k))
+            assert c.parity_obstruction(c.FamilySpec("mobius", k).build())
 
 
 def test_criterion_6_wheel_deficiencies():
@@ -135,12 +135,12 @@ def test_criterion_6_wheel_deficiencies():
     with criterion(6, desc, 300.0):
         one = c.DeficiencyValue.finite(1)
         for n in (7, 11):
-            g = c.wheel_graph(n)
+            g = c.FamilySpec("wheel", n).build()
             assert _alone(g, "ced").value == one
             assert _alone(g, "cvd").value == one
         for n in range(7, 200, 4):
             k = (n - 3) // 4
-            g = c.wheel_graph(n)
+            g = c.FamilySpec("wheel", n).build()
             ced_w = c.wheel_ced_witness(n)
             assert ced_w.claimed_value == 1
             assert c.check_certificate(ced_w).accepted
@@ -159,10 +159,10 @@ def test_criterion_7_cycle_and_wheel_cordiality():
     desc = "cycles and wheels: residue rules against search, constructions through 200"
     with criterion(7, desc, 300.0):
         for n in range(3, 13):
-            assert _is_cordial(c.cycle_graph(n)) == (n % 4 != 2)
+            assert _is_cordial(c.FamilySpec("cycle", n).build()) == (n % 4 != 2)
             assert c.is_cordial_cycle(n) == (n % 4 != 2)
         for n in range(3, 12):
-            assert _is_cordial(c.wheel_graph(n)) == (n % 4 != 3)
+            assert _is_cordial(c.FamilySpec("wheel", n).build()) == (n % 4 != 3)
             assert c.is_cordial_wheel(n) == (n % 4 != 3)
         for n in range(3, 201):
             if n % 4 == 2:
@@ -219,12 +219,12 @@ def test_criterion_8_property_suites():
         # zero deficiency of either kind is exactly cordiality, on every
         # family member with at most 14 vertices
         zero = c.DeficiencyValue.finite(0)
-        small = [c.complete_graph(n) for n in range(1, 15)]
-        small += [c.cycle_graph(n) for n in range(3, 15)]
-        small += [c.path_graph(n) for n in range(1, 15)]
-        small += [c.ladder_graph(k) for k in range(1, 8)]
-        small += [c.mobius_ladder(k) for k in range(3, 8)]
-        small += [c.wheel_graph(n) for n in range(3, 14)]
+        small = [c.FamilySpec("complete", n).build() for n in range(1, 15)]
+        small += [c.FamilySpec("cycle", n).build() for n in range(3, 15)]
+        small += [c.FamilySpec("path", n).build() for n in range(1, 15)]
+        small += [c.FamilySpec("ladder", k).build() for k in range(1, 8)]
+        small += [c.FamilySpec("mobius", k).build() for k in range(3, 8)]
+        small += [c.FamilySpec("wheel", n).build() for n in range(3, 14)]
         for g in small:
             ok = _is_cordial(g)
             assert (_alone(g, "ced").value == zero) == ok
@@ -237,11 +237,11 @@ def test_criterion_8_property_suites():
         seeds += [(6, c.mobius_ced_witness(6)), (6, c.mobius_cvd_witness(6))]
         for k0, cert in seeds:
             seed = labels = cert.labels
-            rep = c.balance(c.mobius_ladder(k0), labels)
+            rep = c.balance(c.FamilySpec("mobius", k0).build(), labels)
             for k in range(k0, 201, 4):
                 labels = _mobius_labels(labels, k, k + 4)
                 assert labels == _mobius_labels(seed, k0, k + 4)
-                merged = c.balance(c.mobius_ladder(k + 4), labels)
+                merged = c.balance(c.FamilySpec("mobius", k + 4).build(), labels)
                 assert merged.v0 == rep.v0 + 4
                 assert merged.v1 == rep.v1 + 4
                 assert merged.e0 == rep.e0 + 6
@@ -257,8 +257,8 @@ def test_criterion_8_property_suites():
             c.wheel_ced_witness(11),
             c.wheel_cvd_witness(11),
             c.cycle_cordial_labeling(8),
-            _alone(c.complete_graph(8), "ced").witness,
-            _alone(c.wheel_graph(7), "cvd").witness,
+            _alone(c.FamilySpec("complete", 8).build(), "ced").witness,
+            _alone(c.FamilySpec("wheel", 7).build(), "cvd").witness,
         ]
         for cert in certs:
             again = c.parse_certificate(c.serialize_certificate(cert))

@@ -20,9 +20,7 @@ from cordial import (
     ced_complete,
     check_certificate,
     complete_ced_witness,
-    complete_graph,
     cross_validate,
-    cycle_graph,
     mobius_cvd_witness,
     parse_certificate,
     serialize_certificate,
@@ -176,7 +174,7 @@ def test_each_rejection_names_its_fault(fields, reason):
 
 
 def test_explicit_graph_certificates():
-    g = cycle_graph(5)
+    g = FamilySpec("cycle", 5).build()
     cert = Certificate(
         kind="cordial", n=g.n, edges=g.edges, labels=(1, 1, 0, 0, 1), claimed_value=0
     )
@@ -189,7 +187,7 @@ def test_explicit_graph_certificates():
 
 
 def test_family_and_explicit_graph_must_agree():
-    g = cycle_graph(4)
+    g = FamilySpec("cycle", 4).build()
     both = Certificate(
         kind="cordial",
         family="cycle",
@@ -364,7 +362,7 @@ def test_serialize_uses_fixed_key_order():
 
 
 def test_round_trip_preserves_certificates():
-    g = cycle_graph(5)
+    g = FamilySpec("cycle", 5).build()
     samples = [
         complete_ced_witness(8),
         mobius_cvd_witness(10),
@@ -461,7 +459,7 @@ def test_cross_validate_checks_witnesses_and_parity():
 
 
 def _count_builds(monkeypatch) -> list:
-    """Every member build from now on, as (family, size), counted at the generators."""
+    """Every member build from now on, as (family, size), counted at the family builders."""
     built = []
     for family, gen in graph_core._GENERATORS.items():
         def build(size, family=family, make=gen.build):
@@ -485,7 +483,7 @@ def test_cross_validate_builds_each_member_once_per_row(monkeypatch, family, siz
     assert len(row.witnesses) == witnesses
     assert ("bounds: witness upper, parity obstruction lower" in row.notes) is parity
     assert built == [(family, size)]
-    # released on return: no member is held, and the next build runs the generator
+    # released on return: no member is held, and the next build runs the builder
     assert cordial.certify._shared == {}
     FamilySpec(family, size).build()
     assert built == [(family, size)] * 2
@@ -588,7 +586,7 @@ def test_every_family_witness_is_checked_by_its_constructor(monkeypatch, family,
 
 
 def test_witness_adds_the_stated_repairs_and_checks_them():
-    k4 = {"n": 4, "edges": complete_graph(4).edges}
+    k4 = {"graph": FamilySpec("complete", 4).build()}
     # a 2:2 split of K4 has e0 = 2, e1 = 4; one same-labeled edge repairs it
     assert witness("ced", (0, 0, 1, 1), 1, repair=0, **k4).added_edges == ((0, 1),)
     # a 1:3 split has e0 = e1 = 3; one isolated zero restores friendliness

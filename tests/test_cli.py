@@ -12,9 +12,9 @@ import pytest
 import cordial
 from cordial import (
     DeficiencyValue,
+    FamilySpec,
     InfinityReason,
     Verdict,
-    mobius_ladder,
     parse_certificate,
     serialize_certificate,
     wheel_ced_witness,
@@ -155,7 +155,7 @@ def test_negative_vertex_cap_exits_two(capsys):
 
 def test_compute_explicit_graph_oracle_only(capsys, tmp_path):
     path = tmp_path / "m6.txt"
-    g = mobius_ladder(6)
+    g = FamilySpec("mobius", 6).build()
     path.write_text(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
     code, out, _ = run(capsys, "compute", "--graph", str(path),
                        "--method", "oracle")
@@ -274,8 +274,17 @@ _DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
      _DIGITS and f"error: line 1: header counts must have at most {_DIGITS} digits"),
     (["compute", "--method", "oracle", "--graph"], b"2 1\n0 " + b"1" * 5000 + b"\n",
      _DIGITS and f"error: line 2: vertex ids must have at most {_DIGITS} digits"),
+    # int() reads 1_0 as 10; an id is ASCII decimal digits
+    (["compute", "--method", "oracle", "--graph"], b"12 1\n1_0 2\n",
+     "error: line 2: vertex ids must be integers"),
+    # json.loads keeps a repeated key's last value, which named either kind
+    (["verify"], b'{"kind": "cordial", "kind": "ced", "family": "cycle", "param": 4,'
+     b' "labels": "0011", "claimed_value": 0}', "Malformed: duplicate key: kind\n"),
+    (["verify"], b'{"kind": "ced", "kind": "cordial", "family": "cycle", "param": 4,'
+     b' "labels": "0011", "claimed_value": 0}', "Malformed: duplicate key: kind\n"),
 ], ids=["verify-utf16", "compute-utf16", "verify-deep", "verify-long-int",
-        "compute-long-header", "compute-long-id"])
+        "compute-long-header", "compute-long-id", "compute-underscore-id",
+        "verify-duplicate-kind", "verify-duplicate-kind-swapped"])
 def test_malformed_input_files_exit_two(capsys, tmp_path, argv, content, message):
     path = tmp_path / "input"
     path.write_bytes(content)

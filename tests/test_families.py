@@ -14,7 +14,6 @@ from cordial import (
     complete_cordial_labeling,
     complete_ced_witness,
     complete_cvd_witness,
-    complete_graph,
     complete_split,
     construct_mobius_labeling,
     cvd_complete,
@@ -26,11 +25,9 @@ from cordial import (
     is_cordial_wheel,
     mobius_ced_witness,
     mobius_cvd_witness,
-    mobius_ladder,
     wheel_cordial_labeling,
     wheel_ced_witness,
     wheel_cvd_witness,
-    wheel_graph,
 )
 from cordial.families import _mobius_labels
 
@@ -45,7 +42,7 @@ def test_complete_split_balances_edges_when_it_exists():
             continue
         assert ell is not None
         labels = (0,) * ell + (1,) * (n - ell)
-        rep = balance(complete_graph(n), labels)
+        rep = balance(FamilySpec("complete", n).build(), labels)
         assert abs(rep.e0 - rep.e1) <= 1
         assert rep.v1 - rep.v0 == n - 2 * ell
 
@@ -106,7 +103,7 @@ def test_complete_witnesses():
 
 def counts(k: int, labels) -> tuple[int, int, int, int]:
     """(v0, v1, e0, e1) of labels on the mobius ladder of width k."""
-    return tuple(balance(mobius_ladder(k), labels))
+    return tuple(balance(FamilySpec("mobius", k).build(), labels))
 
 
 def test_base_labelings_are_friendly_with_pinned_counts():
@@ -220,7 +217,7 @@ def test_wheel_labeling_all_admissible_sizes():
 def test_wheel_ced_witness_balance():
     w = wheel_ced_witness(7)
     assert w.labels[7] == 0
-    rep = balance(wheel_graph(7), w.labels)
+    rep = balance(FamilySpec("wheel", 7).build(), w.labels)
     assert (rep.e0, rep.e1) == (6, 8)
     assert check_certificate(w).accepted
 
@@ -229,7 +226,7 @@ def test_wheel_cvd_witness_balances_edges_exactly():
     for n in (7, 11, 15):
         w = wheel_cvd_witness(n)
         assert w.labels[n] == 1
-        rep = balance(wheel_graph(n), w.labels)
+        rep = balance(FamilySpec("wheel", n).build(), w.labels)
         assert rep.e0 == rep.e1 == n
         assert w.added_vertex_labels == (0,)
         assert check_certificate(w).accepted

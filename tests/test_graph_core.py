@@ -1,4 +1,4 @@
-"""Generators, multigraph canonicalization, the edge-list format, and the
+"""Family members, multigraph canonicalization, the edge-list format, and the
 contract every record type keeps."""
 
 import ast
@@ -33,54 +33,48 @@ from cordial import (
     balance,
     check_certificate,
     complete_ced_witness,
-    complete_graph,
     cross_validate,
-    cycle_graph,
-    ladder_graph,
-    mobius_ladder,
     parse_edge_list,
-    path_graph,
     solve,
-    wheel_graph,
 )
 from cordial import certify, errors, families, graph_core, labeling, oracle
 from cordial.families import REGISTRY
 
 
 def test_complete_graph_shape():
-    g = complete_graph(5)
+    g = FamilySpec("complete", 5).build()
     assert g.n == 5 and g.m == 10
     assert g.degrees == (4, 4, 4, 4, 4)
 
 
 def test_cycle_graph_shape():
-    g = cycle_graph(6)
+    g = FamilySpec("cycle", 6).build()
     assert g.n == 6 and g.m == 6
     assert set(g.degrees) == {2}
 
 
 def test_path_graph_shape():
-    g = path_graph(5)
+    g = FamilySpec("path", 5).build()
     assert g.m == 4
     assert sorted(g.degrees) == [1, 1, 2, 2, 2]
-    assert path_graph(1).m == 0
+    assert FamilySpec("path", 1).build().m == 0
 
 
 def test_ladder_graph_shape():
-    g = ladder_graph(4)
+    g = FamilySpec("ladder", 4).build()
     assert g.n == 8 and g.m == 10
     assert sorted(g.degrees) == [2, 2, 2, 2, 3, 3, 3, 3]
 
 
 def test_mobius_ladder_is_cubic():
-    g = mobius_ladder(5)
+    g = FamilySpec("mobius", 5).build()
     assert g.n == 10 and g.m == 15
     assert set(g.degrees) == {3}
     assert (2, 7) in g.edges  # cross edge (i, i+k)
 
 
 def test_wheel_graph_shape():
-    g = wheel_graph(6)
+    g = FamilySpec("wheel", 6).build()
     assert g.n == 7 and g.m == 12
     assert g.degrees[6] == 6  # hub is the last vertex
     assert set(g.degrees[:6]) == {3}
@@ -133,7 +127,7 @@ def test_non_integer_ids_and_counts_are_refused(n, edges, error, message):
 
 
 def test_every_generator_builds_what_the_checked_constructor_builds():
-    # the generators skip MultiGraph's checks, so their edges must be exactly
+    # the family builders skip MultiGraph's checks, so their edges must be exactly
     # the valid ones, in any order and either orientation
     rng = random.Random(21)
     for family in FAMILIES:
@@ -151,7 +145,7 @@ def test_every_generator_builds_what_the_checked_constructor_builds():
     ("path", 300), ("ladder", 300),
 ])
 def test_generators_emit_canonical_sorted_edges(family, top):
-    # MultiGraph._simple wraps the generator's pairs as they come, as the
+    # MultiGraph._simple wraps the builder's pairs as they come, as the
     # pairs of a simple graph, so they must also be distinct
     for size in range(MIN_SIZE[family], top + 1):
         edges = FamilySpec(family, size).build().edges
@@ -160,10 +154,12 @@ def test_generators_emit_canonical_sorted_edges(family, top):
 
 
 def test_alternating_family_builds_are_never_stale():
-    # every FamilySpec.build runs its generator afresh; cycle 9 and path 9
+    # every FamilySpec.build runs its builder afresh; cycle 9 and path 9
     # differ only in the family, wheel 8 in both family and size
-    fresh = {("cycle", 9): cycle_graph(9), ("path", 9): path_graph(9),
-             ("wheel", 8): wheel_graph(8)}
+    rim = [(i, (i + 1) % 8) for i in range(8)]
+    fresh = {("cycle", 9): MultiGraph(9, [(i, (i + 1) % 9) for i in range(9)]),
+             ("path", 9): MultiGraph(9, [(i, i + 1) for i in range(8)]),
+             ("wheel", 8): MultiGraph(9, rim + [(i, 8) for i in range(8)])}
     for _ in range(3):
         for member, g in fresh.items():
             assert FamilySpec(*member).build() == g, member
@@ -172,28 +168,11 @@ def test_alternating_family_builds_are_never_stale():
 def test_each_build_is_a_new_graph():
     # nothing keeps a member between builds, so a member lives only as long
     # as its callers hold it
-    for family, generator in _GENERATOR_OF.items():
+    for family in FAMILIES:
         size = MIN_SIZE[family] + 4
         first, second = FamilySpec(family, size).build(), FamilySpec(family, size).build()
         assert first is not second and first.edges is not second.edges
-        assert first == second == generator(size), family
-
-
-_GENERATOR_OF = {"complete": complete_graph, "cycle": cycle_graph, "path": path_graph,
-                 "ladder": ladder_graph, "mobius": mobius_ladder, "wheel": wheel_graph}
-
-
-@pytest.mark.parametrize("family,refusal", [
-    ("complete", "complete graphs need n"), ("cycle", "cycles need n"),
-    ("path", "paths need n"), ("ladder", "ladders need k"),
-    ("mobius", "mobius ladders need k"), ("wheel", "wheels need n"),
-])
-def test_each_generator_refuses_the_size_below_its_family_minimum(family, refusal):
-    # the generators check their own minimum, which must be MIN_SIZE's
-    generator, low = _GENERATOR_OF[family], MIN_SIZE[family]
-    assert generator(low) == FamilySpec(family, low).build()
-    with pytest.raises(SizeTooSmall, match=f"^{refusal} >= {low}$"):
-        generator(low - 1)
+        assert first == second, family
 
 
 def test_negative_vertex_count_is_refused():
@@ -325,15 +304,13 @@ def test_non_integer_sizes_are_refused():
     for size in (2.5, True, "3"):
         with pytest.raises(SizeTooSmall, match=f"^complete size must be an integer, got {size!r}$"):
             FamilySpec("complete", size)
-        with pytest.raises(SizeTooSmall, match=f"^n must be an integer, got {size!r}$"):
-            complete_graph(size)
     # the CLI prints this message for a size below the minimum
     with pytest.raises(SizeTooSmall, match="^cycle requires size >= 3$"):
         FamilySpec("cycle", 1)
 
 
 def test_edge_list_round_trip():
-    g = mobius_ladder(4)
+    g = FamilySpec("mobius", 4).build()
     text = f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
     assert parse_edge_list(text) == g
 
@@ -353,8 +330,8 @@ def _assert_table_recounts(g, labels):
     assert g.pairs == tuple(pair for pair, _ in counts)
     assert g.repeats == tuple((i, c - 1) for i, (_, c) in enumerate(counts) if c > 1)
     assert g.mu == max((c for _, c in counts), default=0)
-    # a simple graph's edge tuple is its pair tuple, copied nowhere
-    assert (g.pairs is g.edges) == (not g.repeats)
+    # a simple graph's pair tuple is its edge tuple
+    assert (g.pairs == g.edges) == (not g.repeats)
     assert g.m == len(g.edges) == sum(c for _, c in counts)
     deg = [0] * g.n
     for u, v in g.edges:
@@ -417,6 +394,15 @@ def test_parse_rejects_negative_header_counts_and_bad_edge_lines():
         parse_edge_list("-1 0\n")
     with pytest.raises(ParseError, match="^line 2: expected edge line 'u v'$"):
         parse_edge_list("2 1\n0 1 1\n")
+    # ids and counts are ASCII decimal digits after an optional '-', though
+    # int() reads each of these
+    for text in ("12 1\n1_0 2\n", "3 1\n+1 2\n", "4 1\n\u0663 1\n", "3 1\n0 1\t\n"):
+        with pytest.raises(ParseError, match="^line 2: vertex ids must be integers$"):
+            parse_edge_list(text)
+    for text in ("+3 0\n", "1_0 0\n"):
+        with pytest.raises(ParseError, match="^line 1: header counts must be integers$"):
+            parse_edge_list(text)
+    assert parse_edge_list("# any text: +1_0 \u0663\n3 1\n-0 2\n").edges == ((0, 2),)
 
 
 def test_parse_error_carries_line_number():
@@ -435,7 +421,7 @@ def test_parse_loop_and_range_report_line():
 
 def _records():
     """One instance of every record type."""
-    g = complete_graph(5)
+    g = FamilySpec("complete", 5).build()
     report = cross_validate([FamilySpec("mobius", 6)])
     cert = complete_ced_witness(6)
     return [
@@ -472,7 +458,7 @@ def test_records_pickle_copy_hash_and_refuse_assignment(record):
 
 
 def test_replace_derives_a_checked_variant():
-    g = complete_graph(3)
+    g = FamilySpec("complete", 3).build()
     assert g._replace(edges=((2, 1),)) == MultiGraph(3, [(1, 2)])
     with pytest.raises(LoopRejected):
         g._replace(edges=((1, 1),))

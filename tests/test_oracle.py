@@ -27,13 +27,8 @@ from cordial import (
     Verdict,
     balance,
     check_certificate,
-    complete_graph,
     cross_validate,
-    cycle_graph,
-    mobius_ladder,
-    path_graph,
     serialize_certificate,
-    wheel_graph,
 )
 from cordial import certify, cli, oracle
 from cordial.certify import MEASURES
@@ -180,8 +175,9 @@ def test_ced_and_cvd_match_their_definitions():
     # unlike _reference, which prices cells by the oracle's own rule, this
     # adds isolated vertices or vertex pairs until some labeling is cordial
     rng = random.Random(5)
-    graphs = [*map(complete_graph, range(1, 6)), *map(cycle_graph, range(3, 7)),
-              *map(path_graph, range(1, 6)), wheel_graph(3), wheel_graph(4),
+    members = [*(("complete", n) for n in range(1, 6)), *(("cycle", n) for n in range(3, 7)),
+               *(("path", n) for n in range(1, 6)), ("wheel", 3), ("wheel", 4)]
+    graphs = [*(FamilySpec(*member).build() for member in members),
               *(_random_graph(rng, max_n=6, max_m=8) for _ in range(300))]
     for g in graphs:
         got = solve(g, ("cordial", "ced", "cvd"))
@@ -192,17 +188,17 @@ def test_ced_and_cvd_match_their_definitions():
 
 def test_scan_visits_every_friendly_labeling_exactly_once():
     # vertex n-1 is pinned at label 0, so one labeling of each complement pair
-    assert _alone(complete_graph(6), "ced").labelings_examined == comb(5, 3)
+    assert _alone(FamilySpec("complete", 6).build(), "ced").labelings_examined == comb(5, 3)
     empty = MultiGraph(0, [])
     assert _alone(empty, "cvd").labelings_examined == 1
     assert _alone(empty, "cordial").witness.labels == ()
 
 
-@example(wheel_graph(12))  # 13 vertices: the low part is full, high part 2
-@example(mobius_ladder(7))  # 14 vertices: high part 3
-@example(complete_graph(7))
-@example(wheel_graph(5))
-@example(mobius_ladder(4))
+@example(FamilySpec("wheel", 12).build())  # 13 vertices: the low part is full, high part 2
+@example(FamilySpec("mobius", 7).build())  # 14 vertices: high part 3
+@example(FamilySpec("complete", 7).build())
+@example(FamilySpec("wheel", 5).build())
+@example(FamilySpec("mobius", 4).build())
 @example(MultiGraph(0, []))
 @example(_crossing_multigraph(255))  # e1 reaches 255, the top of a 1-byte lane
 @example(_crossing_multigraph(256))  # the first graph with 2-byte lanes
@@ -516,8 +512,8 @@ def _key(res):
     return res.value, witness, res.labelings_examined
 
 
-@example(wheel_graph(12))
-@example(mobius_ladder(7))
+@example(FamilySpec("wheel", 12).build())
+@example(FamilySpec("mobius", 7).build())
 @example(_crossing_multigraph(256))  # 2-byte lanes
 @example(_planted_cordial_multigraph(13, 13))  # settled at the top high subset
 @given(multigraphs(max_n=9))
@@ -541,9 +537,10 @@ def test_one_scan_answers_any_modes_like_single_mode_calls(g):
 
 
 @pytest.mark.parametrize("g, cordial", [
-    (mobius_ladder(4), True), (complete_graph(3), True), (_crossing_multigraph(256), True),
-    (_planted_cordial_multigraph(13, 13), True),
-    (wheel_graph(7), False), (complete_graph(4), False), (complete_graph(5), False),
+    (FamilySpec("mobius", 4).build(), True), (FamilySpec("complete", 3).build(), True),
+    (_crossing_multigraph(256), True), (_planted_cordial_multigraph(13, 13), True),
+    (FamilySpec("wheel", 7).build(), False), (FamilySpec("complete", 4).build(), False),
+    (FamilySpec("complete", 5).build(), False),
     (MultiGraph(2, [(0, 1)] * 3), False),  # no measure finite
 ])
 def test_a_cordial_graph_settles_every_measure_with_one_check(monkeypatch, g, cordial):
@@ -578,11 +575,11 @@ def test_no_measure_asked_scans_nothing(monkeypatch):
         raise AssertionError("scanned with no measure asked")
 
     monkeypatch.setattr(oracle, "_scan", scan)
-    assert solve(complete_graph(20), ()) == {}
+    assert solve(FamilySpec("complete", 20).build(), ()) == {}
     with pytest.raises(SizeLimitExceeded):
-        solve(complete_graph(25), ())
+        solve(FamilySpec("complete", 25).build(), ())
     with pytest.raises(CordialError):
-        solve(complete_graph(3), ("cordial", "odd"))
+        solve(FamilySpec("complete", 3).build(), ("cordial", "odd"))
 
 
 @pytest.mark.parametrize("family, n", [("complete", 6), ("mobius", 8)])
@@ -620,7 +617,7 @@ def test_unknown_measure_is_rejected_before_the_scan(monkeypatch):
     monkeypatch.setattr(oracle, "_scan", scan)
     for modes in (("cordail",), ("cvd", "ced", "size"), "cvd"):
         with pytest.raises(CordialError, match="^measures must be among cordial, ced, cvd"):
-            solve(complete_graph(18), modes)
+            solve(FamilySpec("complete", 18).build(), modes)
 
 
 def test_rejected_witness_raises_self_check_failed(monkeypatch):
@@ -633,9 +630,9 @@ def test_rejected_witness_raises_self_check_failed(monkeypatch):
     monkeypatch.setattr(cordial.certify, "check_certificate", reject)
     for mode in ("ced", "cvd"):
         with pytest.raises(SelfCheckFailed):
-            _alone(complete_graph(4), mode)
+            _alone(FamilySpec("complete", 4).build(), mode)
     with pytest.raises(SelfCheckFailed):
-        _alone(cycle_graph(4), "cordial")
+        _alone(FamilySpec("cycle", 4).build(), "cordial")
     with pytest.raises(SelfCheckFailed):
         cordial.families.complete_ced_witness(6)
     with pytest.raises(SelfCheckFailed):
@@ -654,7 +651,8 @@ def test_scan_witness_is_checked_on_the_scanned_graph(monkeypatch):
         built.append(n)
         return new(cls, n, edges)
 
-    graphs = (cycle_graph(4), wheel_graph(7), _crossing_multigraph(256))
+    graphs = (FamilySpec("cycle", 4).build(), FamilySpec("wheel", 7).build(),
+              _crossing_multigraph(256))
     monkeypatch.setattr(MultiGraph, "__new__", spy)
     witnesses = {g: [r.witness for r in solve(g, MEASURES).values() if r.witness]
                  for g in graphs}
@@ -685,15 +683,17 @@ def test_scan_witness_is_checked_on_the_scanned_graph(monkeypatch):
 def test_complete_edge_deficiency_frozen():
     expected = {2: 0, 3: 0, 4: 1, 5: 1, 6: 2, 7: 2, 8: 3, 9: 3, 10: 4}
     for n, want in expected.items():
-        assert _alone(complete_graph(n), "ced").value == DeficiencyValue.finite(want)
+        g = FamilySpec("complete", n).build()
+        assert _alone(g, "ced").value == DeficiencyValue.finite(want)
 
 
 def test_complete_vertex_deficiency_frozen():
     finite = {1: 0, 2: 0, 3: 0, 4: 1, 6: 1, 7: 2, 9: 2}
     for n, want in finite.items():
-        assert _alone(complete_graph(n), "cvd").value == DeficiencyValue.finite(want)
+        g = FamilySpec("complete", n).build()
+        assert _alone(g, "cvd").value == DeficiencyValue.finite(want)
     for n in (5, 8, 10):
-        value = _alone(complete_graph(n), "cvd").value
+        value = _alone(FamilySpec("complete", n).build(), "cvd").value
         assert value.is_infinite
         assert value.reason is InfinityReason.STRICTLY_NONCORDIAL
         assert value.describe() == "infinity (StrictlyNoncordial)"
@@ -705,22 +705,22 @@ def _is_cordial(g, **kw):
 
 def test_cycle_cordiality_frozen():
     for n in range(3, 11):
-        assert _is_cordial(cycle_graph(n)) == (n % 4 != 2)
+        assert _is_cordial(FamilySpec("cycle", n).build()) == (n % 4 != 2)
 
 
 def test_wheel_cordiality_frozen():
     for n in range(3, 11):
-        assert _is_cordial(wheel_graph(n)) == (n % 4 != 3)
+        assert _is_cordial(FamilySpec("wheel", n).build()) == (n % 4 != 3)
 
 
 def test_mobius_cordiality_frozen():
     for k in range(3, 8):
-        assert _is_cordial(mobius_ladder(k)) == (k % 4 != 2)
+        assert _is_cordial(FamilySpec("mobius", k).build()) == (k % 4 != 2)
 
 
 def test_every_path_is_cordial():
     for n in range(1, 9):
-        assert _is_cordial(path_graph(n))
+        assert _is_cordial(FamilySpec("path", n).build())
 
 
 def test_edge_deficiency_can_be_infinite():
@@ -737,7 +737,8 @@ def test_edge_deficiency_can_be_infinite():
 
 
 def test_witnesses_are_accepted_and_claim_the_value():
-    for g in (complete_graph(6), wheel_graph(7), mobius_ladder(6), cycle_graph(6)):
+    for member in (("complete", 6), ("wheel", 7), ("mobius", 6), ("cycle", 6)):
+        g = FamilySpec(*member).build()
         for res in (_alone(g, "ced"), _alone(g, "cvd")):
             if res.value.is_infinite:
                 assert res.witness is None
@@ -747,7 +748,7 @@ def test_witnesses_are_accepted_and_claim_the_value():
 
 
 def test_cordial_witness_is_cordial_and_scan_invariant():
-    g = cycle_graph(4)
+    g = FamilySpec("cycle", 4).build()
     f = _alone(g, "cordial").witness.labels
     assert is_cordial(g.edges, f)
     # the same canonical witness as a search over every labeling
@@ -771,7 +772,7 @@ def test_cross_validate_and_compute_scan_each_graph_once(monkeypatch, capsys):
 
 
 def test_size_cap_is_enforced_and_overridable():
-    g = path_graph(6)
+    g = FamilySpec("path", 6).build()
     with pytest.raises(SizeLimitExceeded):
         _is_cordial(g, max_vertices=5)
     assert _is_cordial(g, max_vertices=6)

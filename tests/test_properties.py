@@ -22,7 +22,6 @@ from cordial import (
     construct_mobius_labeling,
     mobius_ced_witness,
     mobius_cvd_witness,
-    mobius_ladder,
     parity_obstruction,
     parse_certificate,
     parse_edge_list,
@@ -194,8 +193,8 @@ def test_an_in_memory_certificate_is_malformed_or_survives_the_wire(gf, data):
 def test_graft_conserves_seam_labels_for_any_anchored_labeling(k, enc):
     bits = [(enc >> i) & 1 for i in range(2 * k)]
     bits[0] = bits[k] = 1
-    big = balance(mobius_ladder(k), tuple(bits))
-    merged = balance(mobius_ladder(k + 4), _mobius_labels(tuple(bits), k, k + 4))
+    big = balance(FamilySpec("mobius", k).build(), tuple(bits))
+    merged = balance(FamilySpec("mobius", k + 4).build(), _mobius_labels(tuple(bits), k, k + 4))
     assert merged.v0 == big.v0 + 4
     assert merged.v1 == big.v1 + 4
     assert merged.e0 == big.e0 + 6
