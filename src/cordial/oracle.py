@@ -36,12 +36,12 @@ LOW_BITS vertices and a high part holding the rest. For one high subset h a
 single big int holds the e1 of every low subset l, one fixed-width lane per
 l: e1 = alpha(l) + beta(h) - 2 w(l, h), where alpha and beta count the edges
 leaving l and h and w those between them. One pass over the graph's pair
-table, its distinct vertex pairs and their multiplicities, builds alpha and
-gathers what w and beta need; the table is counted where the graph is
-built, so a scan counts no edge. A low pair (u, v) of multiplicity c adds c
-to the lanes holding exactly one of u and v; the edges from a low vertex
-out of the low part add their count to the lanes holding it, and are kept
-per high end. The pairs ascend, so those with both ends high are the pass's
+table, its distinct vertex pairs and their multiplicities, gathers what
+alpha, w and beta need; the table is counted where the graph is built, so
+a scan counts no edge. A low pair (u, v) of multiplicity c adds c to the
+lanes holding exactly one of u and v; the edges from a low vertex out of
+the low part add their count to the lanes holding it, and are kept per
+high end. The pairs ascend, so those with both ends high are the pass's
 tail, left unread until the scan passes h = 0. All of the high part's terms
 are built then: the high vertices' degrees, the bit masks of their edges
 among themselves and w's packed steps. beta(h) is built as h ascends, from
@@ -66,7 +66,14 @@ difference of the map from each value to its least lane, built in one pass
 over the row's lanes. High subsets ascend, so the first hit
 of a cell is its least encoding, and a scan stops after the first high
 subset that reaches a cordial cell, the only cells the rule prices at 0.
-Every scan runs in the calling process.
+
+At h = 0 only the friendly groups, k = n//2 or (n+1)//2 with k <= low,
+hold cordial cells; the groups ascend by popcount, so their lanes are one
+byte range. A first stage packs alpha on it alone, from the low vertices'
+indicators cut to it once per process, and searches it like a span. A hit
+returns just the cordial cells, at their least lanes, which every mode
+prices at 0, below any other cell; only a miss, which records nothing,
+packs every lane and runs h = 0 again. Every scan runs in the calling process.
 """
 
 from __future__ import annotations
@@ -140,7 +147,8 @@ def _lanes(low: int, width: int):
 
     Lane i holds low subset order[i]; the lanes are grouped by popcount,
     ascending inside each group. ones packs a 1 in every lane and ind[x] a 1
-    in the lanes of the subsets holding vertex x.
+    in the lanes of the subsets holding vertex x, and cut(lo, hi) is ind cut
+    to bytes lo..hi of the lanes, made once per process for each range.
     """
     order = tuple(sorted(range(1 << low), key=int.bit_count))  # a stable sort
     code = _LANE_CODES[width]
@@ -149,21 +157,25 @@ def _lanes(low: int, width: int):
     # a mask with ones leave the bit of vertex x in every lane
     octets = [_pack([l >> s & 255 for l in order], code) for s in range(0, low, 8)]
     ind = tuple(octets[x >> 3] >> (x & 7) & ones for x in range(low))
-    return order, code, ones, ind
+    size = len(order) * width
+    cut = cache(lambda lo, hi: tuple(
+        int.from_bytes(v.to_bytes(size, sys.byteorder)[lo:hi], sys.byteorder) for v in ind))
+    return order, code, ones, ind, cut
 
 
 @cache
 def _plans(n: int, low: int, rows: range, whole, width: int):
     """Where a scan reads the lanes of a high subset, by its ones count.
 
-    Returns (group_end, plans). Popcount group k of the lanes, the low
-    subsets of k vertices, ends at byte group_end[k]. plans[h_ones] is
-    (spans, wholes) for a high subset of h_ones vertices, whose group k holds
-    row h_ones + k. spans are the byte ranges of the runs of groups whose
-    rows are in rows but not in whole, so need only their edge-balanced e1
-    values: at most two runs, below and above whole. wholes holds (ones,
-    start, stop) for each group whose row is in whole, start and stop being
-    its lanes.
+    Returns (group_end, stage, plans). Popcount group k of the lanes, the
+    low subsets of k vertices, ends at byte group_end[k]. stage holds the
+    bytes of the friendly groups at h = 0, k = n//2 to min((n+1)//2, low),
+    none when n//2 > low. plans[h_ones] is (spans, wholes) for a high subset
+    of h_ones vertices, whose group k holds row h_ones + k. spans are the
+    byte ranges of the runs of groups whose rows are in rows but not in
+    whole, so need only their edge-balanced e1 values: at most two runs,
+    below and above whole. wholes holds (ones, start, stop) for each group
+    whose row is in whole, start and stop being its lanes.
     """
     bounds = (0, *accumulate(comb(low, k) for k in range(low + 1)))
     plans = []
@@ -177,12 +189,22 @@ def _plans(n: int, low: int, rows: range, whole, width: int):
             else:
                 spans.append((bounds[run[0]] * width, bounds[run[-1] + 1] * width))
         plans.append((tuple(spans), tuple(wholes)))
-    return tuple(b * width for b in bounds[1:]), tuple(plans)
+    stage = bounds[min(n // 2, low + 1)] * width, bounds[min((n + 1) // 2, low) + 1] * width
+    return tuple(b * width for b in bounds[1:]), stage, tuple(plans)
 
 
 def _pack(values, code: str) -> int:
     """The int whose lane i, in E.to_bytes(..., sys.byteorder), is values[i]."""
     return int.from_bytes(array(code, values).tobytes(), sys.byteorder)
+
+
+def _alpha(ind, lows, out) -> int:
+    """alpha(l), the edges leaving low subset l, on ind's lanes: from the low
+    pairs ((u, v), c) and out, each low vertex's edges out of the low part."""
+    g = 0  # each product skips c = 1, where it would only copy the lanes
+    for (u, v), c in lows:  # in a lane exactly when one end is in its subset
+        g += c * (ind[u] ^ ind[v]) if c > 1 else ind[u] ^ ind[v]
+    return g + sum(c * lanes if c > 1 else lanes for c, lanes in zip(out, ind) if c)
 
 
 def _scan(graph: MultiGraph, modes) -> dict[tuple[int, int], int]:
@@ -191,24 +213,22 @@ def _scan(graph: MultiGraph, modes) -> dict[tuple[int, int], int]:
     Returns first, mapping each reached candidate cell of modes, as
     _candidates places them, to the least encoding reaching it. The scan
     ends with the first high subset at which a cordial cell is reached, once
-    all of that subset's candidate cells are recorded. The lane width is the
-    least that holds cap, the cut bound of the module docstring. Each high
-    subset makes one aligned search per balanced e1 over each of the cached
-    spans of _plans, and reads the rows of whole from their groups' lanes.
-    The pairs are read off graph's pair table, canonical (u < v) and
-    ascending.
+    all of that subset's candidate cells are recorded; but a stop in the
+    first stage, at high subset 0, records just the cordial cells. The lane
+    width is the least that holds cap, the cut bound of the module
+    docstring. Each high subset makes one aligned search per balanced e1
+    over each of the cached spans of _plans, and reads the rows of whole
+    from their groups' lanes. The pairs are read off graph's pair table,
+    canonical (u < v) and ascending.
     """
     n, m, mu = graph.n, graph.m, graph.mu
     low, high = _split(n)
     rows, whole, balanced = _candidates(modes, n, m)
     cap = min(m, mu * (n // 2) * ((n + 1) // 2))
     width = next(w for w in _LANE_CODES if cap < 1 << 8 * w)
-    order, code, ones_lanes, ind = _lanes(low, width)
-    group_end, plans = _plans(n, low, rows, whole, width)
-    # g packs alpha(l) - 2 w(l, h) per lane, starting at h = 0: alpha(l)
-    # counts the edges leaving l and w(l, h) those between l and h, so adding
-    # beta(h), the edges leaving h, gives e1 of labeling l | h << low
-    g = 0  # each product below skips c = 1, where it would only copy the lanes
+    order, code, ones_lanes, ind, cut = _lanes(low, width)
+    group_end, stage, plans = _plans(n, low, rows, whole, width)
+    lows = []  # the low pairs, packed by the first stage and again on a miss
     out = [0] * low  # out[x] counts the edges from low vertex x out of the low part
     ends = [[] for _ in range(high)]  # ends[t]: (u, c) per low u with c edges to low + t
     mults = [1] * len(graph.pairs)  # each pair's multiplicity, from the table's repeats
@@ -219,52 +239,64 @@ def _scan(graph: MultiGraph, modes) -> dict[tuple[int, int], int]:
     # tail, and h = 1 resumes it from items
     items = zip(graph.pairs, mults)
     tail = ()
-    for (u, v), c in items:
-        if v < low:  # in a lane exactly when one end is in its subset
-            g += c * (ind[u] ^ ind[v]) if c > 1 else ind[u] ^ ind[v]
+    for item in items:
+        (u, v), c = item
+        if v < low:
+            lows.append(item)
         elif u < low:
             out[u] += c
             if v < low + high:
                 ends[v - low].append((u, c))
         else:
-            tail = (((u, v), c),)
+            tail = (item,)
             break
-    g += sum(c * lanes if c > 1 else lanes for c, lanes in zip(out, ind) if c)
     size = len(order) * width
     # a cut of at least m/2 edges exists, so cap >= (m+1)//2 and both fit a lane
     pats = [(e1, e1.to_bytes(width, sys.byteorder)) for e1 in balanced]
     seen = {ones: b"" if width == 1 else set() for ones in whole}  # e1s reached so far
     first: dict[tuple[int, int], int] = {}
     beta = [0]  # beta[h] counts the edges leaving high subset h
-    for h in range(1 << high):
-        if h == 1:  # the high part's terms, which h = 0 does not read
-            deg = [sum(c for _, c in e) for e in ends]  # the high vertices' degrees
-            # up[t]: (mask, k + 1) per bit k, mask the high vertices above t
-            # whose count to t has bit k
-            up = [[0] * mu.bit_length() for _ in range(high)]
-            for (u, v), c in chain(tail, items):
-                deg[u - low] += c
-                if v < low + high:
-                    deg[v - low] += c
-                    up[u - low] = [mask | (c >> k & 1) << v - low
-                                   for k, mask in enumerate(up[u - low])]
-            up = [[(mask, k + 1) for k, mask in enumerate(masks) if mask] for masks in up]
-            # cross[t] packs the edges from each low subset to low + t
-            cross = [sum(c * ind[u] if c > 1 else ind[u] for u, c in e) for e in ends]
-            # from h - 1 to h, the lowest set bit t of h joins and the bits below t leave
-            steps = [(below - c) << 1 for below, c in zip(accumulate(cross, initial=0), cross)]
-        if h:  # t joins h & (h - 1), whose vertices all lie above it
-            t = (h & -h).bit_length() - 1
-            g += steps[t]
-            beta.append(beta[h & (h - 1)] + deg[t])
-            for mask, k in up[t]:  # less twice the edges from t into h
-                beta[h] -= (mask & h).bit_count() << k
-        h_ones = h.bit_count()
-        spans, wholes = plans[h_ones]
-        if not (spans or wholes):
-            continue
-        # every lane holds an e1 in [0, cap], so E's digits are the lanes
-        E = (g + beta[h] * ones_lanes).to_bytes(size, sys.byteorder)
+    # the first stage runs h = 0 on its friendly lanes; a miss runs it on all
+    first_stage = stage[0] < stage[1]
+    for h in chain((0,) * first_stage, range(1 << high)):
+        if first_stage:  # E holds zero bytes below the friendly lanes
+            first_stage = False
+            lo, hi = stage
+            E = bytes(lo) + _alpha(cut(lo, hi), lows, out).to_bytes(hi - lo, sys.byteorder)
+            h_ones, spans, wholes = 0, (stage,), ()
+        else:
+            if h == 0:
+                # g packs alpha(l) - 2 w(l, h) per lane, starting at h = 0:
+                # w(l, h) counts the edges between l and h, so adding beta(h),
+                # the edges leaving h, gives e1 of labeling l | h << low
+                g = _alpha(ind, lows, out)
+            elif h == 1:  # the high part's terms, which h = 0 does not read
+                deg = [sum(c for _, c in e) for e in ends]  # the high vertices' degrees
+                # up[t]: (mask, k + 1) per bit k, mask the high vertices above
+                # t whose count to t has bit k
+                up = [[0] * mu.bit_length() for _ in range(high)]
+                for (u, v), c in chain(tail, items):
+                    deg[u - low] += c
+                    if v < low + high:
+                        deg[v - low] += c
+                        up[u - low] = [mask | (c >> k & 1) << v - low
+                                       for k, mask in enumerate(up[u - low])]
+                up = [[(mask, k + 1) for k, mask in enumerate(masks) if mask] for masks in up]
+                # cross[t] packs the edges from each low subset to low + t
+                cross = [sum(c * ind[u] if c > 1 else ind[u] for u, c in e) for e in ends]
+                # from h - 1 to h, the lowest set bit t of h joins and the bits below t leave
+                steps = [(below - c) << 1 for below, c in zip(accumulate(cross, initial=0), cross)]
+            if h:  # t joins h & (h - 1), whose vertices all lie above it
+                t = (h & -h).bit_length() - 1
+                g += steps[t]
+                beta.append(beta[h & (h - 1)] + deg[t])
+                for mask, k in up[t]:  # less twice the edges from t into h
+                    beta[h] -= (mask & h).bit_count() << k
+            spans, wholes = plans[h_ones := h.bit_count()]
+            if not (spans or wholes):
+                continue
+            # every lane holds an e1 in [0, cap], so E's digits are the lanes
+            E = (g + beta[h] * ones_lanes).to_bytes(size, sys.byteorder)
         cordial = False
         for lo, hi in spans:  # one search per balanced e1 over each run of groups
             for e1, pat in pats:

@@ -255,6 +255,17 @@ def _priced(g, cells, modes):
     return {cell: x for cell, x in cells.items() if priced(*cell)}
 
 
+def _scanned(g, cells, modes):
+    """What _scan returns, from _recount's cells: the cordial cells alone when
+    high subset 0 reaches one, as the scan's first stage then stops on its
+    friendly lanes; otherwise every cell that one of modes prices."""
+    low = _split(g.n)[0]
+    cordial = _priced(g, cells, ("cordial",))
+    if cordial and max(x >> low for x in cordial.values()) == 0:
+        return cordial
+    return _priced(g, cells, modes)
+
+
 @pytest.fixture
 def lane_widths(monkeypatch):
     """The lane width of every scan run in the test, in order."""
@@ -289,7 +300,7 @@ def test_scan_part_matches_a_recount_on_any_high_range(lane_widths):
                 g = _crossing_multigraph(m, n, n // 2)
             full = _recount(g)
             for modes in _MODE_SETS:
-                (narrow if m < 256 else wide).append((g, modes, _priced(g, full, modes)))
+                (narrow if m < 256 else wide).append((g, modes, _scanned(g, full, modes)))
     # a dense multigraph on 2-byte lanes with no edge-balanced cell, so ced
     # scans every high subset; its friendly row holds 57 distinct e1 values,
     # each recorded at its least lane
@@ -309,14 +320,15 @@ def test_scan_part_is_exact_when_degree_sums_overflow_a_lane(m, lane_widths):
     # alpha alone sets every lane, and the degree sums of large low subsets
     # pass 255 while no lane does: the packed alpha must never hold them.
     # m = 256 is the twin with 2-byte lanes, as its largest multiplicity, 9,
-    # times the 6 * 7 pairs a cut separates is above 256. ced keeps whole
-    # friendly rows, cvd the edge-balanced cells of the rest
+    # times the 6 * 7 pairs a cut separates is above 256. Both are cordial
+    # at high subset 0, so the first stage packs and settles them on the
+    # lanes of the friendly groups 6 and 7 alone
     rng = random.Random(m)
     g = MultiGraph(13, [tuple(rng.sample(range(10), 2)) for _ in range(m)])
     assert _split(13) == (10, 2)
     full = _recount(g)
     for modes in _MODE_SETS:
-        assert _scan(g, modes) == _priced(g, full, modes)
+        assert _scan(g, modes) == _scanned(g, full, modes)
     assert lane_widths == [1 if m < 256 else 2] * len(_MODE_SETS)
 
 
@@ -328,7 +340,7 @@ def test_scan_packs_one_byte_lanes_when_no_cut_reaches_256_edges(lane_widths):
     assert g.m == 260
     full = _recount(g)
     for modes in _MODE_SETS:
-        assert _scan(g, modes) == _priced(g, full, modes)
+        assert _scan(g, modes) == _scanned(g, full, modes)
     assert lane_widths == [1] * len(_MODE_SETS)
 
 
@@ -371,12 +383,19 @@ def test_span_search_skips_a_match_straddling_two_lanes(lane_widths):
     # the lanes hold 0, 257, 199, 256: in either byte order the bytes of 256
     # first appear across the first two lanes or the middle two, before the
     # lane that holds it. Read as a lane, that match would record a cell of
-    # row 0 or 1, which no labeling reaches
+    # row 0 or 1, which no labeling reaches. The last lane is the friendly
+    # group 2, so the first stage settles g there and never reads the others;
+    # its twin, one edge moved from (1, 4) to (2, 3), holds 0, 257, 198, 255
+    # and is not cordial, so the full scan meets those matches. cvd's lanes
+    # hold no 256 at any high subset, so it records no cell at all
     g = MultiGraph(5, [(0, 1)] * 100 + [(0, 4)] * 157 + [(1, 4)] * 99 + [(2, 3)] * 156)
-    assert _lane_e1(g, 0) == [0, 257, 199, 256]
+    twin = MultiGraph(5, [(0, 1)] * 100 + [(0, 4)] * 157 + [(1, 4)] * 98 + [(2, 3)] * 157)
+    assert _lane_e1(g, 0) == [0, 257, 199, 256] and _lane_e1(twin, 0) == [0, 257, 198, 255]
     for modes in _MODE_SETS:
         assert _scan(g, modes) == _priced(g, _recount(g), modes) == {(2, 256): 0b11}
-    assert lane_widths == [2] * len(_MODE_SETS)
+        assert _scan(twin, modes) == _priced(twin, _recount(twin), modes)
+    assert _scan(twin, ("cvd",)) == {}
+    assert lane_widths == [2] * (2 * len(_MODE_SETS) + 1)
 
 
 def test_span_search_goes_on_past_a_cell_recorded_before():
@@ -502,9 +521,92 @@ def test_scan_stops_at_the_witness_high_subset(n):
             assert res.witness.labels == _labels(best[1], n)
             assert best[1] >> low == h
             first = _scan(g, (mode,))
-            # nothing above the witness's high subset is scanned, all of it is
+            # nothing above the witness's high subset is scanned and all of
+            # it is, except at high subset 0, where the first stage records
+            # the cordial cells alone
             assert max(x >> low for x in first.values()) == h
-            assert first == _priced(g, _recount(g), (mode,))
+            assert first == _scanned(g, _recount(g), (mode,))
+
+
+@pytest.mark.parametrize("n, seed, copies, width", [
+    (13, 0, 1, 1), (13, 0, 6, 2), (13, 0, 1500, 4), (15, 4, 1, 1), (16, 0, 1, 1)])
+def test_first_stage_settles_a_graph_cordial_at_high_subset_zero(n, seed, copies, width,
+                                                                lane_widths):
+    # a planted graph cordial at high subset 0, every edge repeated copies
+    # times: its cordial labelings stay the same, as each has e1 = m/2
+    # exactly, and the multiplicities set the lane width. Parallel edges lie
+    # inside the low part and run from it to the high part. No friendly
+    # group's first lane, (1 << k) - 1, is cordial, so the first stage must
+    # find each group's least cordial lane past it; the scan returns just
+    # those cells, and every measure takes the least of them as its witness
+    low = _split(n)[0]
+    g = MultiGraph(n, _planted_cordial_multigraph(n, seed, 0).edges * copies)
+    pairs = [g.pairs[i] for i, _ in g.repeats]  # the pairs with parallel edges
+    assert any(v < low for _, v in pairs) and any(u < low <= v < n - 1 for u, v in pairs)
+    want = _scanned(g, _recount(g), ("cvd",))
+    assert want == _priced(g, want, ("cordial",))
+    assert {x >> low for x in want.values()} == {0}
+    assert all(x != (1 << ones) - 1 for (ones, _), x in want.items())
+    for modes in (*_MODE_SETS, ("cordial",)):
+        assert _scan(g, modes) == want
+    got = solve(g, MEASURES)
+    assert {r.value for r in got.values()} == {DeficiencyValue.finite(0)}
+    assert {r.witness.labels for r in got.values()} == {_labels(min(want.values()), n)}
+    assert lane_widths == [width] * (len(_MODE_SETS) + 2)
+
+
+def test_first_stage_reads_the_last_lane_of_its_range():
+    # vertices 0, 1 and 2 have 5 edges each to the pinned vertex 12 and
+    # 3..9 have 3, and 6 edges join the high vertices 10 and 11, so m = 42,
+    # and at high subset 0 the e1 of a low subset is its count of edges to
+    # 12. Of the friendly groups 6 and 7, only {3, ..., 9} reaches 21, the
+    # last lane of group 7 and of the first stage's range. Non-friendly
+    # subsets such as {0, 1, 2, 3, 4} reach it too, which cvd would record
+    # if the first stage missed
+    g = MultiGraph(13, [(v, 12) for v in range(10) for _ in range(5 if v < 3 else 3)]
+                   + [(10, 11)] * 6)
+    full = _recount(g)
+    assert full[5, 21] == 0b11111
+    for modes in (*_MODE_SETS, ("cordial",)):
+        assert _scan(g, modes) == _scanned(g, full, modes) == {(7, 21): 0b1111111000}
+
+
+@pytest.mark.parametrize("g", [
+    FamilySpec("cycle", 14).build(), FamilySpec("complete", 15).build(),
+    _planted_cordial_multigraph(14, 14, 1), _planted_cordial_multigraph(14, 14),
+], ids=["C14", "K15", "planted-h1", "planted-top"])
+def test_first_stage_miss_leaves_the_full_scan(g):
+    # C14 and K15 are not cordial, and the planted graphs are cordial first
+    # at high subset 1 and at the top one: high subset 0 reaches no cordial
+    # cell on its friendly lanes, so the scan packs every lane and records
+    # every candidate cell of the modes, high subset 0 included
+    full = _recount(g)
+    for modes in (*_MODE_SETS, ("cordial",), MEASURES):
+        assert _scan(g, modes) == _priced(g, full, modes)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 21, 22, 23])
+def test_first_stage_needs_a_friendly_group_at_high_subset_zero(n):
+    # high subset 0 holds the labelings with at most low ones, fewer than
+    # n//2 at n = 2, 3 and 4 and, as low is at most LOW_BITS = 10, at
+    # n >= 22: there the first stage is empty, and a path's scan goes on to
+    # its witness past high subset 0. n = 21 is the last n with a friendly
+    # group there, its one lane the top one, the whole low part: a comb of
+    # one edge from each low vertex plus a path on the rest is balanced on
+    # it, and the first stage settles it there
+    low = _split(n)[0]
+    if n == 21:
+        g = MultiGraph(n, [(v, v + low) for v in range(low)]
+                       + [(v, v + 1) for v in range(low, n - 1)])
+    else:
+        g = FamilySpec("path", n).build()
+    full = _recount(g)
+    for modes in (*_MODE_SETS, ("cordial",)):
+        assert _scan(g, modes) == _scanned(g, full, modes)
+    if n == 21:
+        assert _scan(g, ("cvd",)) == {(10, 10): (1 << low) - 1}
+    else:
+        assert min(x >> low for x in _scan(g, ("cordial",)).values()) >= 1
 
 
 def _key(res):
