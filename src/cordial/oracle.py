@@ -71,9 +71,9 @@ At h = 0 only the friendly groups, k = n//2 or (n+1)//2 with k <= low,
 hold cordial cells; the groups ascend by popcount, so their lanes are one
 byte range. A first stage packs alpha on it alone, from the low vertices'
 indicators cut to it once per process, and searches it like a span. A hit
-returns just the cordial cells, at their least lanes, which every mode
-prices at 0, below any other cell; only a miss, which records nothing,
-packs every lane and runs h = 0 again. Every scan runs in the calling process.
+returns just the cordial cells, at their least lanes: every mode prices
+them at 0. A miss records nothing and packs every lane, which h = 0 reads
+unless its plan is the stage's own. Every scan runs in the calling process.
 """
 
 from __future__ import annotations
@@ -256,7 +256,8 @@ def _scan(graph: MultiGraph, modes) -> dict[tuple[int, int], int]:
     seen = {ones: b"" if width == 1 else set() for ones in whole}  # e1s reached so far
     first: dict[tuple[int, int], int] = {}
     beta = [0]  # beta[h] counts the edges leaving high subset h
-    # the first stage runs h = 0 on its friendly lanes; a miss runs it on all
+    # the first stage runs h = 0 on its friendly lanes; after a miss, h = 0
+    # builds g and reads every lane, unless its plan is the stage's, as for cordial alone
     first_stage = stage[0] < stage[1]
     for h in chain((0,) * first_stage, range(1 << high)):
         if first_stage:  # E holds zero bytes below the friendly lanes
@@ -293,7 +294,7 @@ def _scan(graph: MultiGraph, modes) -> dict[tuple[int, int], int]:
                 for mask, k in up[t]:  # less twice the edges from t into h
                     beta[h] -= (mask & h).bit_count() << k
             spans, wholes = plans[h_ones := h.bit_count()]
-            if not (spans or wholes):
+            if not (spans or wholes) or h == 0 and (spans, wholes) == ((stage,), ()):
                 continue
             # every lane holds an e1 in [0, cap], so E's digits are the lanes
             E = (g + beta[h] * ones_lanes).to_bytes(size, sys.byteorder)

@@ -322,26 +322,44 @@ def test_scan_part_is_exact_when_degree_sums_overflow_a_lane(m, lane_widths):
     # m = 256 is the twin with 2-byte lanes, as its largest multiplicity, 9,
     # times the 6 * 7 pairs a cut separates is above 256. Both are cordial
     # at high subset 0, so the first stage packs and settles them on the
-    # lanes of the friendly groups 6 and 7 alone
+    # lanes of the friendly groups 6 and 7 alone. Each twin, five copies of
+    # the low part's K10 with 28 edges (0, 1) and m - 253 edges (2, 3), has
+    # the same lane width; a low subset of j vertices cuts 5 j (10 - j) plus
+    # 0, m - 253, 28 or both, which is balanced only at j = 5 with 2 and 3
+    # apart. So the first stage misses, and the full-width lanes are packed
+    # and read at high subsets 0 and 1, where vertex 10 makes j = 5 friendly
     rng = random.Random(m)
     g = MultiGraph(13, [tuple(rng.sample(range(10), 2)) for _ in range(m)])
-    assert _split(13) == (10, 2)
-    full = _recount(g)
+    twin = MultiGraph(13, 5 * list(combinations(range(10), 2)) + [(0, 1)] * 28
+                      + [(2, 3)] * (m - 253))
+    assert _split(13) == (10, 2) and twin.m == m
+    full, twin_full = _recount(g), _recount(twin)
+    assert min(x >> 10 for x in _priced(twin, twin_full, ("cordial",)).values()) == 1
     for modes in _MODE_SETS:
         assert _scan(g, modes) == _scanned(g, full, modes)
-    assert lane_widths == [1 if m < 256 else 2] * len(_MODE_SETS)
+        assert _scan(twin, modes) == _priced(twin, twin_full, modes)
+    assert lane_widths == [1 if m < 256 else 2] * (2 * len(_MODE_SETS))
 
 
 def test_scan_packs_one_byte_lanes_when_no_cut_reaches_256_edges(lane_widths):
     # 52 pairs of 14 vertices, 5 edges each: m = 260 needs 2 bytes, but a cut
-    # separates at most 7 * 7 pairs, so every e1 is at most 5 * 49 = 245
+    # separates at most 7 * 7 pairs, so every e1 is at most 5 * 49 = 245.
+    # g is cordial at high subset 0, so the first stage settles it; its twin,
+    # K10 on the low vertices, K4 on the rest and the pair (0, 10), each pair
+    # 5 times, cuts 5 (j (10 - j) + a (4 - a)) plus 0 or 5 pairs with j low
+    # and a other vertices at 1, never the balanced 130 at 7 ones. So it is
+    # not cordial, and every high subset is packed and read on full lanes
     rng = random.Random(14)
     g = MultiGraph(14, 5 * rng.sample(list(combinations(range(14), 2)), 52))
-    assert g.m == 260
-    full = _recount(g)
+    twin = MultiGraph(14, 5 * [*combinations(range(10), 2), *combinations(range(10, 14), 2),
+                               (0, 10)])
+    assert g.m == twin.m == 260 and _split(14) == (10, 3)
+    full, twin_full = _recount(g), _recount(twin)
+    assert not _priced(twin, twin_full, ("cordial",))
     for modes in _MODE_SETS:
         assert _scan(g, modes) == _scanned(g, full, modes)
-    assert lane_widths == [1] * len(_MODE_SETS)
+        assert _scan(twin, modes) == _priced(twin, twin_full, modes)
+    assert lane_widths == [1] * (2 * len(_MODE_SETS))
 
 
 @pytest.mark.parametrize("c, width", [(1, 1), (22, 2)])
