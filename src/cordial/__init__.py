@@ -19,8 +19,7 @@ _HOMES = {
         ("certify", "Certificate ValidationReport ValidationRow Verdict check_certificate"
                     " cross_validate parse_certificate serialize_certificate"
                     " DEFAULT_MAX_VERTICES DeficiencyValue InfinityReason"),
-        ("errors", "CordialError IdOutOfRange LengthMismatch LoopRejected MalformedCertificate"
-                   " NotApplicable ParseError SizeLimitExceeded SizeTooSmall StrictlyNoncordial"),
+        ("errors", "CordialError MalformedCertificate NotApplicable ParseError"),
         ("families", "ced_complete complete_cordial_labeling complete_ced_witness"
                      " complete_cvd_witness complete_split construct_mobius_labeling"
                      " cvd_complete cvd_complete_literal cycle_cordial_labeling"

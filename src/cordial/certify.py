@@ -52,7 +52,7 @@ class DeficiencyValue(NamedTuple):
     @classmethod
     def finite(cls, value: int) -> "DeficiencyValue":
         if value < 0:
-            raise ValueError("deficiencies are non-negative")
+            raise CordialError("deficiencies are non-negative")
         return cls(value, None)
 
     @classmethod

@@ -25,6 +25,9 @@ from .certify import DEFAULT_MAX_VERTICES, MEASURES, DeficiencyValue
 from .errors import CordialError, MalformedCertificate, SelfCheckFailed
 from .graph_core import FAMILIES, MIN_SIZE, FamilySpec, parse_edge_list
 
+# construct's witness check builds every edge, so a larger member is refused
+MAX_CONSTRUCT_EDGES = 10**7
+
 
 def worker_count(text: str) -> int:
     """argparse type for --workers: rejects counts below 1 before any work."""
@@ -198,6 +201,10 @@ def _cmd_construct(args) -> int:
     build = REGISTRY[args.family].constructions.get(args.target)
     if build is None:
         raise CordialError(f"no {args.target} construction for family {args.family!r}")
+    edges = FamilySpec(args.family, args.n).edge_count
+    if edges > MAX_CONSTRUCT_EDGES:  # before its labels or graph are built
+        raise CordialError(f"{args.family} n={args.n} has {edges} edges;"
+                           f" construct builds at most {MAX_CONSTRUCT_EDGES}")
     cert = build(args.n)
     text = serialize_certificate(cert)
     if args.out:

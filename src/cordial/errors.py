@@ -1,20 +1,16 @@
-"""Exception types shared across the toolkit, and the self-check raising one."""
+"""Exception types, one for each way a caller handles a failure.
+
+Every error the package raises on purpose is a CordialError: any bad input
+or usage, on which the CLI exits 2. Its subclasses are the kinds callers
+tell apart: ParseError, an edge-list fault with its line; MalformedCertificate,
+a broken certificate (the CLI prints `Malformed:`); NotApplicable, a
+construction absent at that size; and SelfCheckFailed, a bug in this package
+(the CLI exits 1).
+"""
 
 
 class CordialError(Exception):
-    """Base class for every error this package raises on purpose."""
-
-
-class LoopRejected(CordialError):
-    """An edge with identical endpoints was supplied; loops are not allowed."""
-
-
-class IdOutOfRange(CordialError):
-    """A vertex id is not an integer or falls outside 0..n-1 for the graph at hand."""
-
-
-class SizeTooSmall(CordialError):
-    """A vertex count or family size is not an integer or is below its valid range."""
+    """Any bad input or usage; the base of every error the package raises on purpose."""
 
 
 class ParseError(CordialError):
@@ -25,20 +21,8 @@ class ParseError(CordialError):
         self.line_no = line_no
 
 
-class LengthMismatch(CordialError):
-    """A labeling's length does not equal the graph's vertex count."""
-
-
-class SizeLimitExceeded(CordialError):
-    """The graph is larger than the configured exhaustive-search bound."""
-
-
 class NotApplicable(CordialError):
-    """The requested construction does not exist for this parameter."""
-
-
-class StrictlyNoncordial(CordialError):
-    """No edge-balanced labeling exists, so no finite vertex deficiency does."""
+    """The requested construction or closed form does not exist for this parameter."""
 
 
 class MalformedCertificate(CordialError):

@@ -18,7 +18,7 @@ from math import isqrt
 from typing import Callable, Mapping, NamedTuple
 
 from .certify import Certificate, DeficiencyValue, InfinityReason, witness
-from .errors import NotApplicable, SizeTooSmall, StrictlyNoncordial
+from .errors import NotApplicable
 from .graph_core import FamilySpec
 
 # ---------------------------------------------------------------- complete
@@ -58,7 +58,7 @@ def ced_complete(n: int) -> DeficiencyValue:
     """Edge deficiency of the complete graph; defined for n >= 2."""
     FamilySpec("complete", n)
     if n < 2:
-        raise SizeTooSmall("the edge deficiency formula needs at least 2 vertices")
+        raise NotApplicable("the edge deficiency formula needs at least 2 vertices")
     return DeficiencyValue.finite(n // 2 - 1)
 
 
@@ -103,7 +103,7 @@ def complete_cvd_witness(n: int) -> Certificate:
     """Edge-balanced split plus isolated vertices on the minority side."""
     ell = complete_split(n)
     if ell is None:
-        raise StrictlyNoncordial(
+        raise NotApplicable(
             f"no edge-balanced labeling of the complete graph on {n} vertices"
         )
     labels = (0,) * ell + (1,) * (n - ell)
@@ -243,8 +243,8 @@ class FamilyDef(NamedTuple):
     cvd_square_rule, set only beside a cvd form, is the literal square-rule
     form that cross-validation compares with the search in place of cvd.
     constructions maps each target to a certificate constructor, in the
-    order cordial, ced, cvd; a constructor raises NotApplicable,
-    StrictlyNoncordial or SizeTooSmall at sizes without a witness.
+    order cordial, ced, cvd; a constructor raises NotApplicable at sizes
+    without a witness, and CordialError below the family's least size.
     parity_lower: the parity obstruction is the lower bound that backs the
     witnesses of noncordial members.
     """
@@ -314,13 +314,13 @@ REGISTRY: dict[str, FamilyDef] = {
 def family_certificates(family: str, size: int) -> list[tuple[str, Certificate]]:
     """(target, certificate) for every witness the family has at this size.
 
-    Sizes where a constructor does not apply are skipped; a witness that
-    fails its own check still raises SelfCheckFailed.
+    Sizes where a constructor does not apply are skipped; a size below the
+    family's least raises CordialError, a failed witness SelfCheckFailed.
     """
     certs = []
     for target, build in REGISTRY[family].constructions.items():
         try:
             certs.append((target, build(size)))
-        except (NotApplicable, StrictlyNoncordial, SizeTooSmall):
+        except NotApplicable:
             continue
     return certs

@@ -18,13 +18,13 @@ from collections import Counter, namedtuple
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .errors import IdOutOfRange, LoopRejected, ParseError, SizeTooSmall
+from .errors import CordialError, ParseError
 
 
 def _integer(value, what: str) -> int:
-    """value, if it is an int and not a bool; else SizeTooSmall."""
+    """value, if it is an int and not a bool; else CordialError."""
     if type(value) is not int:
-        raise SizeTooSmall(f"{what} must be an integer, got {value!r}")
+        raise CordialError(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -45,15 +45,15 @@ class MultiGraph(namedtuple("MultiGraph", "n edges pairs repeats mu")):
 
     def __new__(cls, n: int, edges):
         if _integer(n, "vertex count") < 0:
-            raise SizeTooSmall("vertex count must be non-negative")
+            raise CordialError("vertex count must be non-negative")
         edges = tuple(edges)  # any iterable of (u, v) pairs
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
-                raise IdOutOfRange(f"edge ({u!r}, {v!r}): vertex ids must be integers")
+                raise CordialError(f"edge ({u!r}, {v!r}): vertex ids must be integers")
             if u == v:
-                raise LoopRejected(f"loop at vertex {u}")
+                raise CordialError(f"loop at vertex {u}")
             if not (0 <= u < n) or not (0 <= v < n):
-                raise IdOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
+                raise CordialError(f"edge ({u}, {v}) outside 0..{n - 1}")
         return cls._unchecked(n, sorted([(u, v) if u < v else (v, u) for u, v in edges]))
 
     @classmethod
@@ -173,9 +173,9 @@ class FamilySpec(namedtuple("FamilySpec", "family size")):
 
     def __new__(cls, family: str, size: int):
         if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
+            raise CordialError(f"unknown family {family!r}")
         if _integer(size, f"{family} size") < MIN_SIZE[family]:
-            raise SizeTooSmall(f"{family} requires size >= {MIN_SIZE[family]}")
+            raise CordialError(f"{family} requires size >= {MIN_SIZE[family]}")
         return super().__new__(cls, family, size)
 
     @classmethod
@@ -214,8 +214,8 @@ def parse_edge_list(text: str) -> MultiGraph:
     """Parse the edge-list format: a header line "n m", then m lines "u v".
 
     Lines starting with '#' are comments and may appear anywhere; tokens are
-    separated by single spaces. Loops and out-of-range ids raise their own
-    error types, everything else malformed raises ParseError with the line.
+    separated by single spaces. Every fault, a loop and an out-of-range id
+    among them, raises ParseError with its line.
     The pairs are ordered (u < v) and sorted here, as MultiGraph._unchecked
     expects them; it counts their repeats into the graph's pair table, the
     one count of this graph's edges.
@@ -242,9 +242,9 @@ def parse_edge_list(text: str) -> MultiGraph:
             raise ParseError("expected edge line 'u v'", line_no)
         u, v = _read_ints(tokens, "vertex ids", line_no)
         if u == v:
-            raise LoopRejected(f"line {line_no}: loop at vertex {u}")
+            raise ParseError(f"loop at vertex {u}", line_no)
         if not (0 <= u < n) or not (0 <= v < n):
-            raise IdOutOfRange(f"line {line_no}: edge ({u}, {v}) outside 0..{n - 1}")
+            raise ParseError(f"edge ({u}, {v}) outside 0..{n - 1}", line_no)
         edges.append((u, v) if u < v else (v, u))
     if header is None:
         raise ParseError("missing header 'n m'", line_no + 1)

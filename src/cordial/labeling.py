@@ -8,7 +8,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import LengthMismatch
+from .errors import CordialError
 from .graph_core import MultiGraph
 
 
@@ -41,7 +41,7 @@ def balance(g: MultiGraph, f: tuple[int, ...]) -> BalanceReport:
     first of each repeated one.
     """
     if len(f) != g.n:
-        raise LengthMismatch(f"labeling has {len(f)} bits for a graph on {g.n} vertices")
+        raise CordialError(f"labeling has {len(f)} bits for a graph on {g.n} vertices")
     v1 = sum(f)
     differ = [f[u] ^ f[v] for u, v in g.pairs]
     e1 = differ.count(1) + sum([k for i, k in g.repeats if differ[i]])

@@ -94,7 +94,7 @@ from .certify import (
     cordial_witnesses,
     witness,
 )
-from .errors import CordialError, SizeLimitExceeded
+from .errors import CordialError
 from .graph_core import MultiGraph
 from .labeling import VertexLabeling
 
@@ -338,9 +338,9 @@ def _scan(graph: MultiGraph, modes) -> dict[tuple[int, int], int]:
 
 
 def check_search_size(n: int, max_vertices: int) -> None:
-    """Raise SizeLimitExceeded when n vertices are beyond the search cap."""
+    """Raise CordialError when n vertices are beyond the search cap, before any work."""
     if n > max_vertices:
-        raise SizeLimitExceeded(
+        raise CordialError(
             f"graph has {n} vertices; exhaustive search is capped at"
             f" {max_vertices} (raise max_vertices to override)"
         )
@@ -423,20 +423,17 @@ def solve(
 # changes nothing; no package code or script may (tests/test_graph_core.py).
 
 
-def decide_cordial(g: MultiGraph, *, max_vertices: int = DEFAULT_MAX_VERTICES,
-                   workers: int = 1) -> tuple[bool, VertexLabeling | None]:
+def decide_cordial(g: MultiGraph, *, workers: int = 1) -> tuple[bool, VertexLabeling | None]:
     """solve's cordial answer as (cordial?, its witness labeling or None)."""
-    witness = solve(g, ("cordial",), max_vertices=max_vertices)["cordial"].witness
+    witness = solve(g, ("cordial",))["cordial"].witness
     return (False, None) if witness is None else (True, VertexLabeling(witness.labels))
 
 
-def ced_oracle(g: MultiGraph, *, max_vertices: int = DEFAULT_MAX_VERTICES,
-               workers: int = 1) -> OracleResult:
+def ced_oracle(g: MultiGraph, *, workers: int = 1) -> OracleResult:
     """solve's ced result."""
-    return solve(g, ("ced",), max_vertices=max_vertices)["ced"]
+    return solve(g, ("ced",))["ced"]
 
 
-def cvd_oracle(g: MultiGraph, *, max_vertices: int = DEFAULT_MAX_VERTICES,
-               workers: int = 1) -> OracleResult:
+def cvd_oracle(g: MultiGraph, *, workers: int = 1) -> OracleResult:
     """solve's cvd result."""
-    return solve(g, ("cvd",), max_vertices=max_vertices)["cvd"]
+    return solve(g, ("cvd",))["cvd"]

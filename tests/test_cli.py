@@ -240,6 +240,28 @@ def test_construct_refuses_impossible_targets(capsys):
     assert code == 2
 
 
+def test_construct_refuses_a_member_above_the_edge_bound(capsys, monkeypatch):
+    # the witness check builds every edge, so the bound is checked before any
+    # labels or member are built; exit 2, not a MemoryError
+    from cordial import families
+
+    def refuse(*args):
+        raise AssertionError(f"built {args}")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(families, "_mobius_labels", refuse)
+        mp.setattr(FamilySpec, "build", refuse)
+        code, out, err = run(capsys, "construct", "--family", "mobius",
+                             "--n", "1000000000000", "--target", "cordial")
+    assert (code, out) == (2, "")
+    assert err == ("error: mobius n=1000000000000 has 3000000000000 edges;"
+                   " construct builds at most 10000000\n")
+    # the fixture's largest member still constructs
+    code, out, _ = run(capsys, "construct", "--family", "mobius", "--n", "388",
+                       "--target", "cordial")
+    assert code == 0 and parse_certificate(out).param == 388
+
+
 def test_verify_rejected_and_malformed_exit_codes(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

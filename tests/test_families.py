@@ -3,11 +3,10 @@
 import pytest
 
 from cordial import (
+    CordialError,
     DeficiencyValue,
     FamilySpec,
     NotApplicable,
-    SizeTooSmall,
-    StrictlyNoncordial,
     balance,
     ced_complete,
     check_certificate,
@@ -62,7 +61,8 @@ def test_ced_complete_closed_form():
     assert [ced_complete(n).value for n in range(2, 11)] == [
         0, 0, 1, 1, 2, 2, 3, 3, 4,
     ]
-    with pytest.raises(SizeTooSmall):
+    with pytest.raises(NotApplicable,
+                       match="^the edge deficiency formula needs at least 2 vertices$"):
         ced_complete(1)
 
 
@@ -90,7 +90,8 @@ def test_complete_witnesses():
     w = complete_cvd_witness(7)
     assert w.claimed_value == 2 and w.added_vertex_labels in ((0, 0), (1, 1))
     assert check_certificate(w).accepted
-    with pytest.raises(StrictlyNoncordial):
+    with pytest.raises(NotApplicable,
+                       match="^no edge-balanced labeling of the complete graph on 5 vertices$"):
         complete_cvd_witness(5)
     w = complete_cordial_labeling(3)
     assert w.kind == "cordial" and check_certificate(w).accepted
@@ -118,7 +119,7 @@ def test_base_labelings_are_friendly_with_pinned_counts():
 
 
 def test_base_labeling_gating():
-    with pytest.raises(SizeTooSmall):
+    with pytest.raises(CordialError, match="^mobius requires size >= 3$"):
         construct_mobius_labeling(2)
     with pytest.raises(NotApplicable):
         construct_mobius_labeling(6)
@@ -188,7 +189,7 @@ def test_mobius_witness_gating():
         mobius_ced_witness(8)
     with pytest.raises(NotApplicable):
         mobius_cvd_witness(7)
-    with pytest.raises(SizeTooSmall):
+    with pytest.raises(CordialError, match="^mobius requires size >= 3$"):
         mobius_ced_witness(2)
 
 

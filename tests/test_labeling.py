@@ -4,8 +4,8 @@ import pytest
 
 from cordial import (
     BalanceReport,
+    CordialError,
     FamilySpec,
-    LengthMismatch,
     MultiGraph,
     balance,
     first_pair_with_edge_label,
@@ -34,9 +34,9 @@ def test_balance_counts_parallel_edges_with_multiplicity():
 
 
 def test_balance_rejects_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(CordialError, match="^labeling has 2 bits for a graph on 3 vertices$"):
         balance(FamilySpec("complete", 3).build(), VertexLabeling((0, 1)))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(CordialError, match="^labeling has 2 bits for a graph on 1 vertices$"):
         balance(FamilySpec("complete", 1).build(), (0, 1))
 
 

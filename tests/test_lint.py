@@ -74,3 +74,44 @@ def test_only_certify_makes_a_certificate():
                 if name in ("Certificate", "_replace"):
                     found.append(f"{path.name}:{node.lineno}: {name}")
     assert not found, found
+
+
+# the raises that stand outside the package's error types on purpose:
+# (module, innermost def or "__main__" for the main guard, class)
+_FOREIGN_RAISES = {
+    ("cli", "worker_count", "ArgumentTypeError"),
+    ("cli", "vertex_cap", "ArgumentTypeError"),
+    ("__init__", "__getattr__", "AttributeError"),
+    ("cli", "__main__", "SystemExit"),
+}
+
+
+def _raises(node: ast.AST, scope: str = "<module>"):
+    """(scope, node) for every raise under node; scope is the innermost def's
+    name, "__main__" inside the `if __name__ == "__main__"` guard."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        elif isinstance(child, ast.If) and ast.unparse(child.test) == "__name__ == '__main__'":
+            inner = "__main__"
+        if isinstance(child, ast.Raise):
+            yield inner, child
+        yield from _raises(child, inner)
+
+
+def test_every_raise_in_the_package_names_one_of_its_error_types():
+    # every error the package raises on purpose is a CordialError, so a
+    # caller that catches CordialError catches them all; a bare raise re-raises
+    errors = _ROOT / "src" / "cordial" / "errors.py"
+    own = {node.name for node in _tree(errors).body if isinstance(node, ast.ClassDef)}
+    found = []
+    for path in _PACKAGE:
+        for scope, node in _raises(_tree(path)):
+            if node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+            if name not in own and (path.stem, scope, name) not in _FOREIGN_RAISES:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, found

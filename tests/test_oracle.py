@@ -23,7 +23,6 @@ from cordial import (
     InfinityReason,
     MalformedCertificate,
     MultiGraph,
-    SizeLimitExceeded,
     Verdict,
     balance,
     check_certificate,
@@ -696,7 +695,8 @@ def test_no_measure_asked_scans_nothing(monkeypatch):
 
     monkeypatch.setattr(oracle, "_scan", scan)
     assert solve(FamilySpec("complete", 20).build(), ()) == {}
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(CordialError,
+                       match="^graph has 25 vertices; exhaustive search is capped at 24 "):
         solve(FamilySpec("complete", 25).build(), ())
     with pytest.raises(CordialError):
         solve(FamilySpec("complete", 3).build(), ("cordial", "odd"))
@@ -893,7 +893,8 @@ def test_cross_validate_and_compute_scan_each_graph_once(monkeypatch, capsys):
 
 def test_size_cap_is_enforced_and_overridable():
     g = FamilySpec("path", 6).build()
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(CordialError,
+                       match="^graph has 6 vertices; exhaustive search is capped at 5 "):
         _is_cordial(g, max_vertices=5)
     assert _is_cordial(g, max_vertices=6)
 
@@ -904,5 +905,5 @@ def test_deficiency_value_rendering():
     inf = DeficiencyValue.infinite(InfinityReason.NO_FEASIBLE_AUGMENTATION)
     assert inf.render() == "infinity"
     assert inf.describe() == "infinity (NoFeasibleAugmentation)"
-    with pytest.raises(ValueError):
+    with pytest.raises(CordialError, match="^deficiencies are non-negative$"):
         DeficiencyValue.finite(-1)
